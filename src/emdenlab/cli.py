@@ -112,7 +112,7 @@ def _config_from(args) -> ShootConfig:
 def _read_grid(path: str, n_columns: int):
     """Numeric rows from a CSV grid file; one optional header row allowed."""
     rows = []
-    first_data_seen = False
+    header_seen = False
     with open(path, newline="") as fh:
         for line in csv.reader(fh):
             if not line or not "".join(line).strip():
@@ -122,12 +122,12 @@ def _read_grid(path: str, n_columns: int):
             try:
                 values = [float(tok) for tok in line[:n_columns]]
             except ValueError:
-                if first_data_seen:
+                if rows or header_seen:
                     raise ValueError(f"non-numeric row {line!r} in {path}")
+                header_seen = True
                 continue
             if len(line) < n_columns:
                 raise ValueError(f"row {line!r} has fewer than {n_columns} columns")
-            first_data_seen = True
             rows.append(values)
     if not rows:
         raise ValueError(f"no parameter rows found in {path}")
@@ -493,10 +493,13 @@ def _sweep_row(params: ProblemParams, outcome) -> list:
 
 def cmd_sweep(args) -> int:
     raw = _read_grid(args.grid, 4)
-    rows = [ProblemParams(int(round(r[0])), r[1], r[2], r[3]) for r in raw]
+    # a fractional N is kept as given, so the shooter rejects that row
+    rows = [
+        ProblemParams(int(N) if N.is_integer() else N, a, b, p) for N, a, b, p in raw
+    ]
     config = _config_from(args)
     t0 = time.perf_counter()
-    outcomes = sweep_shoot(rows, config, processes=args.jobs)
+    outcomes = sweep_shoot(rows, config)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_SWEEP_COLUMNS)
@@ -510,8 +513,7 @@ def cmd_sweep(args) -> int:
         if args.emit_plot:
             names.append(_write_text(out, "sweep.gp", _SWEEP_PLOT))
         params_echo = {"grid": os.path.basename(args.grid), "rows": len(rows)}
-        config_echo = dict(config.to_dict(), jobs=args.jobs)
-        _write_manifest(out, "sweep", params_echo, config_echo, names, t0)
+        _write_manifest(out, "sweep", params_echo, config.to_dict(), names, t0)
     return 0
 
 
@@ -612,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="batch of shots from a grid file")
     sp.add_argument("--grid", required=True, help="CSV of N,a,b,p rows")
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes")
     _add_shoot_flags(sp)
     _add_out_flags(sp, plot=True)
     sp.set_defaults(func=cmd_sweep)

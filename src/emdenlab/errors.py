@@ -14,6 +14,10 @@ class DimensionTooSmall(EmdenLabError):
     """Ambient dimension N < 3."""
 
 
+class NonIntegerDimension(EmdenLabError):
+    """Ambient dimension N is not a whole number."""
+
+
 class DegenerateWeight(EmdenLabError):
     """N - 2 + a <= 0: the weighted Laplacian degenerates."""
 

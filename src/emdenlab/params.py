@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BalanceViolated, DegenerateWeight, DimensionTooSmall, NotInRange
+from .errors import (
+    BalanceViolated,
+    DegenerateWeight,
+    DimensionTooSmall,
+    NonIntegerDimension,
+    NotInRange,
+)
 
 # Relative tolerance deciding "p is exactly critical".  Anything within it
 # is numerically indistinguishable from critical for the solvers here.
@@ -122,10 +128,13 @@ class Regime:
 def validate(params: ProblemParams) -> ProblemParams:
     """Check the structural constraints; return params unchanged.
 
-    Raises DimensionTooSmall for N < 3 and DegenerateWeight for
-    N - 2 + a <= 0.  Anything subtler (inadmissible weights, exponent
-    ranges) is a regime question, not a validity question.
+    Raises NonIntegerDimension for a fractional N, DimensionTooSmall for
+    N < 3 and DegenerateWeight for N - 2 + a <= 0.  Anything subtler
+    (inadmissible weights, exponent ranges) is a regime question, not a
+    validity question.
     """
+    if not float(params.N).is_integer():
+        raise NonIntegerDimension(f"N = {params.N}, need a whole number")
     if params.N < 3:
         raise DimensionTooSmall(f"N = {params.N}, need N >= 3")
     if params.N - 2 + params.a <= 0:

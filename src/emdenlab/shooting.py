@@ -18,6 +18,14 @@ power profile).  A scaling symmetry ties all heights together,
 which the threshold search exploits: probing at large beta compresses huge
 beta = 1 crossing radii into a modest window, so a fixed horizon loses
 almost no resolution near the critical exponent.
+
+Single shots (shoot, and through it threshold_bisect) run scipy's DOP853
+via solve_ivp.  Batches (sweep_shoot) run a lockstep port of the same
+DOP853 that advances every row at once as numpy arrays, one step per row
+per iteration, with each row's own step size, error control, crossing
+refinement and node sampling.  Its numbers agree with shoot's to
+round-off, amplified only where the answer is below the absolute
+tolerance.
 """
 
 from __future__ import annotations
@@ -25,12 +33,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import ClassVar, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -290,6 +298,23 @@ def _make_rhs(params: ProblemParams):
     return rhs
 
 
+def _node_grid(eps: float, r_end: float, nodes_per_decade: int) -> np.ndarray:
+    """The stored radii of a shot: log-uniform on [eps, r_end], ends exact."""
+    n = max(2, math.ceil(nodes_per_decade * math.log10(r_end / eps)) + 1)
+    nodes = np.geomspace(eps, r_end, n)
+    nodes[0], nodes[-1] = eps, r_end
+    return nodes
+
+
+def _pinned_trajectory(params, config, nodes, v, dv, start, crossed):
+    """Nodes with the series start pinned first and, at a crossing, v = 0 last."""
+    v, dv = np.array(v), np.array(dv)
+    v[0], dv[0] = start[1], start[2]
+    if crossed:
+        v[-1] = 0.0
+    return RadialTrajectory(params=params, r=nodes, v=v, dv=dv, config=config)
+
+
 def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialTrajectory:
     """Integrate one trajectory and classify it.
 
@@ -320,20 +345,10 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     )
     crossed = sol.t_events[0].size > 0
     r_end = float(sol.t[-1])
-
-    n = max(2, math.ceil(config.nodes_per_decade * math.log10(r_end / eps)) + 1)
-    nodes = np.geomspace(eps, r_end, n)
-    nodes[0], nodes[-1] = eps, r_end
-    vals = sol.sol(nodes)
-    v, dv = np.array(vals[0]), np.array(vals[1])
-    v[0], dv[0] = v0, dv0
-    if crossed:
-        # pin the terminal node to the refined crossing
-        v[-1] = 0.0
-
-    traj = RadialTrajectory(
-        params=params, r=nodes, v=v, dv=dv, config=config, _dense=sol.sol
-    )
+    nodes = _node_grid(eps, r_end, config.nodes_per_decade)
+    v, dv = sol.sol(nodes)
+    traj = _pinned_trajectory(params, config, nodes, v, dv, (eps, v0, dv0), crossed)
+    traj._dense = sol.sol
     if sol.status == -1 and not crossed:
         traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {sol.message}")
     else:
@@ -427,13 +442,117 @@ def threshold_bisect(
     return 0.5 * (p_lo + p_hi)
 
 
-def _sweep_worker(job):
-    params, config = job
-    try:
-        return shoot(params, config).outcome
-    except EmdenLabError as exc:
-        # a bad row should not kill the batch; record why it failed
-        return Inconclusive(f"rejected: {exc}")
+# DOP853 step for step as scipy's solve_ivp drives it (Hairer, Norsett and
+# Wanner, Solving ODEs I, sections II.5 and II.10), advanced over many lanes
+# at once.  Sums and powers round differently from scipy's, so lane results
+# match shoot's to round-off, not bit for bit.
+_A, _B, _C = _dop853.A, _dop853.B, _dop853.C
+_E3, _E5, _D = _dop853.E3, _dop853.E5, _dop853.D
+_STAGES = _dop853.N_STAGES
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+_EPS = np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _lane_rhs(r, y, prm, out):
+    """The radial vector field of every lane; prm rows are (N-1+a, b-a, p)."""
+    v, dv = y[:, 0], y[:, 1]
+    s = np.abs(v) ** prm[:, 2]
+    out[:, 0] = dv
+    out[:, 1] = -prm[:, 0] / r * dv - r ** prm[:, 1] * np.where(v >= 0.0, s, -s)
+
+
+def _stage_sum(coeffs, K):
+    """sum_j coeffs[..., j] K[j], added in stage order.
+
+    Each lane's sum is rounded the same whatever the batch around it, so a
+    row's outcome does not depend on the other rows (a matrix product
+    would block its sums by the batch width).
+    """
+    s = coeffs.shape[-1]
+    return np.add.reduce(coeffs[..., None, None] * K[:s], axis=-3)
+
+
+def _rms(x):
+    return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
+
+
+def _initial_step(t0, y0, f0, t_bound, prm, rtol, atol):
+    """scipy's select_initial_step for every lane (error estimator order 7)."""
+    interval = t_bound - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, interval)
+    f1 = np.empty_like(y0)
+    _lane_rhs(t0 + h0, y0 + h0[:, None] * f0, prm, f1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0),
+    )
+    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+class _StepLog:
+    """Accepted steps of all lanes in one table, each lane's rows in step order.
+
+    A row is (lane, t_old, h, v_old, dv_old, F) with F the 7 x 2
+    dense-output coefficients of the step, flattened row by row.  Rows of
+    lanes that have left are dropped when the table fills, before it grows.
+    """
+
+    WIDTH = 5 + 2 * _dop853.INTERPOLATOR_POWER
+
+    def __init__(self):
+        self.rows = np.empty((1024, self.WIDTH))
+        self.n = 0
+
+    def append(self, block, live):
+        n, m = self.n, len(block)
+        if n + m > len(self.rows):
+            table = self.rows[:n]
+            kept = table[live[table[:, 0].astype(int)]]
+            n = len(kept)
+            size = len(self.rows)
+            while 2 * (n + m) > size:
+                size *= 2
+            if size > len(self.rows):
+                self.rows = np.empty((size, self.WIDTH))
+            self.rows[:n] = kept
+        self.rows[n : n + m] = block
+        self.n = n + m
+
+    def steps(self, lane):
+        table = self.rows[: self.n]
+        return table[table[:, 0] == lane]
+
+
+def _dense_v(r, step):
+    """v at r on one logged step's dense output, as Dop853DenseOutput does it."""
+    x = (r - step[1]) / step[2]
+    y = 0.0
+    for i, f in enumerate(reversed(step[5::2])):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + step[3]
+
+
+def _dense_nodes(steps, nodes):
+    """(v, dv) at sorted nodes from a lane's logged steps, as OdeSolution does it."""
+    t_old, h = steps[:, 1], steps[:, 2]
+    F = steps[:, 5:].reshape(len(steps), -1, 2)
+    seg = np.searchsorted(np.append(t_old, nodes[-1]), nodes, side="left") - 1
+    seg = np.clip(seg, 0, len(steps) - 1)
+    x = ((nodes - t_old[seg]) / h[seg])[:, None]
+    y = np.zeros((len(nodes), 2))
+    for i in range(F.shape[1]):
+        y += F[seg, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += steps[seg, 3:5]
+    return y[:, 0], y[:, 1]
 
 
 def sweep_shoot(
@@ -442,13 +561,119 @@ def sweep_shoot(
     """Shoot a batch of parameter points, preserving input order.
 
     rows is an iterable of ProblemParams; returns the list of outcomes.
-    processes = None uses every core, 1 runs serially.
+    All rows run together in one process, each as a lane of a lockstep
+    port of shoot's DOP853 run: every lane keeps its own step size and
+    accept/reject decision, and one iteration tries one step on every
+    lane.  A lane leaves when it crosses zero (refined by brentq on that
+    step's dense output), reaches r_max or fails the minimum-step test; it
+    is then sampled on shoot's node grid and classified.  A row that fails
+    its parameter checks never enters a lane and comes back as
+    Inconclusive("rejected: ...") in its place.  processes is still
+    accepted, so existing callers keep working, and is ignored.
     """
-    jobs = [(p, config) for p in rows]
-    if processes == 1 or len(jobs) <= 1:
-        return [_sweep_worker(j) for j in jobs]
-    with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(_sweep_worker, jobs)
+    rows = list(rows)
+    outcomes: list = [None] * len(rows)
+    starts = {}
+    for i, params in enumerate(rows):
+        try:
+            starts[i] = series_start(params, config)
+        except EmdenLabError as exc:
+            outcomes[i] = Inconclusive(f"rejected: {exc}")
+    if not starts:
+        return outcomes
+
+    t_bound = config.r_max
+    rtol = max(config.rel_tol, 100 * _EPS)
+    atol = config.abs_tol * max(1.0, config.beta)
+    lane = np.fromiter(starts, dtype=int)
+    prm = np.array([(rows[i].N - 1.0 + rows[i].a, rows[i].b - rows[i].a, rows[i].p)
+                    for i in lane])
+    t = np.array([starts[i][0] for i in lane])
+    y = np.array([starts[i][1:] for i in lane])
+    f = np.empty_like(y)
+    live = np.zeros(len(rows), dtype=bool)
+    live[lane] = True
+    log_ = _StepLog()
+
+    with np.errstate(all="ignore"):
+        _lane_rhs(t, y, prm, f)
+        h_abs = _initial_step(t, y, f, t_bound, prm, rtol, atol)
+        retry = np.zeros(len(lane), dtype=bool)
+        while len(lane):
+            L = len(lane)
+            min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+            h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
+            failed = h_abs < min_step
+            t_new = np.minimum(t + h_abs, t_bound)
+            h = t_new - t
+            hc = h[:, None]
+
+            K = np.empty((_dop853.N_STAGES_EXTENDED, L, 2))
+            K[0] = f
+            for s in range(1, _STAGES):
+                _lane_rhs(t + _C[s] * h, y + _stage_sum(_A[s, :s], K) * hc, prm, K[s])
+            y_new = y + hc * _stage_sum(_B, K)
+            f_new = K[_STAGES]
+            _lane_rhs(t + h, y_new, prm, f_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.sum((_stage_sum(_E5, K) / scale) ** 2, axis=1)
+            err3 = np.sum((_stage_sum(_E3, K) / scale) ** 2, axis=1)
+            error_norm = np.where(
+                (err5 == 0) & (err3 == 0),
+                0.0,
+                h * err5 / np.sqrt((err5 + 0.01 * err3) * 2),
+            )
+            accept = (error_norm < 1) & ~failed
+            ratio = _SAFETY * error_norm**_ERROR_EXPONENT
+            grow = np.minimum(_MAX_FACTOR, ratio)  # inf at error_norm = 0
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, ratio))
+            retry = ~accept
+
+            # dense output of the step: three more stages, then F
+            for s in range(_STAGES + 1, len(K)):
+                _lane_rhs(t + _C[s] * h, y + _stage_sum(_A[s, :s], K) * hc, prm, K[s])
+            delta = y_new - y
+            F = np.empty((_dop853.INTERPOLATOR_POWER, L, 2))
+            F[0] = delta
+            F[1] = hc * f - delta
+            F[2] = 2 * delta - hc * (f_new + f)
+            F[3:] = hc * _stage_sum(_D, K)
+            F = F.transpose(1, 0, 2).reshape(L, -1)
+            block = np.column_stack([lane, t, h, y, F])
+            log_.append(block[accept], live)
+
+            crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
+            gone = failed | crossed | (accept & (t_new >= t_bound))
+            t = np.where(accept, t_new, t)
+            y[accept] = y_new[accept]
+            f[accept] = f_new[accept]
+            for k in np.flatnonzero(gone):
+                j = int(lane[k])
+                live[j] = False
+                if failed[k]:
+                    outcomes[j] = Inconclusive(
+                        f"integrator stopped at r = {float(t[k])}: {_TOO_SMALL_STEP}"
+                    )
+                    continue
+                steps = log_.steps(j)
+                r_end = t_bound
+                if crossed[k]:
+                    r_end = brentq(_dense_v, steps[-1, 1], t_new[k], args=(steps[-1],),
+                                   xtol=4 * _EPS, rtol=4 * _EPS)
+                nodes = _node_grid(starts[j][0], r_end, config.nodes_per_decade)
+                v, dv = _dense_nodes(steps, nodes)
+                traj = _pinned_trajectory(
+                    rows[j], config, nodes, v, dv, starts[j], crossed[k]
+                )
+                outcomes[j] = classify_trajectory(traj)
+            if gone.any():
+                keep = ~gone
+                lane, t, y, f, h_abs, retry, prm = (
+                    a[keep] for a in (lane, t, y, f, h_abs, retry, prm)
+                )
+    return outcomes
 
 
 def trajectory_to_csv(traj: RadialTrajectory, path) -> None:

@@ -205,7 +205,7 @@ def test_sweep_preserves_grid_order_and_survives_bad_rows(capsys, tmp_path):
         "3,0,0,5\n"
     )
     code, out, _ = run(
-        capsys, "sweep", "--grid", str(grid), "--rmax", "100", "--jobs", "2"
+        capsys, "sweep", "--grid", str(grid), "--rmax", "100"
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -213,6 +213,35 @@ def test_sweep_preserves_grid_order_and_survives_bad_rows(capsys, tmp_path):
     kinds = [line.split(",")[4] for line in lines[1:]]
     assert kinds == ["crossed_zero", "inconclusive", "positive_global"]
     assert "rejected:" in lines[2]
+
+
+def test_sweep_rejects_a_non_integer_dimension_instead_of_rounding(capsys, tmp_path):
+    grid = tmp_path / "sweep_grid.csv"
+    grid.write_text("N,a,b,p\n3.6,0,0,3\n3,0,0,3\n")
+    code, out, _ = run(capsys, "sweep", "--grid", str(grid), "--rmax", "100")
+    assert code == 0
+    lines = out.strip().splitlines()
+    first, second = (line.split(",") for line in lines[1:])
+    assert first[0] == "3.6"
+    assert first[4] == "inconclusive"
+    assert "rejected:" in lines[1]
+    assert second[0] == "3" and second[4] == "crossed_zero"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--rmax", "100"], "N,a,b,p\nthis,is,not,data\n3,0,0,3\n"),
+        (["ckn", "--N", "3"], "a,b\nnot,data\n0,0\n"),
+    ],
+)
+def test_grid_allows_at_most_one_header_row(capsys, tmp_path, argv, text):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text)
+    code, out, err = run(capsys, *argv, "--grid", str(grid))
+    assert code == 2
+    assert out == ""
+    assert "non-numeric row" in err
 
 
 def test_io_failure_exits_4(capsys):

@@ -221,6 +221,76 @@ def test_sweep_preserves_order_and_isolates_bad_rows():
     assert isinstance(outcomes[2], E.PositiveGlobal)
 
 
+def test_batched_sweep_matches_single_shots():
+    # the criterion-5 grid plus the cubic row, each row also shot alone
+    rows = []
+    for N, a, b in [(3, 0.0, 0.0), (3, 0.0, 1.0), (3, 0.5, 1.0),
+                    (4, 0.0, 0.0), (4, -0.5, 0.0), (5, 1.0, 2.0)]:
+        d = E.derive(E.ProblemParams(N, a, b, 2.0))
+        for p in np.linspace(d.p_serrin, d.p_critical + 1.0, 22)[1:-1]:
+            rows.append(E.ProblemParams(N, a, b, float(p)))
+    rows.append(UNWEIGHTED_CUBIC)
+    config = E.ShootConfig(beta=100.0, r_max=1e4)
+    atol = config.abs_tol * config.beta
+
+    batched = E.sweep_shoot(rows, config)
+    assert len(batched) == len(rows)
+    for params, got in zip(rows, batched):
+        ref_traj = E.shoot(params, config)
+        ref = ref_traj.outcome
+        assert got.kind == ref.kind, params
+        if isinstance(ref, E.CrossedZero):
+            assert got.r0 == pytest.approx(ref.r0, rel=1e-8, abs=0)
+        if isinstance(ref, (E.PositiveGlobal, E.ConvergedToSingular)):
+            assert got.r_reached == pytest.approx(ref.r_reached, rel=1e-8, abs=0)
+        if isinstance(ref, E.PositiveGlobal):
+            # The integrator holds v only to atol, so the slope of log v
+            # over the one-decade fit window is known to about atol/v there;
+            # at p = p_c the far field is that small and both paths read
+            # round-off.
+            window = ref_traj.r >= ref_traj.r[-1] / 10.0
+            d_ref = ref.decay_exponent_estimate
+            tol = 1e-8 * abs(d_ref) + atol / ref_traj.v[window].min()
+            assert abs(got.decay_exponent_estimate - d_ref) <= tol
+        if isinstance(ref, E.ConvergedToSingular):
+            assert got.oscillation_count == ref.oscillation_count
+
+
+def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
+    # A field that turns to NaN from r = 2 on makes DOP853 reject and shrink
+    # its step below the spacing of floats just short of r = 2, on both paths.
+    from emdenlab import shooting
+
+    make_rhs, lane_rhs = shooting._make_rhs, shooting._lane_rhs
+
+    def nan_make_rhs(params):
+        rhs = make_rhs(params)
+        return lambda r, y: rhs(r, y) if r < 2.0 else (math.nan, math.nan)
+
+    def nan_lane_rhs(r, y, prm, out):
+        lane_rhs(r, y, prm, out)
+        out[r >= 2.0] = math.nan
+
+    monkeypatch.setattr(shooting, "_make_rhs", nan_make_rhs)
+    monkeypatch.setattr(shooting, "_lane_rhs", nan_lane_rhs)
+    config = E.ShootConfig(r_max=100.0)
+    ref = E.shoot(UNWEIGHTED_CUBIC, config).outcome
+    bad_row = E.ProblemParams(2, 0.0, 0.0, 3.0)
+    got, rejected = E.sweep_shoot([UNWEIGHTED_CUBIC, bad_row], config)
+
+    def split(reason):
+        where, message = reason.split(": ", 1)
+        return float(where.removeprefix("integrator stopped at r = ")), message
+
+    assert isinstance(ref, E.Inconclusive) and isinstance(got, E.Inconclusive)
+    r_ref, message = split(ref.reason)
+    r_got, got_message = split(got.reason)
+    assert got_message == message
+    assert message == "Required step size is less than spacing between numbers."
+    assert r_got == pytest.approx(r_ref, rel=1e-12) and r_got < 2.0
+    assert rejected.reason.startswith("rejected:")
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
     path = tmp_path / "traj.csv"
