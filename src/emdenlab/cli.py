@@ -47,6 +47,7 @@ from .params import (
     classify,
     derive,
     fs_region,
+    validate,
 )
 from .pohozaev import evaluate as ball_identity
 from .shooting import (
@@ -415,15 +416,20 @@ def cmd_ckn(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["a", "b", "q", "s_estimate", "fs_flag"])
         for a, b in rows:
-            # per row, q is pinned by the dimensional balance
-            q = 2.0 * (args.N + b) / (args.N - 2.0 + a)
-            triple = CknTriple(args.N, a, b, q)
-            flag = fs_region(ProblemParams(args.N, a, b, q - 1.0))
-            verdict = check_balance(triple).verdict
-            if verdict == ADMISSIBLE and flag != SYMMETRY_BREAKING:
-                s = best_constant(triple).s_estimate
-            else:
-                s = float("nan")
+            # a row that raises gets s = nan and its error's name as the flag
+            q = s = float("nan")
+            try:
+                # N and N - 2 + a, before the balance divides by the latter
+                validate(ProblemParams(args.N, a, b, q))
+                # per row, q is pinned by the dimensional balance
+                q = 2.0 * (args.N + b) / (args.N - 2.0 + a)
+                triple = CknTriple(args.N, a, b, q)
+                flag = fs_region(ProblemParams(args.N, a, b, q - 1.0))
+                verdict = check_balance(triple).verdict
+                if verdict == ADMISSIBLE and flag != SYMMETRY_BREAKING:
+                    s = best_constant(triple).s_estimate
+            except EmdenLabError as exc:
+                flag = type(exc).__name__
             writer.writerow([_f(a), _f(b), _f(q), _f(s), flag])
         text = buf.getvalue()
         _emit(text)

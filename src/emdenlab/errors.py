@@ -76,3 +76,7 @@ class SymmetryBreakingRegion(EmdenLabError):
 
 class NonintegrableProfile(EmdenLabError):
     """Profile decays too slowly for the requested weighted norm."""
+
+
+class QuadratureMismatch(EmdenLabError):
+    """Quadrature and closed form of the same constant disagree."""

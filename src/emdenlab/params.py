@@ -208,6 +208,11 @@ def fs_region(params: ProblemParams, tol_bal: float = BALANCE_REL_TOL) -> str:
     Only meaningful on the balance curve (which pins p to the critical
     exponent); raises BalanceViolated off it.  Returns one of
     RADIAL_MINIMIZER, SYMMETRY_BREAKING, NOT_APPLICABLE.
+
+    For a > 0 the split is the Felli-Schneider curve b = q beta_fs(N, a):
+    above it the radial bubble is not even a local minimizer (Felli and
+    Schneider, J. Differential Equations 2003), and on and below it the
+    extremals are radial (Dolbeault, Esteban and Loss, Invent. Math. 2016).
     """
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p

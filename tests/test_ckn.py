@@ -140,6 +140,9 @@ def test_best_constant_refuses_outside_its_theory():
     # balanced, in band, but the radial bubble is not the minimizer
     with pytest.raises(E.SymmetryBreakingRegion):
         E.best_constant(E.CknTriple(3, 0.5, 1.0, 16.0 / 3.0))
+    # balanced and in band, but N - 2 + a = 0
+    with pytest.raises(E.DegenerateWeight):
+        E.best_constant(E.CknTriple(3, -1.0, -3.0, 4.0))
 
 
 def test_divergent_profiles_are_reported_not_truncated():
@@ -181,3 +184,109 @@ def test_bubble_is_a_local_minimum_in_the_radial_class():
     # the excess shrinks quadratically with the perturbation size
     assert excess[1e-2] > 0 and excess[5e-3] > 0
     assert excess[1e-2] / excess[5e-3] == pytest.approx(4.0, abs=0.5)
+
+
+def test_quadrature_mismatch_is_a_named_error(monkeypatch):
+    true_form = E.ckn.bubble_energy_closed_form
+    monkeypatch.setattr(
+        E.ckn, "bubble_energy_closed_form", lambda t: 1.01 * true_form(t)
+    )
+    with pytest.raises(E.QuadratureMismatch, match="disagree"):
+        E.best_constant(E.CknTriple(3, 0.0, 0.0, 6.0))
+
+
+# rayleigh on the ckn_grid anchor rows (N = 3, q set by balance), as
+# computed by the decade-wise scipy quad version of the quadrature
+PINNED_ANCHORS = {
+    (-0.25, -1.25): 2.5484981659983363,
+    (0.0, -1.0): 2.894405018076772,
+    (0.5, -0.5): 3.6352951449463498,
+    (1.0, 0.0): 4.489322312172197,
+}
+
+
+@pytest.mark.parametrize("a, b", sorted(PINNED_ANCHORS))
+def test_best_constant_keeps_the_pinned_anchor_values(a, b):
+    triple = E.CknTriple(3, a, b, 2.0 * (3 + b) / (1.0 + a))
+    rep = E.best_constant(triple)
+    assert type(rep.rayleigh) is float
+    assert rep.rayleigh == pytest.approx(PINNED_ANCHORS[a, b], rel=1e-13)
+    # the scalar-handle path runs the same quadrature
+    scalar = E.energy(triple, _bubble_profile(3, a, b))
+    assert scalar.rayleigh == pytest.approx(rep.rayleigh, rel=1e-13)
+    assert scalar.grad_norm_sq == pytest.approx(rep.grad_norm_sq, rel=1e-13)
+    assert scalar.q_norm == pytest.approx(rep.q_norm, rel=1e-13)
+
+
+def test_gk21_constants_are_exact_on_polynomials():
+    lo, hi = 0.3, 7.0
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = centre + half * E.ckn._GK21_NODES
+    k21, g10 = E.ckn._K21_WEIGHTS, E.ckn._G10_WEIGHTS
+    assert nodes.shape == (21,) and g10.shape == (10,)
+    for k in range(32):
+        exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        assert half * np.dot(k21, nodes**k) == pytest.approx(exact, rel=1e-14)
+        if k <= 19:
+            gauss = half * np.dot(g10, nodes[1::2] ** k)
+            assert gauss == pytest.approx(exact, rel=1e-14)
+    assert math.fsum(k21) == pytest.approx(2.0, rel=1e-15)
+    assert math.fsum(g10) == pytest.approx(2.0, rel=1e-15)
+
+
+def _b_on_symmetry_breaking_curve(N, a):
+    """b with b = q beta_fs(N, a) and q = 2(N+b)/(N-2+a), solved for b."""
+    beta = E.beta_fs(N, a)
+    return 2.0 * N * beta / (N - 2.0 + a - 2.0 * beta)
+
+
+def test_best_constant_refuses_exactly_where_fs_region_breaks_symmetry():
+    N, seen = 3, set()
+    for a in np.linspace(0.1, 2.5, 9):
+        b_sb = _b_on_symmetry_breaking_curve(N, a)
+        for b in (b_sb - 1e-9, b_sb + 1e-9):
+            q = 2.0 * (N + b) / (N - 2.0 + a)
+            triple = E.CknTriple(N, float(a), float(b), q)
+            assert E.check_balance(triple).verdict == E.ADMISSIBLE
+            flag = E.fs_region(E.ProblemParams(N, float(a), float(b), q - 1.0))
+            assert flag == (E.SYMMETRY_BREAKING if b > b_sb else E.RADIAL_MINIMIZER)
+            seen.add(flag)
+            if flag == E.SYMMETRY_BREAKING:
+                with pytest.raises(E.SymmetryBreakingRegion):
+                    E.best_constant(triple)
+            else:
+                rep = E.best_constant(triple)
+                assert rep.rayleigh == pytest.approx(rep.closed_form, rel=1e-6)
+    assert seen == {E.SYMMETRY_BREAKING, E.RADIAL_MINIMIZER}
+
+
+def test_decade_refinement_converges_or_stops_at_the_subinterval_limit():
+    ends = np.array([1.0, 10.0, 100.0])
+    total, g_ends, _ = E.ckn._refine_decades(lambda r: r**-2.5, ends, ())
+    exact = (ends[:-1] ** -1.5 - ends[1:] ** -1.5) / 1.5
+    np.testing.assert_allclose(total, exact, rtol=1e-14)
+    np.testing.assert_array_equal(g_ends, ends**-2.5)
+
+    sizes = []
+
+    def wiggle(r):
+        sizes.append(r.size)
+        return 1.0 + np.cos(1e4 * r)
+
+    total, _, _ = E.ckn._refine_decades(wiggle, ends, ())
+    assert np.isfinite(total).all()
+    # no subinterval of either decade converges, so each stops after
+    # _LIMIT - 1 bisections, two new halves apiece
+    intervals = (sum(sizes) - len(ends)) // 21
+    assert intervals == 2 * (1 + 2 * (E.ckn._LIMIT - 1))
+
+
+def test_scalar_handle_may_overflow_past_the_tail_stop():
+    # v ~ 1/r; r**20 overflows a Python float past r ~ 1e15, beyond the
+    # decade where the tail stops but inside the block evaluated with it
+    def prof(r):
+        s = 1.0 + r**20
+        return s**-0.05, -r**19 * s**-1.05
+
+    rep = E.energy(E.CknTriple(3, 0.0, 0.0, 6.0), prof)
+    assert rep.rayleigh == pytest.approx(5.943491075634604, rel=1e-12)

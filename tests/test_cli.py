@@ -196,6 +196,42 @@ def test_ckn_grid_emits_nan_rows_instead_of_dying(capsys, tmp_path):
     assert math.isnan(float(cells[2][3]))
 
 
+def test_ckn_grid_isolates_rows_that_raise(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    # 1,-2.9 balances at q = 0.1 < 2; -1,0 has N - 2 + a = 0
+    grid.write_text("a,b\n0,0\n1,-2.9\n-1,0\n-0.5,-1.75\n")
+    code, out, _ = run(capsys, "ckn", "--N", "3", "--grid", str(grid))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "a,b,q,s_estimate,fs_flag"
+    cells = [line.split(",") for line in lines[1:]]
+    assert len(cells) == 4
+    assert float(cells[0][3]) == pytest.approx(5.477904089531332, rel=1e-6)
+    assert float(cells[1][2]) == pytest.approx(0.1, rel=1e-12)
+    assert math.isnan(float(cells[1][3])) and cells[1][4] == "NotInRange"
+    assert math.isnan(float(cells[2][2])) and math.isnan(float(cells[2][3]))
+    assert cells[2][4] == "DegenerateWeight"
+    assert float(cells[3][3]) == pytest.approx(1.6247750707401007, rel=1e-6)
+
+
+def test_ckn_quadrature_mismatch_is_a_named_error(capsys, tmp_path, monkeypatch):
+    true_form = E.ckn.bubble_energy_closed_form
+    monkeypatch.setattr(
+        E.ckn, "bubble_energy_closed_form", lambda t: 1.01 * true_form(t)
+    )
+    code, _, err = run(
+        capsys, "ckn", "--N", "3", "--a", "0", "--b", "0", "--q", "6"
+    )
+    assert code == 2
+    assert "QuadratureMismatch" in err
+    grid = tmp_path / "grid.csv"
+    grid.write_text("a,b\n0,0\n")
+    code, out, _ = run(capsys, "ckn", "--N", "3", "--grid", str(grid))
+    assert code == 0
+    cells = out.strip().splitlines()[1].split(",")
+    assert math.isnan(float(cells[3])) and cells[4] == "QuadratureMismatch"
+
+
 def test_sweep_preserves_grid_order_and_survives_bad_rows(capsys, tmp_path):
     grid = tmp_path / "sweep_grid.csv"
     grid.write_text(
