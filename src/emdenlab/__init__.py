@@ -60,7 +60,6 @@ from .errors import (
     NotInSerrinSupercriticalRange,
     QuadratureMismatch,
     RangeExceeded,
-    StepSizeUnderflow,
     SymmetryBreakingRegion,
 )
 from .params import (
@@ -107,90 +106,3 @@ from .shooting import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-
-__all__ = [
-    "__version__",
-    "ADMISSIBLE",
-    "BALANCE_REL_TOL",
-    "BALANCE_VIOLATED",
-    "BAND_VIOLATED",
-    "BalanceReport",
-    "BalanceViolated",
-    "BracketInvalid",
-    "BubbleProfile",
-    "CknTriple",
-    "ConvergedToSingular",
-    "CRITICAL",
-    "CRITICAL_REL_TOL",
-    "CrossedZero",
-    "CylinderTrajectory",
-    "DegenerateWeight",
-    "DerivativeUndefinedAtOrigin",
-    "DerivedExponents",
-    "DimensionTooSmall",
-    "EmdenLabError",
-    "EnergyReport",
-    "FixedPointReport",
-    "InadmissibleWeights",
-    "INADMISSIBLE_WEIGHTS",
-    "Inconclusive",
-    "NonIntegerDimension",
-    "NO_POSITIVE_SOLUTION_SERRIN",
-    "NOT_APPLICABLE",
-    "NonintegrableProfile",
-    "NonpositiveNode",
-    "NonpositiveRadius",
-    "NonpositiveSolution",
-    "NotCritical",
-    "NotInRange",
-    "NotInSerrinSupercriticalRange",
-    "PohozaevReport",
-    "PositiveGlobal",
-    "ProblemParams",
-    "QuadratureMismatch",
-    "RADIAL_MINIMIZER",
-    "RadialTrajectory",
-    "RangeExceeded",
-    "Regime",
-    "ShootConfig",
-    "SingularProfile",
-    "StepSizeUnderflow",
-    "SUBCRITICAL_LIOUVILLE",
-    "SUPERCRITICAL",
-    "SYMMETRY_BREAKING",
-    "SymmetryBreakingRegion",
-    "ball_identity",
-    "ball_nonexistence_coeff",
-    "balance_residual",
-    "best_constant",
-    "beta_fs",
-    "bubble",
-    "bubble_amplitude",
-    "bubble_energy_closed_form",
-    "bubble_eval",
-    "bubble_second_derivative",
-    "check_balance",
-    "classify",
-    "classify_trajectory",
-    "cylinder_rhs",
-    "derive",
-    "energy",
-    "fixed_points",
-    "fs_region",
-    "hamiltonian",
-    "normalized_bubble",
-    "residual",
-    "series_start",
-    "series_truncation_estimate",
-    "shoot",
-    "singular_eval",
-    "singular_solution",
-    "sphere_area",
-    "sweep_shoot",
-    "threshold_bisect",
-    "to_cylinder",
-    "trajectory_from_csv",
-    "trajectory_to_csv",
-    "validate",
-    "weighted_node_integral",
-]

@@ -40,8 +40,11 @@ from .params import (
     BALANCE_REL_TOL,
     SYMMETRY_BREAKING,
     ProblemParams,
+    Record,
     balance_residual,
+    balance_tolerance,
     fs_region,
+    p_critical,
 )
 from .pohozaev import sphere_area
 
@@ -60,18 +63,15 @@ ArrayProfile = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
-class CknTriple:
+class CknTriple(Record):
     N: int
     a: float
     b: float
     q: float
 
-    def to_dict(self) -> dict:
-        return {"N": self.N, "a": self.a, "b": self.b, "q": self.q}
-
 
 @dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(Record):
     verdict: str
     band_low_ok: bool
     band_high_ok: bool
@@ -81,35 +81,14 @@ class BalanceReport:
     b_gt_a_minus_2: bool
     a_minus_2_gt_minus_N: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "band_low_ok": self.band_low_ok,
-            "band_high_ok": self.band_high_ok,
-            "balance_defect": self.balance_defect,
-            "balance_ok": self.balance_ok,
-            "q_gt_2": self.q_gt_2,
-            "b_gt_a_minus_2": self.b_gt_a_minus_2,
-            "a_minus_2_gt_minus_N": self.a_minus_2_gt_minus_N,
-        }
-
 
 @dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     grad_norm_sq: float
     q_norm: float
     rayleigh: float
     closed_form: Optional[float]
     s_estimate: float
-
-    def to_dict(self) -> dict:
-        return {
-            "grad_norm_sq": self.grad_norm_sq,
-            "q_norm": self.q_norm,
-            "rayleigh": self.rayleigh,
-            "closed_form": self.closed_form,
-            "s_estimate": self.s_estimate,
-        }
 
 
 def _validate_triple(triple: CknTriple) -> None:
@@ -129,8 +108,7 @@ def check_balance(triple: CknTriple, tol_bal: float = BALANCE_REL_TOL) -> Balanc
     _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
     defect = balance_residual(N, a, b, q)
-    scale = max(1.0, abs((N + a) / 2.0))
-    balance_ok = abs(defect) <= tol_bal * scale
+    balance_ok = abs(defect) <= balance_tolerance(N, a, tol_bal)
     band_low = a - 2.0 <= 2.0 * b / q
     band_high = 2.0 * b / q <= a
     if not balance_ok:
@@ -389,7 +367,7 @@ def bubble_energy_closed_form(triple: CknTriple) -> float:
     if N + b <= 0 or b <= a - 2.0:
         raise InadmissibleWeights(f"weights (a, b) = ({a}, {b}) out of range")
     defect = balance_residual(N, a, b, q)
-    if abs(defect) > BALANCE_REL_TOL * max(1.0, abs((N + a) / 2.0)):
+    if abs(defect) > balance_tolerance(N, a):
         raise BalanceViolated(
             f"closed form lives on the balance manifold; defect = {defect}"
         )
@@ -419,8 +397,7 @@ def best_constant(triple: CknTriple) -> EnergyReport:
     N, a, b = triple.N, triple.a, triple.b
     if N - 2.0 + a <= 0:
         raise DegenerateWeight(f"N - 2 + a = {N - 2 + a}, need it positive")
-    p_crit = (N + 2.0 + 2.0 * b - a) / (N - 2.0 + a)
-    params = ProblemParams(N=N, a=a, b=b, p=p_crit)
+    params = ProblemParams(N=N, a=a, b=b, p=p_critical(N, a, b))
     if fs_region(params) == SYMMETRY_BREAKING:
         raise SymmetryBreakingRegion(
             f"(a, b) = ({a}, {b}) lies above the symmetry-breaking threshold; "

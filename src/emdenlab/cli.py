@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
-Every library module is exposed as one subcommand; each invocation prints
-its primary payload to standard output (JSON or CSV) and, when --out is
-given, writes the data files plus a manifest.json describing the run.
-Numeric text uses the shortest round-trip representation, so identical
-flags produce byte-identical data files; the manifest's wall_time_s is
-the one intentionally nondeterministic field.
+Every library module is exposed as one subcommand.  A cmd_* function only
+computes: it returns an Output (its data files as text, the manifest echo
+and the exit code).  main() is the one place that prints the primary
+payload (JSON or CSV) to standard output and, when --out is given, creates
+the directory, writes the data files and adds a manifest.json describing
+the run.  Numeric text uses the shortest round-trip representation, so
+identical flags produce byte-identical data files; the manifest's
+wall_time_s is the one intentionally nondeterministic field.
 
 Exit codes: 0 success, 2 invalid parameters, 3 inconclusive numerics,
 4 I/O failure.
@@ -16,11 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .params import (
     classify,
     derive,
     fs_region,
+    p_critical,
     validate,
 )
 from .pohozaev import evaluate as ball_identity
@@ -54,49 +57,35 @@ from .shooting import (
     Inconclusive,
     RadialTrajectory,
     ShootConfig,
+    csv_text,
     shoot,
     sweep_shoot,
     threshold_bisect,
+    trajectory_csv,
     trajectory_from_csv,
-    trajectory_to_csv,
 )
 
 
-def _f(x) -> str:
-    return repr(float(x))
+class Output(NamedTuple):
+    """What a subcommand produced; main() prints, writes and records it.
+
+    files maps each data file's name to its text, primary file first: that
+    one is also the stdout payload.  params and config are echoed in the
+    manifest; code is the exit code.
+    """
+
+    files: dict
+    params: dict
+    config: dict
+    code: int = 0
 
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _write_text(out_dir: str, name: str, text: str) -> str:
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write(text)
-    return name
-
-
-def _write_manifest(out_dir, subcommand, params, config, outputs, t0) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "params": params,
-        "config": config,
-        "outputs": sorted(outputs),
-        "tool_version": __version__,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    _write_text(out_dir, "manifest.json", _json_text(manifest))
-
-
-def _prepare_out(args) -> str | None:
-    if args.out is None:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _shot_code(traj: RadialTrajectory) -> int:
+    return 3 if isinstance(traj.outcome, Inconclusive) else 0
 
 
 def _config_from(args) -> ShootConfig:
@@ -135,44 +124,19 @@ def _read_grid(path: str, n_columns: int):
     return rows
 
 
-# ---------------------------------------------------------------- classify
-
-
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
     regime = classify(params)
     payload = {"params": dataclasses.asdict(params)}
     payload.update(regime.to_dict())
     if regime.kind != INADMISSIBLE_WEIGHTS and params.p > 1:
         payload.update(derive(params).to_dict())
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        t0 = time.perf_counter()
-        names = [_write_text(out, "classify.json", _json_text(payload))]
-        _write_manifest(out, "classify", dataclasses.asdict(params), {}, names, t0)
-    return 0
+    return Output({"classify.json": _json_text(payload)}, payload["params"], {})
 
 
-# ------------------------------------------------------------------- shoot
-
-
-_SHOOT_PLOT = """\
-# gnuplot: radial shot profile
-set datafile separator ","
-set logscale x
-set xlabel "r"
-set ylabel "v"
-set grid
-plot "trajectory.csv" skip 1 using 1:2 with lines title "v(r)", \\
-     "trajectory.csv" skip 1 using 1:3 with lines title "v'(r)"
-"""
-
-
-def cmd_shoot(args) -> int:
+def cmd_shoot(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
     config = _config_from(args)
-    t0 = time.perf_counter()
     traj = shoot(params, config)
     payload = {
         "params": dataclasses.asdict(params),
@@ -180,27 +144,12 @@ def cmd_shoot(args) -> int:
         "outcome": traj.outcome.to_dict(),
         "nodes": int(len(traj.r)),
     }
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        names = []
-        trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-        names.append("trajectory.csv")
-        names.append(_write_text(out, "shoot.json", _json_text(payload)))
-        if args.emit_plot:
-            names.append(_write_text(out, "shoot.gp", _SHOOT_PLOT))
-        _write_manifest(
-            out, "shoot", dataclasses.asdict(params), config.to_dict(), names, t0
-        )
-    return 3 if isinstance(traj.outcome, Inconclusive) else 0
+    files = {"shoot.json": _json_text(payload), "trajectory.csv": trajectory_csv(traj)}
+    return Output(files, payload["params"], payload["config"], _shot_code(traj))
 
 
-# --------------------------------------------------------------- threshold
-
-
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> Output:
     config = _config_from(args)
-    t0 = time.perf_counter()
     p_star = threshold_bisect(
         args.N, args.a, args.b, args.p_lo, args.p_hi, tol_p=args.tol, config=config
     )
@@ -213,38 +162,17 @@ def cmd_threshold(args) -> int:
         "bracket": [args.p_lo, args.p_hi],
         "params": {"N": args.N, "a": args.a, "b": args.b},
     }
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        names = [_write_text(out, "threshold.json", _json_text(payload))]
-        _write_manifest(out, "threshold", payload["params"], config.to_dict(), names, t0)
-    return 0
+    files = {"threshold.json": _json_text(payload)}
+    return Output(files, payload["params"], config.to_dict())
 
 
-# ------------------------------------------------------------------ bubble
-
-
-_BUBBLE_PLOT = """\
-# gnuplot: exact critical profile
-set datafile separator ","
-set logscale x
-set xlabel "r"
-set ylabel "v"
-set grid
-plot "bubble.csv" skip 1 using 1:2 with lines title "v(r)", \\
-     "bubble.csv" skip 1 using 1:3 with lines title "v'(r)"
-"""
-
-
-def cmd_bubble(args) -> int:
+def cmd_bubble(args) -> Output:
     if args.samples < 2:
         raise ValueError(f"--samples = {args.samples}, need at least 2")
     if not 0 < args.rmin < args.rmax:
         raise ValueError(f"need 0 < --rmin < --rmax, got [{args.rmin}, {args.rmax}]")
     N, a, b = args.N, args.a, args.b
-    p = args.p if args.p is not None else (N + 2.0 + 2.0 * b - a) / (N - 2.0 + a)
-    params = ProblemParams(N, a, b, p)
-    t0 = time.perf_counter()
+    params = ProblemParams(N, a, b, p_critical(N, a, b) if args.p is None else args.p)
     if args.lambda_scale is not None:
         prof = bubble(params, args.lambda_scale)
     else:
@@ -262,103 +190,48 @@ def cmd_bubble(args) -> int:
         "samples": int(args.samples),
         "max_rel_residual": float(np.max(rel)),
     }
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "v", "dv"])
-        for rr, vv, dd in zip(r, v, dv):
-            writer.writerow([_f(rr), _f(vv), _f(dd)])
-        names = [
-            _write_text(out, "bubble.csv", buf.getvalue()),
-            _write_text(out, "bubble.json", _json_text(payload)),
-        ]
-        if args.emit_plot:
-            names.append(_write_text(out, "bubble.gp", _BUBBLE_PLOT))
-        config = {"rmin": args.rmin, "rmax": args.rmax, "samples": args.samples}
-        _write_manifest(out, "bubble", dataclasses.asdict(params), config, names, t0)
-    return 0
+    files = {
+        "bubble.json": _json_text(payload),
+        "bubble.csv": csv_text(["r", "v", "dv"], zip(r, v, dv)),
+    }
+    config = {"rmin": args.rmin, "rmax": args.rmax, "samples": args.samples}
+    return Output(files, payload["params"], config)
 
 
-# ---------------------------------------------------------------- pohozaev
-
-
-def cmd_pohozaev(args) -> int:
+def cmd_pohozaev(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
     radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
     if not radii:
         raise ValueError("--radii parsed to an empty list")
-    t0 = time.perf_counter()
+    config = {"radii": radii, "traj": os.path.basename(args.traj) if args.traj else None}
     if args.traj is not None:
         traj = trajectory_from_csv(args.traj, params)
     else:
-        traj = shoot(params, _config_from(args))
+        shot_config = _config_from(args)
+        traj = shoot(params, shot_config)
+        config.update(shot_config.to_dict())
     reports = [ball_identity(traj, R) for R in radii]
     payload = {
         "params": dataclasses.asdict(params),
         "interior_coeff": reports[0].interior_coeff,
         "reports": [rep.to_dict() for rep in reports],
     }
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "R",
-                "interior",
-                "boundary1",
-                "boundary2",
-                "boundary3",
-                "residual",
-                "relative_residual",
-            ]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    _f(rep.R),
-                    _f(rep.interior_integral),
-                    _f(rep.boundary_1),
-                    _f(rep.boundary_2),
-                    _f(rep.boundary_3),
-                    _f(rep.residual),
-                    _f(rep.relative_residual),
-                ]
-            )
-        names = [
-            _write_text(out, "pohozaev.csv", buf.getvalue()),
-            _write_text(out, "pohozaev.json", _json_text(payload)),
-        ]
-        if args.traj is None:
-            trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-            names.append("trajectory.csv")
-        config = {"radii": radii, "traj": os.path.basename(args.traj) if args.traj else None}
-        if args.traj is None:
-            config.update(_config_from(args).to_dict())
-        _write_manifest(out, "pohozaev", dataclasses.asdict(params), config, names, t0)
-    return 0
+    header = ["R", "interior", "boundary1", "boundary2", "boundary3",
+              "residual", "relative_residual"]
+    rows = (
+        [rep.R, rep.interior_integral, rep.boundary_1, rep.boundary_2,
+         rep.boundary_3, rep.residual, rep.relative_residual]
+        for rep in reports
+    )
+    files = {"pohozaev.json": _json_text(payload), "pohozaev.csv": csv_text(header, rows)}
+    if args.traj is None:
+        files["trajectory.csv"] = trajectory_csv(traj)
+    return Output(files, payload["params"], config)
 
 
-# ------------------------------------------------------------------- phase
-
-
-_PHASE_PLOT = """\
-# gnuplot: cylinder phase portrait
-set datafile separator ","
-set xlabel "w"
-set ylabel "dw/dt"
-set grid
-plot "cylinder.csv" skip 1 using 2:3 with lines title "orbit"
-"""
-
-
-def cmd_phase(args) -> int:
+def cmd_phase(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
     config = _config_from(args)
-    t0 = time.perf_counter()
     traj = shoot(params, config)
     # a crossing shot ends on one nonpositive node; the cylinder map
     # needs v > 0, so drop it
@@ -384,85 +257,44 @@ def cmd_phase(args) -> int:
         "hamiltonian_last": float(H[-1]),
         "fixed_point": report.to_dict() if report is not None else None,
     }
-    _emit(_json_text(payload))
-    out = _prepare_out(args)
-    if out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t", "w", "dw"])
-        for tt, ww, dd in zip(cyl.t, cyl.w, cyl.dw):
-            writer.writerow([_f(tt), _f(ww), _f(dd)])
-        names = [
-            _write_text(out, "cylinder.csv", buf.getvalue()),
-            _write_text(out, "phase.json", _json_text(payload)),
-        ]
-        if args.emit_plot:
-            names.append(_write_text(out, "phase.gp", _PHASE_PLOT))
-        _write_manifest(
-            out, "phase", dataclasses.asdict(params), config.to_dict(), names, t0
-        )
-    return 3 if isinstance(traj.outcome, Inconclusive) else 0
+    files = {
+        "phase.json": _json_text(payload),
+        "cylinder.csv": csv_text(["t", "w", "dw"], zip(cyl.t, cyl.w, cyl.dw)),
+    }
+    return Output(files, payload["params"], config.to_dict(), _shot_code(traj))
 
 
-# --------------------------------------------------------------------- ckn
+def _ckn_row(N: int, a: float, b: float) -> list:
+    """One ckn grid row; a row that raises gets s = nan and its error's name as flag."""
+    q = s = float("nan")
+    try:
+        # N and N - 2 + a, before the balance divides by the latter
+        validate(ProblemParams(N, a, b, q))
+        # per row, q is pinned by the dimensional balance
+        q = 2.0 * (N + b) / (N - 2.0 + a)
+        triple = CknTriple(N, a, b, q)
+        flag = fs_region(ProblemParams(N, a, b, q - 1.0))
+        if check_balance(triple).verdict == ADMISSIBLE and flag != SYMMETRY_BREAKING:
+            s = best_constant(triple).s_estimate
+    except EmdenLabError as exc:
+        flag = type(exc).__name__
+    return [a, b, q, s, flag]
 
 
-def cmd_ckn(args) -> int:
-    t0 = time.perf_counter()
-    out = _prepare_out(args)
+def cmd_ckn(args) -> Output:
     if args.grid is not None:
-        rows = _read_grid(args.grid, 2)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["a", "b", "q", "s_estimate", "fs_flag"])
-        for a, b in rows:
-            # a row that raises gets s = nan and its error's name as the flag
-            q = s = float("nan")
-            try:
-                # N and N - 2 + a, before the balance divides by the latter
-                validate(ProblemParams(args.N, a, b, q))
-                # per row, q is pinned by the dimensional balance
-                q = 2.0 * (args.N + b) / (args.N - 2.0 + a)
-                triple = CknTriple(args.N, a, b, q)
-                flag = fs_region(ProblemParams(args.N, a, b, q - 1.0))
-                verdict = check_balance(triple).verdict
-                if verdict == ADMISSIBLE and flag != SYMMETRY_BREAKING:
-                    s = best_constant(triple).s_estimate
-            except EmdenLabError as exc:
-                flag = type(exc).__name__
-            writer.writerow([_f(a), _f(b), _f(q), _f(s), flag])
-        text = buf.getvalue()
-        _emit(text)
-        if out:
-            names = [_write_text(out, "ckn_grid.csv", text)]
-            params_echo = {"N": args.N, "grid": os.path.basename(args.grid)}
-            _write_manifest(out, "ckn", params_echo, {"rows": len(rows)}, names, t0)
-        return 0
+        rows = [_ckn_row(args.N, a, b) for a, b in _read_grid(args.grid, 2)]
+        files = {"ckn_grid.csv": csv_text(["a", "b", "q", "s_estimate", "fs_flag"], rows)}
+        params = {"N": args.N, "grid": os.path.basename(args.grid)}
+        return Output(files, params, {"rows": len(rows)})
     if args.a is None or args.b is None or args.q is None:
         raise ValueError("ckn needs either --grid or all of --a, --b, --q")
     triple = CknTriple(args.N, args.a, args.b, args.q)
     report = best_constant(triple)
     payload = {"triple": triple.to_dict(), "balance": check_balance(triple).to_dict()}
     payload.update(report.to_dict())
-    _emit(_json_text(payload))
-    if out:
-        names = [_write_text(out, "ckn.json", _json_text(payload))]
-        _write_manifest(out, "ckn", triple.to_dict(), {}, names, t0)
-    return 0
+    return Output({"ckn.json": _json_text(payload)}, payload["triple"], {})
 
-
-# ------------------------------------------------------------------- sweep
-
-
-_SWEEP_PLOT = """\
-# gnuplot: crossing radius against the source exponent
-set datafile separator ","
-set xlabel "p"
-set ylabel "r0"
-set logscale y
-set grid
-plot "sweep.csv" skip 1 using 4:6 with points pt 7 title "crossing radius"
-"""
 
 _SWEEP_COLUMNS = [
     "N",
@@ -478,49 +310,83 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_row(params: ProblemParams, outcome) -> list:
-    cells = dict.fromkeys(_SWEEP_COLUMNS, "")
-    cells["N"] = str(params.N)
-    cells["a"] = _f(params.a)
-    cells["b"] = _f(params.b)
-    cells["p"] = _f(params.p)
-    cells["kind"] = outcome.kind
-    for key, value in outcome.to_dict().items():
-        if key == "kind":
-            continue
-        if key == "oscillation_count":
-            cells[key] = str(int(value))
-        elif key == "reason":
-            cells[key] = value
-        else:
-            cells[key] = _f(value)
-    return [cells[name] for name in _SWEEP_COLUMNS]
-
-
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Output:
     raw = _read_grid(args.grid, 4)
     # a fractional N is kept as given, so the shooter rejects that row
     rows = [
         ProblemParams(int(N) if N.is_integer() else N, a, b, p) for N, a, b, p in raw
     ]
     config = _config_from(args)
-    t0 = time.perf_counter()
     outcomes = sweep_shoot(rows, config)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
-    for params, outcome in zip(rows, outcomes):
-        writer.writerow(_sweep_row(params, outcome))
-    text = buf.getvalue()
-    _emit(text)
-    out = _prepare_out(args)
-    if out:
-        names = [_write_text(out, "sweep.csv", text)]
-        if args.emit_plot:
-            names.append(_write_text(out, "sweep.gp", _SWEEP_PLOT))
-        params_echo = {"grid": os.path.basename(args.grid), "rows": len(rows)}
-        _write_manifest(out, "sweep", params_echo, config.to_dict(), names, t0)
-    return 0
+    cells = (
+        dataclasses.asdict(params) | outcome.to_dict()
+        for params, outcome in zip(rows, outcomes)
+    )
+    table = ([row.get(name, "") for name in _SWEEP_COLUMNS] for row in cells)
+    files = {"sweep.csv": csv_text(_SWEEP_COLUMNS, table)}
+    params = {"grid": os.path.basename(args.grid), "rows": len(rows)}
+    return Output(files, params, config.to_dict())
+
+
+def _profile_plot(title: str, data: str) -> str:
+    return f"""\
+# gnuplot: {title}
+set datafile separator ","
+set logscale x
+set xlabel "r"
+set ylabel "v"
+set grid
+plot "{data}" skip 1 using 1:2 with lines title "v(r)", \\
+     "{data}" skip 1 using 1:3 with lines title "v'(r)"
+"""
+
+
+# gnuplot scripts that --emit-plot writes next to the data, by subcommand
+_PLOTS = {
+    "shoot": _profile_plot("radial shot profile", "trajectory.csv"),
+    "bubble": _profile_plot("exact critical profile", "bubble.csv"),
+    "phase": """\
+# gnuplot: cylinder phase portrait
+set datafile separator ","
+set xlabel "w"
+set ylabel "dw/dt"
+set grid
+plot "cylinder.csv" skip 1 using 2:3 with lines title "orbit"
+""",
+    "sweep": """\
+# gnuplot: crossing radius against the source exponent
+set datafile separator ","
+set xlabel "p"
+set ylabel "r0"
+set logscale y
+set grid
+plot "sweep.csv" skip 1 using 4:6 with points pt 7 title "crossing radius"
+""",
+}
+
+
+def _write_out(args, output: Output, t0: float) -> None:
+    """Create --out and write the data files, the plot script and manifest.json."""
+    files = dict(output.files)
+    if getattr(args, "emit_plot", False):
+        files[f"{args.command}.gp"] = _PLOTS[args.command]
+    os.makedirs(args.out, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        with open(os.path.join(args.out, name), "w", newline="") as fh:
+            fh.write(text)
+
+    for name, text in files.items():
+        write(name, text)
+    manifest = {
+        "subcommand": args.command,
+        "params": output.params,
+        "config": output.config,
+        "outputs": sorted(files),
+        "tool_version": __version__,
+        "wall_time_s": time.perf_counter() - t0,
+    }
+    write("manifest.json", _json_text(manifest))
 
 
 # ------------------------------------------------------------------ parser
@@ -628,13 +494,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: print its primary payload, then write --out if given."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except EmdenLabError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        output = args.func(args)
+        sys.stdout.write(next(iter(output.files.values())))
+        if args.out is not None:
+            _write_out(args, output, t0)
+        return output.code
+    except ValueError as exc:  # EmdenLabError included
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

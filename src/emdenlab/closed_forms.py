@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import (
     DerivativeUndefinedAtOrigin,
-    InadmissibleWeights,
     NonpositiveRadius,
     NotCritical,
     NotInSerrinSupercriticalRange,
 )
-from .params import CRITICAL_REL_TOL, ProblemParams, derive, validate
+from .params import CRITICAL_REL_TOL, ProblemParams, derive, require_admissible, validate
 
 # Switch to log-space evaluation once exponent*log(...) passes this size.
 _LOG_GUARD = 500.0
@@ -65,17 +64,9 @@ class SingularProfile:
     amplitude: float
 
 
-def _require_admissible(params: ProblemParams) -> None:
-    validate(params)
-    if params.N + params.b <= 0 or params.b <= params.a - 2:
-        raise InadmissibleWeights(
-            f"N+b = {params.N + params.b}, b-(a-2) = {params.b - params.a + 2}"
-        )
-
-
 def bubble_amplitude(params: ProblemParams) -> float:
     """Amplitude A = (m(m+1)sigma^2)^(1/(p-1)) making the profile exact."""
-    _require_admissible(params)
+    require_admissible(params)
     d = derive(params)
     m = (params.N - 2 + params.a) / d.sigma
     return (m * (m + 1.0) * d.sigma**2) ** (1.0 / (params.p - 1.0))
@@ -83,7 +74,7 @@ def bubble_amplitude(params: ProblemParams) -> float:
 
 def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
     """Construct the bubble; p must sit on the critical exponent."""
-    _require_admissible(params)
+    require_admissible(params)
     d = derive(params)
     if abs(params.p - d.p_critical) > CRITICAL_REL_TOL * abs(d.p_critical):
         raise NotCritical(f"p = {params.p}, p_critical = {d.p_critical}")
@@ -182,7 +173,7 @@ def bubble_second_derivative(profile: BubbleProfile, r):
 
 def singular_solution(params: ProblemParams) -> SingularProfile:
     """Power solution; exists iff p > p_serrin (so that lambda2 > 0)."""
-    _require_admissible(params)
+    require_admissible(params)
     d = derive(params)
     if params.p <= d.p_serrin:
         raise NotInSerrinSupercriticalRange(

@@ -62,10 +62,6 @@ class BracketInvalid(EmdenLabError):
     """Bisection endpoints do not straddle the crossing boundary."""
 
 
-class StepSizeUnderflow(EmdenLabError):
-    """Integrator could not advance; reported via Inconclusive, raised on misuse."""
-
-
 class BalanceViolated(EmdenLabError):
     """The dimensional balance tying (N, a, b, q) together fails."""
 

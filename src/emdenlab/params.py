@@ -13,12 +13,13 @@ computes them and nothing heavier; every solver downstream keys off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     BalanceViolated,
     DegenerateWeight,
     DimensionTooSmall,
+    InadmissibleWeights,
     NonIntegerDimension,
     NotInRange,
 )
@@ -43,6 +44,17 @@ SYMMETRY_BREAKING = "symmetry_breaking"
 NOT_APPLICABLE = "not_applicable"
 
 
+class Record:
+    """Mixin for result dataclasses: to_dict() maps each field name to its value.
+
+    A `kind` class variable, where the class has one, comes first.
+    """
+
+    def to_dict(self) -> dict:
+        head = {"kind": self.kind} if hasattr(self, "kind") else {}
+        return head | {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Dimension N, weight exponents a and b, nonlinearity power p.
@@ -58,7 +70,7 @@ class ProblemParams:
 
 
 @dataclass(frozen=True)
-class DerivedExponents:
+class DerivedExponents(Record):
     """The exponents controlling the radial problem.
 
     sigma        gap 2 + b - a between the two weights
@@ -79,16 +91,18 @@ class DerivedExponents:
     lambda2: float
     fs_b_threshold: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "p_serrin": self.p_serrin,
-            "p_critical": self.p_critical,
-            "gamma": self.gamma,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "fs_b_threshold": self.fs_b_threshold,
-        }
+
+def p_critical(N: int, a: float, b: float) -> float:
+    """(N + 2 + 2b - a)/(N - 2 + a), the existence threshold of the dichotomy."""
+    return (N + 2.0 + 2.0 * b - a) / (N - 2.0 + a)
+
+
+def _serrin(q: ProblemParams) -> float:
+    return (q.N + q.b) / (q.N - 2 + q.a)
+
+
+def _critical(q: ProblemParams) -> float:
+    return p_critical(q.N, q.a, q.b)
 
 
 # Witness tags and their re-evaluation rules.  classify() attaches one of
@@ -98,15 +112,11 @@ _WITNESSES = {
     "N+b<=0": lambda q: q.N + q.b <= 0,
     "b<=a-2": lambda q: q.b <= q.a - 2,
     "p=1": lambda q: q.p == 1,
-    "p<=p_serrin": lambda q: q.p <= (q.N + q.b) / (q.N - 2 + q.a),
-    "p_serrin<p<p_critical": lambda q: (q.N + q.b) / (q.N - 2 + q.a)
-    < q.p
-    < (q.N + 2 + 2 * q.b - q.a) / (q.N - 2 + q.a),
-    "|p-p_critical|<=tol": lambda q: abs(
-        q.p - (q.N + 2 + 2 * q.b - q.a) / (q.N - 2 + q.a)
-    )
-    <= CRITICAL_REL_TOL * abs((q.N + 2 + 2 * q.b - q.a) / (q.N - 2 + q.a)),
-    "p>p_critical": lambda q: q.p > (q.N + 2 + 2 * q.b - q.a) / (q.N - 2 + q.a),
+    "p<=p_serrin": lambda q: q.p <= _serrin(q),
+    "p_serrin<p<p_critical": lambda q: _serrin(q) < q.p < _critical(q),
+    "|p-p_critical|<=tol": lambda q: abs(q.p - _critical(q))
+    <= CRITICAL_REL_TOL * abs(_critical(q)),
+    "p>p_critical": lambda q: q.p > _critical(q),
 }
 
 
@@ -144,6 +154,20 @@ def validate(params: ProblemParams) -> ProblemParams:
     return params
 
 
+def require_admissible(params: ProblemParams) -> ProblemParams:
+    """validate, then refuse weights with N + b <= 0 or b <= a - 2.
+
+    Raises InadmissibleWeights there: no positive solution exists, so the
+    solvers and the closed forms refuse to run.
+    """
+    validate(params)
+    if params.N + params.b <= 0 or params.b <= params.a - 2:
+        raise InadmissibleWeights(
+            f"N+b = {params.N + params.b}, b-(a-2) = {params.b - params.a + 2}"
+        )
+    return params
+
+
 def beta_fs(N: int, a: float) -> float:
     """Symmetry-breaking threshold exponent, defined for a > 0."""
     if a <= 0:
@@ -164,8 +188,8 @@ def derive(params: ProblemParams) -> DerivedExponents:
     fs = (p + 1.0) * beta_fs(N, a) if a > 0 else None
     return DerivedExponents(
         sigma=sigma,
-        p_serrin=(N + b) / M,
-        p_critical=(N + 2.0 + 2.0 * b - a) / M,
+        p_serrin=_serrin(params),
+        p_critical=p_critical(N, a, b),
         gamma=gamma,
         lambda1=M - 2.0 * gamma,
         lambda2=gamma * (M - gamma),
@@ -202,6 +226,11 @@ def balance_residual(N: int, a: float, b: float, q: float) -> float:
     return (N + b) / q + 1.0 - (N + a) / 2.0
 
 
+def balance_tolerance(N: int, a: float, tol_bal: float = BALANCE_REL_TOL) -> float:
+    """Largest |balance_residual| counted as balanced: tol_bal * max(1, |(N+a)/2|)."""
+    return tol_bal * max(1.0, abs((N + a) / 2.0))
+
+
 def fs_region(params: ProblemParams, tol_bal: float = BALANCE_REL_TOL) -> str:
     """Symmetry region of the minimization problem at q = p + 1.
 
@@ -217,8 +246,7 @@ def fs_region(params: ProblemParams, tol_bal: float = BALANCE_REL_TOL) -> str:
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p
     q = p + 1.0
-    scale = max(1.0, abs((N + a) / 2.0))
-    if abs(balance_residual(N, a, b, q)) > tol_bal * scale:
+    if abs(balance_residual(N, a, b, q)) > balance_tolerance(N, a, tol_bal):
         raise BalanceViolated(
             f"(N+b)/q + 1 = {(N + b) / q + 1.0}, (N+a)/2 = {(N + a) / 2.0}"
         )

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NonpositiveSolution, RangeExceeded
-from .params import ProblemParams, validate
+from .params import ProblemParams, Record, validate
 from .shooting import RadialTrajectory
 
 
@@ -37,7 +37,7 @@ def sphere_area(N: int) -> float:
 
 
 @dataclass(frozen=True)
-class PohozaevReport:
+class PohozaevReport(Record):
     R: float
     interior_coeff: float
     interior_integral: float
@@ -46,18 +46,6 @@ class PohozaevReport:
     boundary_3: float
     residual: float
     relative_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "R": self.R,
-            "interior_coeff": self.interior_coeff,
-            "interior_integral": self.interior_integral,
-            "boundary_1": self.boundary_1,
-            "boundary_2": self.boundary_2,
-            "boundary_3": self.boundary_3,
-            "residual": self.residual,
-            "relative_residual": self.relative_residual,
-        }
 
 
 def ball_nonexistence_coeff(params: ProblemParams) -> float:
@@ -94,14 +82,6 @@ def weighted_node_integral(
     return stub + bulk
 
 
-def _node_value(traj: RadialTrajectory, R: float) -> tuple:
-    z = np.log(traj.r)
-    zR = math.log(R)
-    sv = CubicSpline(z, traj.v)
-    sdv = CubicSpline(z, traj.dv)
-    return float(sv(zR)), float(sdv(zR))
-
-
 def evaluate(traj: RadialTrajectory, R: float) -> PohozaevReport:
     """Check the ball identity at radius R on a positive stretch of the shot."""
     params = traj.params
@@ -118,7 +98,9 @@ def evaluate(traj: RadialTrajectory, R: float) -> PohozaevReport:
     omega = sphere_area(N)
     interior = omega * weighted_node_integral(traj, N - 1.0 + b, p + 1.0, R)
     coeff = ball_nonexistence_coeff(params)
-    vR, dvR = _node_value(traj, R)
+    sv, sdv = traj._node_splines()
+    zR = math.log(R)
+    vR, dvR = float(sv(zR)), float(sdv(zR))
     shell = omega * R ** (N - 1.0)
     boundary_1 = (N - 2.0 + a) / 2.0 * shell * R**a * vR * dvR
     boundary_2 = shell * R ** (b + 1.0) * vR ** (p + 1.0) / (p + 1.0)

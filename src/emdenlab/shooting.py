@@ -31,6 +31,7 @@ tolerance.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
@@ -42,13 +43,8 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import (
-    BracketInvalid,
-    EmdenLabError,
-    InadmissibleWeights,
-    RangeExceeded,
-)
-from .params import ProblemParams, derive, validate
+from .errors import BracketInvalid, EmdenLabError, RangeExceeded
+from .params import ProblemParams, Record, derive, require_admissible
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +53,7 @@ _EPS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ShootConfig:
+class ShootConfig(Record):
     """Knobs of a single shot.
 
     epsilon0 = None means "1e-4 * min(1, sigma), then auto-shrunk until the
@@ -89,63 +85,31 @@ class ShootConfig:
         if self.nodes_per_decade < 4:
             raise ValueError("nodes_per_decade < 4 cannot support the spline")
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "r_max": self.r_max,
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "epsilon0": self.epsilon0,
-            "nodes_per_decade": self.nodes_per_decade,
-            "delta_fp": self.delta_fp,
-            "min_fit_radius": self.min_fit_radius,
-        }
-
 
 @dataclass(frozen=True)
-class CrossedZero:
+class CrossedZero(Record):
     kind: ClassVar[str] = "crossed_zero"
     r0: float
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "r0": self.r0}
-
 
 @dataclass(frozen=True)
-class PositiveGlobal:
+class PositiveGlobal(Record):
     kind: ClassVar[str] = "positive_global"
     r_reached: float
     decay_exponent_estimate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r_reached": self.r_reached,
-            "decay_exponent_estimate": self.decay_exponent_estimate,
-        }
-
 
 @dataclass(frozen=True)
-class ConvergedToSingular:
+class ConvergedToSingular(Record):
     kind: ClassVar[str] = "converged_to_singular"
     r_reached: float
     oscillation_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "r_reached": self.r_reached,
-            "oscillation_count": self.oscillation_count,
-        }
-
 
 @dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     kind: ClassVar[str] = "inconclusive"
     reason: str
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "reason": self.reason}
 
 
 ShotOutcome = Union[CrossedZero, PositiveGlobal, ConvergedToSingular, Inconclusive]
@@ -167,7 +131,6 @@ class RadialTrajectory:
     dv: np.ndarray
     outcome: ShotOutcome | None = None
     config: ShootConfig | None = None
-    _dense: object = field(default=None, repr=False)
     _splines: object = field(default=None, repr=False)
 
     def _node_splines(self):
@@ -181,9 +144,10 @@ class RadialTrajectory:
     def eval(self, r):
         """(v, dv) at arbitrary radii inside [0, r[-1]].
 
-        Below the first node the power-series start is used, which needs
-        the shot's config; trajectories loaded from CSV only cover
-        [r[0], r[-1]].
+        Between nodes the node splines are used, so a trajectory re-read
+        from CSV gives the same values.  Below the first node the
+        power-series start is used, which needs the shot's config;
+        trajectories loaded from CSV only cover [r[0], r[-1]].
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr < 0) or np.any(r_arr > self.r[-1] * (1 + 1e-12)):
@@ -195,14 +159,9 @@ class RadialTrajectory:
         dv = np.empty_like(r_arr)
         inside = ~below
         if inside.any():
-            ri = np.minimum(r_arr[inside], self.r[-1])
-            if self._dense is not None:
-                vi, dvi = self._dense(ri)
-            else:
-                sv, sdv = self._node_splines()
-                z = np.log(ri)
-                vi, dvi = sv(z), sdv(z)
-            v[inside], dv[inside] = vi, dvi
+            sv, sdv = self._node_splines()
+            z = np.log(np.minimum(r_arr[inside], self.r[-1]))
+            v[inside], dv[inside] = sv(z), sdv(z)
         if below.any():
             if self.config is None:
                 raise RangeExceeded(
@@ -248,16 +207,6 @@ def series_truncation_estimate(params: ProblemParams, beta: float, eps: float) -
     return max(corr_v, corr_dv)
 
 
-def _require_shootable(params: ProblemParams) -> None:
-    validate(params)
-    if params.N + params.b <= 0 or params.b <= params.a - 2:
-        raise InadmissibleWeights(
-            f"N+b = {params.N + params.b}, b-(a-2) = {params.b - params.a + 2}"
-        )
-    if params.p <= 1:
-        raise ValueError(f"the shooter requires p > 1, got p = {params.p}")
-
-
 def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
     """Hand-off state (r, v, dv) at the series radius.
 
@@ -265,7 +214,9 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
     until the next-order correction drops below rel_tol, never going under
     1e-12.
     """
-    _require_shootable(params)
+    require_admissible(params)
+    if params.p <= 1:
+        raise ValueError(f"the shooter requires p > 1, got p = {params.p}")
     d = derive(params)
     eps = config.epsilon0
     if eps is None:
@@ -322,7 +273,6 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     from scipy's root refinement on the dense output, accurate to far
     better than the 1e-8 relative contract.
     """
-    _require_shootable(params)
     eps, v0, dv0 = series_start(params, config)
     if eps >= config.r_max:
         raise ValueError(f"epsilon0 = {eps} >= r_max = {config.r_max}")
@@ -348,7 +298,6 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     nodes = _node_grid(eps, r_end, config.nodes_per_decade)
     v, dv = sol.sol(nodes)
     traj = _pinned_trajectory(params, config, nodes, v, dv, (eps, v0, dv0), crossed)
-    traj._dense = sol.sol
     if sol.status == -1 and not crossed:
         traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {sol.message}")
     else:
@@ -676,13 +625,26 @@ def sweep_shoot(
     return outcomes
 
 
+def csv_text(header, rows) -> str:
+    """CSV text with floats in shortest round-trip form and '\n' line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows
+    )
+    return buf.getvalue()
+
+
+def trajectory_csv(traj: RadialTrajectory) -> str:
+    """The nodes as `r,v,dv` CSV text; trajectory_from_csv reads it back exactly."""
+    return csv_text(["r", "v", "dv"], zip(traj.r, traj.v, traj.dv))
+
+
 def trajectory_to_csv(traj: RadialTrajectory, path) -> None:
-    """Write nodes as `r,v,dv` with shortest round-trip float text."""
+    """Write trajectory_csv(traj) to path."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "v", "dv"])
-        for rr, vv, dd in zip(traj.r, traj.v, traj.dv):
-            writer.writerow([repr(float(rr)), repr(float(vv)), repr(float(dd))])
+        fh.write(trajectory_csv(traj))
 
 
 def trajectory_from_csv(

@@ -280,6 +280,65 @@ def test_grid_allows_at_most_one_header_row(capsys, tmp_path, argv, text):
     assert "non-numeric row" in err
 
 
+_UNWEIGHTED = ["--N", "3", "--a", "0", "--b", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, primary, code",
+    [
+        (["classify", *_UNWEIGHTED, "--p", "5"], "classify.json", 0),
+        (["shoot", *_UNWEIGHTED, "--p", "3", "--rmax", "10"], "shoot.json", 0),
+        (["shoot", *_UNWEIGHTED, "--p", "5", "--rmax", "2"], "shoot.json", 3),
+        (
+            ["threshold", *_UNWEIGHTED, "--p-lo", "4", "--p-hi", "6", "--tol", "1e-2"],
+            "threshold.json",
+            0,
+        ),
+        (["bubble", "--N", "4", "--a", "0", "--b", "0", "--samples", "20"], "bubble.json", 0),
+        (
+            ["pohozaev", *_UNWEIGHTED, "--p", "3", "--beta", "0.5", "--rmax", "20",
+             "--radii", "1,2"],
+            "pohozaev.json",
+            0,
+        ),
+        (["phase", *_UNWEIGHTED, "--p", "12", "--rmax", "1000"], "phase.json", 0),
+        (["ckn", *_UNWEIGHTED, "--q", "6"], "ckn.json", 0),
+        (["ckn", "--N", "3", "--grid", "{grid}"], "ckn_grid.csv", 0),
+        (["sweep", "--grid", "{sweep_grid}", "--rmax", "100"], "sweep.csv", 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_every_subcommand_keeps_the_output_contract(capsys, tmp_path, argv, primary, code):
+    (tmp_path / "grid.csv").write_text("a,b\n0,0\n1,-2.9\n")
+    (tmp_path / "sweep_grid.csv").write_text("N,a,b,p\n3,0,0,3\n2,0,0,3\n")
+    argv = [
+        tok.format(grid=tmp_path / "grid.csv", sweep_grid=tmp_path / "sweep_grid.csv")
+        for tok in argv
+    ]
+
+    def outputs(out_dir):
+        """Data files on disk, checked against the manifest's list."""
+        on_disk = {path.name for path in out_dir.iterdir()} - {"manifest.json"}
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["outputs"] == sorted(on_disk)
+        return on_disk
+
+    plain = tmp_path / "plain"
+    got, out, err = run(capsys, *argv, "--out", str(plain))
+    assert (got, err) == (code, "")
+    files = outputs(plain)
+    assert primary in files
+    assert (plain / primary).read_bytes() == out.encode()
+
+    if argv[0] not in ("shoot", "bubble", "phase", "sweep"):  # no --emit-plot
+        return
+    plot = tmp_path / "plot"
+    assert run(capsys, *argv, "--emit-plot", "--out", str(plot))[0] == code
+    assert outputs(plot) == files | {f"{argv[0]}.gp"}
+    assert (plot / f"{argv[0]}.gp").read_text().startswith("# gnuplot")
+
+
 def test_io_failure_exits_4(capsys):
     code, _, err = run(
         capsys,
