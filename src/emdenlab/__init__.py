@@ -50,8 +50,10 @@ from .errors import (
     DimensionTooSmall,
     EmdenLabError,
     InadmissibleWeights,
+    NonFiniteParameter,
     NonIntegerDimension,
     NonintegrableProfile,
+    NonMonotoneThreshold,
     NonpositiveNode,
     NonpositiveRadius,
     NonpositiveSolution,

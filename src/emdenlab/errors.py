@@ -18,6 +18,10 @@ class NonIntegerDimension(EmdenLabError):
     """Ambient dimension N is not a whole number."""
 
 
+class NonFiniteParameter(EmdenLabError):
+    """A parameter is NaN or infinite."""
+
+
 class DegenerateWeight(EmdenLabError):
     """N - 2 + a <= 0: the weighted Laplacian degenerates."""
 
@@ -60,6 +64,10 @@ class RangeExceeded(EmdenLabError):
 
 class BracketInvalid(EmdenLabError):
     """Bisection endpoints do not straddle the crossing boundary."""
+
+
+class NonMonotoneThreshold(BracketInvalid):
+    """A probe crosses zero above a probe that does not: no single threshold."""
 
 
 class BalanceViolated(EmdenLabError):

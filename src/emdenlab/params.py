@@ -20,6 +20,7 @@ from .errors import (
     DegenerateWeight,
     DimensionTooSmall,
     InadmissibleWeights,
+    NonFiniteParameter,
     NonIntegerDimension,
     NotInRange,
 )
@@ -138,11 +139,17 @@ class Regime:
 def validate(params: ProblemParams) -> ProblemParams:
     """Check the structural constraints; return params unchanged.
 
-    Raises NonIntegerDimension for a fractional N, DimensionTooSmall for
-    N < 3 and DegenerateWeight for N - 2 + a <= 0.  Anything subtler
-    (inadmissible weights, exponent ranges) is a regime question, not a
-    validity question.
+    Raises NonFiniteParameter for a NaN or infinite N, a or b,
+    NonIntegerDimension for a fractional N, DimensionTooSmall for N < 3
+    and DegenerateWeight for N - 2 + a <= 0.  p is not checked: it is the
+    solvers' to refuse, and the ckn grid validates with p = nan.  Anything
+    subtler (inadmissible weights, exponent ranges) is a regime question,
+    not a validity question.
     """
+    for name in ("N", "a", "b"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} = {value}, need it finite")
     if not float(params.N).is_integer():
         raise NonIntegerDimension(f"N = {params.N}, need a whole number")
     if params.N < 3:

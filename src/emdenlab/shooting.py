@@ -19,10 +19,11 @@ which the threshold search exploits: probing at large beta compresses huge
 beta = 1 crossing radii into a modest window, so a fixed horizon loses
 almost no resolution near the critical exponent.
 
-Single shots (shoot, and through it threshold_bisect) run scipy's DOP853
-via solve_ivp.  Batches (sweep_shoot) run a lockstep port of the same
-DOP853 that advances every row at once as numpy arrays, one step per row
-per iteration, with each row's own step size, error control, crossing
+Single shots (shoot) run scipy's DOP853 via solve_ivp.  Batches
+(sweep_shoot, and through it threshold_bisect, which shoots four
+bisection levels per batch) run a lockstep port of the same DOP853 that
+advances every row at once as numpy arrays, one step per row per
+iteration, with each row's own step size, error control, crossing
 refinement and node sampling.  Its numbers agree with shoot's to
 round-off, amplified only where the answer is below the absolute
 tolerance.
@@ -43,7 +44,13 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .errors import BracketInvalid, EmdenLabError, RangeExceeded
+from .errors import (
+    BracketInvalid,
+    EmdenLabError,
+    NonFiniteParameter,
+    NonMonotoneThreshold,
+    RangeExceeded,
+)
 from .params import ProblemParams, Record, derive, require_admissible
 
 log = logging.getLogger(__name__)
@@ -212,9 +219,12 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
 
     Starts from config.epsilon0 (default 1e-4 * min(1, sigma)) and halves it
     until the next-order correction drops below rel_tol, never going under
-    1e-12.
+    1e-12.  Refuses inadmissible weights (require_admissible) and a NaN or
+    infinite p (NonFiniteParameter).
     """
     require_admissible(params)
+    if not math.isfinite(params.p):
+        raise NonFiniteParameter(f"p = {params.p}, need it finite")
     if params.p <= 1:
         raise ValueError(f"the shooter requires p > 1, got p = {params.p}")
     d = derive(params)
@@ -351,6 +361,39 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
     return PositiveGlobal(r_end, -slope)
 
 
+# Bisection levels shot per lockstep batch.  Deeper rounds shoot more
+# speculative probes than they save in iterations.
+_ROUND_DEPTH = 4
+
+
+def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> list:
+    """Every midpoint the next depth bisection steps from (lo, hi) may probe.
+
+    Midpoints come from the same 0.5 * (lo + hi) recursion as the serial
+    walk, and an interval is split only while it is wider than tol_p.
+    """
+    if depth == 0 or not hi - lo > tol_p:
+        return []
+    mid = 0.5 * (lo + hi)
+    return (
+        [mid]
+        + _bisection_tree(lo, mid, tol_p, depth - 1)
+        + _bisection_tree(mid, hi, tol_p, depth - 1)
+    )
+
+
+def _require_crossing_prefix(crosses: dict) -> None:
+    """NonMonotoneThreshold unless every crossing p lies below every other p."""
+    ps = sorted(crosses)
+    first_miss = next(i for i, p in enumerate(ps) if not crosses[p])
+    above = [p for p in ps[first_miss:] if crosses[p]]
+    if above:
+        raise NonMonotoneThreshold(
+            f"crossing is not monotone in p: p = {above[-1]!r} crosses but "
+            f"p = {ps[first_miss]!r} below it does not"
+        )
+
+
 def threshold_bisect(
     N: int,
     a: float,
@@ -362,29 +405,44 @@ def threshold_bisect(
 ) -> float:
     """Bisect the crossing/no-crossing boundary in p.
 
-    Assumes the crossing property is monotone in p across the bracket (it
-    is empirically; probes are logged so violations can be audited).  The
-    lower endpoint must cross, the upper must not, else BracketInvalid.
+    The lower endpoint must cross, the upper must not, else BracketInvalid;
+    weights the shooter refuses raise its errors.  Probes are shot in
+    rounds through sweep_shoot: each round shoots every midpoint of the
+    next _ROUND_DEPTH bisection levels of the current bracket (the first
+    round also the two ends), and the serial walk then reads its decisions
+    from them, so the result is the serial bisection's bit for bit.  An
+    inconclusive probe counts as not crossing.  Crossing must be monotone
+    in p: every round checks that its crossing probes all lie below its
+    other probes, else NonMonotoneThreshold.  Each probe is logged.
     """
-    if not p_lo < p_hi:
-        raise BracketInvalid(f"need p_lo < p_hi, got [{p_lo}, {p_hi}]")
+    if not p_lo < p_hi < math.inf:
+        raise BracketInvalid(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
     if p_lo <= 1.0:
         raise BracketInvalid(f"p_lo = {p_lo}: the shooter requires p > 1")
-    if tol_p <= 0:
+    if not tol_p > 0:
         raise ValueError(f"tol_p = {tol_p}, need it positive")
+    require_admissible(ProblemParams(N, a, b, p_lo))
 
-    def crosses(p: float) -> bool:
-        outcome = shoot(ProblemParams(N, a, b, p), config).outcome
-        log.info("threshold probe p=%.17g -> %s", p, outcome)
-        return isinstance(outcome, CrossedZero)
+    def shoot_round(probes, crosses):
+        outcomes = sweep_shoot([ProblemParams(N, a, b, p) for p in probes], config)
+        for p, outcome in zip(probes, outcomes):
+            log.info("threshold probe p=%.17g -> %s", p, outcome)
+            crosses[p] = isinstance(outcome, CrossedZero)
+        return crosses
 
-    if not crosses(p_lo):
+    crosses = shoot_round([p_lo, p_hi] + _bisection_tree(p_lo, p_hi, tol_p), {})
+    if not crosses[p_lo]:
         raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
-    if crosses(p_hi):
+    if crosses[p_hi]:
         raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
+    _require_crossing_prefix(crosses)
     while p_hi - p_lo > tol_p:
         mid = 0.5 * (p_lo + p_hi)
-        if crosses(mid):
+        if mid not in crosses:
+            probes = _bisection_tree(p_lo, p_hi, tol_p)
+            crosses = shoot_round(probes, {p_lo: True, p_hi: False})
+            _require_crossing_prefix(crosses)
+        if crosses[mid]:
             p_lo = mid
         else:
             p_hi = mid
@@ -552,7 +610,7 @@ def sweep_shoot(
             L = len(lane)
             min_step = 10.0 * (np.nextafter(t, np.inf) - t)
             h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
-            failed = h_abs < min_step
+            failed = ~(h_abs >= min_step)  # a NaN step fails too
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
             hc = h[:, None]

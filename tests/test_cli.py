@@ -79,6 +79,16 @@ def test_threshold_brackets_the_critical_exponent(capsys):
     assert payload["abs_error"] <= 1e-2
 
 
+def test_threshold_refuses_a_nan_weight(capsys):
+    code, out, err = run(
+        capsys,
+        "threshold", "--N", "3", "--a", "nan", "--b", "0",
+        "--p-lo", "4", "--p-hi", "6", "--tol", "1e-2",
+    )
+    assert code == 2 and out == ""
+    assert "NonFiniteParameter" in err
+
+
 def test_bubble_defaults_to_critical_and_reports_residual(capsys):
     code, out, _ = run(
         capsys, "bubble", "--N", "4", "--a", "0", "--b", "0", "--samples", "100"
@@ -232,6 +242,18 @@ def test_ckn_quadrature_mismatch_is_a_named_error(capsys, tmp_path, monkeypatch)
     assert math.isnan(float(cells[3])) and cells[4] == "QuadratureMismatch"
 
 
+def test_ckn_grid_names_non_finite_rows(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("a,b\nnan,0\n0,inf\n0,0\n")
+    code, out, _ = run(capsys, "ckn", "--N", "3", "--grid", str(grid))
+    assert code == 0
+    cells = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(cells) == 3
+    for row in cells[:2]:
+        assert math.isnan(float(row[3])) and row[4] == "NonFiniteParameter"
+    assert float(cells[2][3]) == pytest.approx(5.477904089531332, rel=1e-6)
+
+
 def test_sweep_preserves_grid_order_and_survives_bad_rows(capsys, tmp_path):
     grid = tmp_path / "sweep_grid.csv"
     grid.write_text(
@@ -262,6 +284,18 @@ def test_sweep_rejects_a_non_integer_dimension_instead_of_rounding(capsys, tmp_p
     assert first[4] == "inconclusive"
     assert "rejected:" in lines[1]
     assert second[0] == "3" and second[4] == "crossed_zero"
+
+
+def test_sweep_rejects_non_finite_rows_and_finishes(capsys, tmp_path):
+    grid = tmp_path / "sweep_grid.csv"
+    grid.write_text("N,a,b,p\n3,nan,0,3\n3,0,0,nan\n3,0,0,inf\n3,0,0,3\n")
+    code, out, _ = run(capsys, "sweep", "--grid", str(grid), "--rmax", "100")
+    assert code == 0
+    lines = out.strip().splitlines()[1:]
+    assert [line.split(",")[4] for line in lines] == [
+        "inconclusive", "inconclusive", "inconclusive", "crossed_zero"
+    ]
+    assert all("rejected:" in line for line in lines[:3])
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,28 @@ def test_validate_rejects_small_dimension_and_degenerate_weight():
         E.validate(E.ProblemParams(3, -1.5, 0.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "N, a, b",
+    [
+        (math.nan, 0.0, 0.0),
+        (math.inf, 0.0, 0.0),
+        (3, math.nan, 0.0),
+        (3, -math.inf, 0.0),
+        (3, 0.0, math.nan),
+        (3, 0.0, math.inf),
+    ],
+)
+def test_validate_refuses_non_finite_parameters(N, a, b):
+    with pytest.raises(E.NonFiniteParameter):
+        E.validate(E.ProblemParams(N, a, b, 3.0))
+
+
+def test_validate_leaves_p_to_the_solvers():
+    # ckn grid rows validate (N, a, b) with p = nan as a placeholder
+    params = E.ProblemParams(3, 0.0, 0.0, math.nan)
+    assert E.validate(params) is params
+
+
 def test_derive_requires_p_above_one():
     with pytest.raises(ValueError):
         E.derive(E.ProblemParams(3, 0.0, 0.0, 1.0))

@@ -207,6 +207,101 @@ def test_threshold_bisect_rejects_bad_brackets():
         E.threshold_bisect(3, 0.0, 0.0, 3.0, 4.5, tol_p=0.05, config=config)
 
 
+def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config):
+    """Reference bisection: one shoot per probe, each waiting on the last."""
+
+    def crosses(p):
+        outcome = E.shoot(E.ProblemParams(N, a, b, p), config).outcome
+        return isinstance(outcome, E.CrossedZero)
+
+    assert crosses(p_lo) and not crosses(p_hi)
+    while p_hi - p_lo > tol_p:
+        mid = 0.5 * (p_lo + p_hi)
+        if crosses(mid):
+            p_lo = mid
+        else:
+            p_hi = mid
+    return 0.5 * (p_lo + p_hi)
+
+
+@pytest.mark.parametrize(
+    "N, a, b, p_lo, p_hi",
+    [(3, 0.0, 0.0, 4.5, 5.5), (3, 0.0, 0.0, 4.0, 6.0), (4, 0.0, 0.0, 2.0, 4.0),
+     (3, 0.0, 1.0, 6.0, 8.0)],
+)
+def test_threshold_bisect_matches_serial_bisection_bit_for_bit(N, a, b, p_lo, p_hi):
+    config = E.ShootConfig(beta=100.0, r_max=300.0)
+    got = E.threshold_bisect(N, a, b, p_lo, p_hi, tol_p=1e-2, config=config)
+    assert got == serial_threshold(N, a, b, p_lo, p_hi, 1e-2, config)
+
+
+@pytest.mark.parametrize(
+    "N, a, b, error",
+    [
+        (2, 0.0, 0.0, E.DimensionTooSmall),
+        (3.5, 0.0, 0.0, E.NonIntegerDimension),
+        (3, -1.0, 0.0, E.DegenerateWeight),
+        (3, 0.0, -2.5, E.InadmissibleWeights),  # b <= a - 2
+        (3, 0.0, -4.0, E.InadmissibleWeights),  # N + b <= 0
+        (3, math.nan, 0.0, E.NonFiniteParameter),
+    ],
+)
+def test_threshold_bisect_refuses_bad_weights_like_a_shot(N, a, b, error):
+    config = E.ShootConfig(beta=100.0, r_max=300.0)
+    with pytest.raises(error):
+        E.shoot(E.ProblemParams(N, a, b, 4.5), config)
+    with pytest.raises(error):
+        E.threshold_bisect(N, a, b, 4.5, 5.5, tol_p=0.05, config=config)
+
+
+@pytest.mark.parametrize(
+    "p_lo, p_hi", [(math.nan, 5.5), (4.5, math.inf), (4.5, math.nan)]
+)
+def test_threshold_bisect_refuses_non_finite_brackets(p_lo, p_hi):
+    with pytest.raises(E.BracketInvalid):
+        E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=0.05)
+
+
+def _fake_sweep(crosses, calls):
+    def sweep_shoot(rows, config):
+        calls.append([row.p for row in rows])
+        return [
+            E.CrossedZero(1.0) if crosses(row.p) else E.Inconclusive("stub")
+            for row in rows
+        ]
+
+    return sweep_shoot
+
+
+def test_threshold_bisect_shoots_four_levels_per_batch(monkeypatch, caplog):
+    # Inconclusive counts as not crossing; every probe is logged once.
+    from emdenlab import shooting
+
+    calls = []
+    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < 5.0, calls))
+    with caplog.at_level("INFO", logger="emdenlab.shooting"):
+        p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
+    # serial bisection: 5.0 fails, then 4.75, 4.875, 4.9375 and 4.96875 cross
+    assert p_star == 0.5 * (4.96875 + 5.0)
+    # width 1 to 0.05 takes 5 halvings: 2 ends + 15 midpoints, then 1
+    assert [len(batch) for batch in calls] == [17, 1]
+    assert calls[0][:3] == [4.5, 5.5, 5.0]
+    probes = [r for r in caplog.records if r.msg.startswith("threshold probe")]
+    assert len(probes) == 18
+
+
+def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
+    from emdenlab import shooting
+
+    calls = []
+    crosses = lambda p: p < 4.8 or 5.2 < p < 5.3  # noqa: E731
+    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(crosses, calls))
+    with pytest.raises(E.NonMonotoneThreshold, match=r"5\.25.*4\.8125") as info:
+        E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
+    assert isinstance(info.value, E.BracketInvalid)
+    assert len(calls) == 1
+
+
 def test_sweep_preserves_order_and_isolates_bad_rows():
     rows = [
         E.ProblemParams(3, 0.0, 0.0, 3.0),
@@ -219,6 +314,29 @@ def test_sweep_preserves_order_and_isolates_bad_rows():
     assert isinstance(outcomes[1], E.Inconclusive)
     assert outcomes[1].reason.startswith("rejected:")
     assert isinstance(outcomes[2], E.PositiveGlobal)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_series_start_refuses_a_non_finite_power(p):
+    with pytest.raises(E.NonFiniteParameter):
+        E.series_start(E.ProblemParams(3, 0.0, 0.0, p))
+
+
+def test_lockstep_lane_with_a_nan_state_fails_instead_of_spinning(monkeypatch):
+    from emdenlab import shooting
+
+    series_start = shooting.series_start
+
+    def nan_start(params, config):
+        eps, v, dv = series_start(params, config)
+        return (eps, math.nan, math.nan) if params.p == 5.0 else (eps, v, dv)
+
+    monkeypatch.setattr(shooting, "series_start", nan_start)
+    rows = [E.ProblemParams(3, 0.0, 0.0, 5.0), UNWEIGHTED_CUBIC]
+    stuck, crossed = E.sweep_shoot(rows, E.ShootConfig(r_max=100.0))
+    assert isinstance(stuck, E.Inconclusive)
+    assert stuck.reason.startswith("integrator stopped at r = ")
+    assert isinstance(crossed, E.CrossedZero)
 
 
 def test_batched_sweep_matches_single_shots():
