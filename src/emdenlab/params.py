@@ -205,9 +205,14 @@ def derive(params: ProblemParams) -> DerivedExponents:
 
 
 def classify(params: ProblemParams) -> Regime:
-    """Place params in exactly one regime of the existence dichotomy."""
+    """Place params in exactly one regime of the existence dichotomy.
+
+    Raises NonFiniteParameter for a NaN p, which no regime contains.
+    """
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p
+    if math.isnan(p):
+        raise NonFiniteParameter(f"p = {p}, need a number")
     if N + b <= 0:
         return Regime(INADMISSIBLE_WEIGHTS, "N+b<=0")
     if b <= a - 2:

@@ -24,9 +24,12 @@ Single shots (shoot) run scipy's DOP853 via solve_ivp.  Batches
 bisection levels per batch) run a lockstep port of the same DOP853 that
 advances every row at once as numpy arrays, one step per row per
 iteration, with each row's own step size, error control, crossing
-refinement and node sampling.  Its numbers agree with shoot's to
-round-off, amplified only where the answer is below the absolute
-tolerance.
+refinement and node sampling.  An iteration evaluates the field 12 times
+(the step's stages and the field at its end); the three dense-output
+stages of accepted steps are built later in bulk, for a bounded buffer
+of held steps at a time, so rejected steps never pay for them.  Its
+numbers agree with shoot's to round-off, amplified only where the answer
+is below the absolute tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -79,9 +82,13 @@ class ShootConfig(Record):
     min_fit_radius: float = 10.0
 
     def __post_init__(self):
-        if self.beta <= 0:
+        for name in ("beta", "r_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NonFiniteParameter(f"{name} = {value}, need it finite")
+        if not self.beta > 0:
             raise ValueError(f"beta = {self.beta}, need it positive")
-        if self.r_max < 1.0:
+        if not self.r_max >= 1.0:
             raise ValueError(f"r_max = {self.r_max}, need r_max >= 1")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
@@ -370,11 +377,12 @@ def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> l
     """Every midpoint the next depth bisection steps from (lo, hi) may probe.
 
     Midpoints come from the same 0.5 * (lo + hi) recursion as the serial
-    walk, and an interval is split only while it is wider than tol_p.
+    walk, and an interval is split only while it is wider than tol_p and
+    its midpoint lies strictly inside it.
     """
-    if depth == 0 or not hi - lo > tol_p:
-        return []
     mid = 0.5 * (lo + hi)
+    if depth == 0 or not hi - lo > tol_p or not lo < mid < hi:
+        return []
     return (
         [mid]
         + _bisection_tree(lo, mid, tol_p, depth - 1)
@@ -413,7 +421,9 @@ def threshold_bisect(
     from them, so the result is the serial bisection's bit for bit.  An
     inconclusive probe counts as not crossing.  Crossing must be monotone
     in p: every round checks that its crossing probes all lie below its
-    other probes, else NonMonotoneThreshold.  Each probe is logged.
+    other probes, else NonMonotoneThreshold.  Each probe is logged.  The
+    walk also ends when the bracket's midpoint rounds onto one of its
+    ends, so a tol_p below the float spacing still terminates.
     """
     if not p_lo < p_hi < math.inf:
         raise BracketInvalid(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
@@ -438,6 +448,8 @@ def threshold_bisect(
     _require_crossing_prefix(crosses)
     while p_hi - p_lo > tol_p:
         mid = 0.5 * (p_lo + p_hi)
+        if not p_lo < mid < p_hi:
+            break  # tol_p is below the float spacing of the bracket
         if mid not in crosses:
             probes = _bisection_tree(p_lo, p_hi, tol_p)
             crosses = shoot_round(probes, {p_lo: True, p_hi: False})
@@ -454,38 +466,85 @@ def threshold_bisect(
 # at once.  Sums and powers round differently from scipy's, so lane results
 # match shoot's to round-off, not bit for bit.
 _A, _B, _C = _dop853.A, _dop853.B, _dop853.C
-_E3, _E5, _D = _dop853.E3, _dop853.E5, _dop853.D
 _STAGES = _dop853.N_STAGES
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 _EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
+# Stage coefficients shaped to broadcast over K's (stage, lane, component)
+# axes: _A_ROWS[s] weighs stage s's predecessors, _E53 stacks the fifth- and
+# third-order error weights, _D_ROWS the dense-output weights.
+_A_ROWS = [_A[s, :s, None, None] for s in range(_dop853.N_STAGES_EXTENDED)]
+_B_COL = _B[:, None, None]
+_E53 = np.stack([_dop853.E5, _dop853.E3])[:, :, None, None]
+_D_ROWS = _dop853.D[:, :, None, None]
 
-def _lane_rhs(r, y, prm, out):
-    """The radial vector field of every lane; prm rows are (N-1+a, b-a, p)."""
+# Accepted steps held back before their dense-output stages are built in one
+# pass.  More rows mean fewer passes; the buffer also grows to a batch's
+# width, so one iteration's steps always fit.
+_PENDING_ROWS = 256
+
+
+class _Field(NamedTuple):
+    """The vector field's parameters of some lanes, one contiguous column each."""
+
+    neg_c: np.ndarray  # -(N - 1 + a)
+    w: np.ndarray | None  # b - a, or None when every lane has b == a
+    p: np.ndarray
+
+
+def _field(prm, lanes) -> _Field:
+    """The _Field of the given rows; prm's rows are -(N-1+a), b-a and p by row."""
+    neg_c, w, p = prm[:, lanes]
+    return _Field(neg_c, w if w.any() else None, p)
+
+
+def _lane_rhs(r, y, fld, out):
+    """The radial vector field of every lane, written into out.
+
+    r^(b-a) is left out when every lane has b == a: r**0 is exactly 1.0,
+    so the bits are the same.  The powers are never taken in place:
+    numpy's vectorized pow, which can differ from the C library's in the
+    last bit, skips a one-element call whose output is its input, and a
+    lone lane would then round differently from the same lane in a batch.
+    """
     v, dv = y[:, 0], y[:, 1]
-    s = np.abs(v) ** prm[:, 2]
+    s = np.abs(v) ** fld.p
+    # odd extension, signed as where(v >= 0, s, -s), so v = -0.0 gives +s
+    np.negative(s, out=s, where=v < 0.0)
+    if fld.w is not None:
+        s *= r**fld.w
     out[:, 0] = dv
-    out[:, 1] = -prm[:, 0] / r * dv - r ** prm[:, 1] * np.where(v >= 0.0, s, -s)
+    ddv = out[:, 1]
+    np.divide(fld.neg_c, r, out=ddv)
+    ddv *= dv
+    ddv -= s
 
 
 def _stage_sum(coeffs, K):
-    """sum_j coeffs[..., j] K[j], added in stage order.
+    """sum_j coeffs[..., j, :, :] K[j], added in stage order.
 
     Each lane's sum is rounded the same whatever the batch around it, so a
     row's outcome does not depend on the other rows (a matrix product
     would block its sums by the batch width).
     """
-    s = coeffs.shape[-1]
-    return np.add.reduce(coeffs[..., None, None] * K[:s], axis=-3)
+    return np.add.reduce(coeffs * K[: coeffs.shape[-3]], axis=-3)
+
+
+def _stage(s, r, y, hc, K, fld):
+    """Stage s of every lane into K[s]: the field at r, y + h sum_j A[s, j] K[j]."""
+    ys = _stage_sum(_A_ROWS[s], K)
+    ys *= hc
+    ys += y
+    _lane_rhs(r, ys, fld, K[s])
 
 
 def _rms(x):
     return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
 
 
-def _initial_step(t0, y0, f0, t_bound, prm, rtol, atol):
+def _initial_step(t0, y0, f0, t_bound, fld, rtol, atol):
     """scipy's select_initial_step for every lane (error estimator order 7)."""
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
@@ -493,7 +552,7 @@ def _initial_step(t0, y0, f0, t_bound, prm, rtol, atol):
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval)
     f1 = np.empty_like(y0)
-    _lane_rhs(t0 + h0, y0 + h0[:, None] * f0, prm, f1)
+    _lane_rhs(t0 + h0, y0 + h0[:, None] * f0, fld, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
@@ -507,7 +566,10 @@ class _StepLog:
     """Accepted steps of all lanes in one table, each lane's rows in step order.
 
     A row is (lane, t_old, h, v_old, dv_old, F) with F the 7 x 2
-    dense-output coefficients of the step, flattened row by row.  Rows of
+    dense-output coefficients of the step, flattened row by row.  Steps
+    reach the table in bulk: the lockstep loop holds each accepted step's
+    state and first 13 stages in a _Pending buffer, and its flush builds
+    the other three stages and F for every held row at once.  Rows of
     lanes that have left are dropped when the table fills, before it grows.
     """
 
@@ -535,6 +597,57 @@ class _StepLog:
     def steps(self, lane):
         table = self.rows[: self.n]
         return table[table[:, 0] == lane]
+
+
+class _Pending:
+    """Accepted steps waiting for their dense output: (lane, t, h, y, K[0..12]).
+
+    K holds the step's 12 stages and the field at its end; room for the
+    three dense-output stages is kept behind them.
+    """
+
+    def __init__(self, size):
+        self.lane = np.empty(size, dtype=int)
+        self.t = np.empty(size)
+        self.h = np.empty(size)
+        self.y = np.empty((size, 2))
+        self.K = np.empty((_dop853.N_STAGES_EXTENDED, size, 2))
+        self.n = 0
+
+    def room(self, m):
+        return self.n + m <= len(self.t)
+
+    def push(self, k, lane, t, h, y, K):
+        """Hold the steps of lanes k (indices into this iteration's arrays)."""
+        rows = slice(self.n, self.n + len(k))
+        self.lane[rows] = lane[k]
+        self.t[rows] = t[k]
+        self.h[rows] = h[k]
+        self.y[rows] = y[k]
+        self.K[: _STAGES + 1, rows] = K[:, k]
+        self.n = rows.stop
+
+    def flush(self, prm, log_, live):
+        """Build every held step's dense output in one pass into log_."""
+        n = self.n
+        if not n:
+            return
+        lane, t, h, y = self.lane[:n], self.t[:n], self.h[:n], self.y[:n]
+        K = self.K[:, :n]
+        fld = _field(prm, lane)
+        hc = h[:, None]
+        for s in range(_STAGES + 1, len(K)):
+            _stage(s, t + _C[s] * h, y, hc, K, fld)
+        y_new = y + hc * _stage_sum(_B_COL, K)  # as the step summed it
+        delta = y_new - y
+        F = np.empty((_dop853.INTERPOLATOR_POWER, n, 2))
+        F[0] = delta
+        F[1] = hc * K[0] - delta
+        F[2] = 2 * delta - hc * (K[_STAGES] + K[0])
+        F[3:] = hc * _stage_sum(_D_ROWS, K)
+        F = F.transpose(1, 0, 2).reshape(n, -1)
+        log_.append(np.column_stack([lane, t, h, y, F]), live)
+        self.n = 0
 
 
 def _dense_v(r, step):
@@ -571,12 +684,16 @@ def sweep_shoot(
     All rows run together in one process, each as a lane of a lockstep
     port of shoot's DOP853 run: every lane keeps its own step size and
     accept/reject decision, and one iteration tries one step on every
-    lane.  A lane leaves when it crosses zero (refined by brentq on that
-    step's dense output), reaches r_max or fails the minimum-step test; it
-    is then sampled on shoot's node grid and classified.  A row that fails
-    its parameter checks never enters a lane and comes back as
-    Inconclusive("rejected: ...") in its place.  processes is still
-    accepted, so existing callers keep working, and is ignored.
+    lane with 12 field evaluations (11 stages and the field at the step's
+    end).  Accepted steps are held back; their three dense-output stages
+    and interpolants are built in bulk when the hold fills or a lane
+    leaves, so rejected steps never pay for them.  A lane leaves when it
+    crosses zero (refined by brentq on that step's dense output), reaches
+    r_max or fails the minimum-step test; it is then sampled on shoot's
+    node grid and classified.  A row that fails its parameter checks never
+    enters a lane and comes back as Inconclusive("rejected: ...") in its
+    place.  processes is still accepted, so existing callers keep working,
+    and is ignored.
     """
     rows = list(rows)
     outcomes: list = [None] * len(rows)
@@ -593,18 +710,21 @@ def sweep_shoot(
     rtol = max(config.rel_tol, 100 * _EPS)
     atol = config.abs_tol * max(1.0, config.beta)
     lane = np.fromiter(starts, dtype=int)
-    prm = np.array([(rows[i].N - 1.0 + rows[i].a, rows[i].b - rows[i].a, rows[i].p)
-                    for i in lane])
+    prm = np.zeros((3, len(rows)))
+    for i in lane:
+        prm[:, i] = (-(rows[i].N - 1.0 + rows[i].a), rows[i].b - rows[i].a, rows[i].p)
+    fld = _field(prm, lane)
     t = np.array([starts[i][0] for i in lane])
     y = np.array([starts[i][1:] for i in lane])
     f = np.empty_like(y)
     live = np.zeros(len(rows), dtype=bool)
     live[lane] = True
     log_ = _StepLog()
+    pending = _Pending(max(_PENDING_ROWS, len(lane)))
 
     with np.errstate(all="ignore"):
-        _lane_rhs(t, y, prm, f)
-        h_abs = _initial_step(t, y, f, t_bound, prm, rtol, atol)
+        _lane_rhs(t, y, fld, f)
+        h_abs = _initial_step(t, y, f, t_bound, fld, rtol, atol)
         retry = np.zeros(len(lane), dtype=bool)
         while len(lane):
             L = len(lane)
@@ -615,17 +735,20 @@ def sweep_shoot(
             h = t_new - t
             hc = h[:, None]
 
-            K = np.empty((_dop853.N_STAGES_EXTENDED, L, 2))
+            K = np.empty((_STAGES + 1, L, 2))
             K[0] = f
+            r_stage = t + _C[1:_STAGES, None] * h
             for s in range(1, _STAGES):
-                _lane_rhs(t + _C[s] * h, y + _stage_sum(_A[s, :s], K) * hc, prm, K[s])
-            y_new = y + hc * _stage_sum(_B, K)
+                _stage(s, r_stage[s - 1], y, hc, K, fld)
+            y_new = y + hc * _stage_sum(_B_COL, K)
             f_new = K[_STAGES]
-            _lane_rhs(t + h, y_new, prm, f_new)
+            _lane_rhs(t + h, y_new, fld, f_new)
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.sum((_stage_sum(_E5, K) / scale) ** 2, axis=1)
-            err3 = np.sum((_stage_sum(_E3, K) / scale) ** 2, axis=1)
+            err = _stage_sum(_E53, K)
+            err /= scale
+            err *= err
+            err5, err3 = np.add.reduce(err, axis=-1)
             error_norm = np.where(
                 (err5 == 0) & (err3 == 0),
                 0.0,
@@ -638,24 +761,19 @@ def sweep_shoot(
             h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, ratio))
             retry = ~accept
 
-            # dense output of the step: three more stages, then F
-            for s in range(_STAGES + 1, len(K)):
-                _lane_rhs(t + _C[s] * h, y + _stage_sum(_A[s, :s], K) * hc, prm, K[s])
-            delta = y_new - y
-            F = np.empty((_dop853.INTERPOLATOR_POWER, L, 2))
-            F[0] = delta
-            F[1] = hc * f - delta
-            F[2] = 2 * delta - hc * (f_new + f)
-            F[3:] = hc * _stage_sum(_D, K)
-            F = F.transpose(1, 0, 2).reshape(L, -1)
-            block = np.column_stack([lane, t, h, y, F])
-            log_.append(block[accept], live)
+            acc = np.flatnonzero(accept)
+            if not pending.room(len(acc)):
+                pending.flush(prm, log_, live)
+            pending.push(acc, lane, t, h, y, K)
 
             crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
             gone = failed | crossed | (accept & (t_new >= t_bound))
             t = np.where(accept, t_new, t)
-            y[accept] = y_new[accept]
-            f[accept] = f_new[accept]
+            y[acc] = y_new[acc]
+            f[acc] = f_new[acc]
+            if not gone.any():
+                continue
+            pending.flush(prm, log_, live)
             for k in np.flatnonzero(gone):
                 j = int(lane[k])
                 live[j] = False
@@ -675,11 +793,11 @@ def sweep_shoot(
                     rows[j], config, nodes, v, dv, starts[j], crossed[k]
                 )
                 outcomes[j] = classify_trajectory(traj)
-            if gone.any():
-                keep = ~gone
-                lane, t, y, f, h_abs, retry, prm = (
-                    a[keep] for a in (lane, t, y, f, h_abs, retry, prm)
-                )
+            keep = ~gone
+            lane, t, y, f, h_abs, retry = (
+                a[keep] for a in (lane, t, y, f, h_abs, retry)
+            )
+            fld = _field(prm, lane)
     return outcomes
 
 

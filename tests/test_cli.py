@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +90,35 @@ def test_threshold_refuses_a_nan_weight(capsys):
     )
     assert code == 2 and out == ""
     assert "NonFiniteParameter" in err
+
+
+def test_classify_refuses_a_nan_power(capsys):
+    code, out, err = run(
+        capsys, "classify", "--N", "3", "--a", "0", "--b", "0", "--p", "nan"
+    )
+    assert code == 2 and out == ""
+    assert "NonFiniteParameter" in err
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--rmax"])
+@pytest.mark.parametrize("subcommand", ["shoot", "sweep", "threshold"])
+def test_nan_config_exits_2_instead_of_hanging(tmp_path, subcommand, flag):
+    # run in a child process, so a regression that hangs fails the test
+    grid = tmp_path / "grid.csv"
+    grid.write_text("N,a,b,p\n3,0,0,3\n")
+    argv = {
+        "shoot": ["--N", "3", "--a", "0", "--b", "0", "--p", "3"],
+        "sweep": ["--grid", str(grid)],
+        "threshold": ["--N", "3", "--a", "0", "--b", "0", "--p-lo", "4", "--p-hi", "6"],
+    }[subcommand]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emdenlab.cli", subcommand, *argv, flag, "nan"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "NonFiniteParameter" in proc.stderr
 
 
 def test_bubble_defaults_to_critical_and_reports_residual(capsys):

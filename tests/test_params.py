@@ -75,6 +75,13 @@ def test_validate_leaves_p_to_the_solvers():
     assert E.validate(params) is params
 
 
+def test_classify_refuses_a_nan_power():
+    # every comparison with NaN is False, so it used to fall through to
+    # "supercritical" with a witness that does not hold
+    with pytest.raises(E.NonFiniteParameter):
+        E.classify(E.ProblemParams(3, 0.0, 0.0, math.nan))
+
+
 def test_derive_requires_p_above_one():
     with pytest.raises(ValueError):
         E.derive(E.ProblemParams(3, 0.0, 0.0, 1.0))

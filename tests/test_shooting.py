@@ -7,6 +7,7 @@ solver and the oracle share no code beyond the arithmetic of the ODE.
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -300,6 +301,37 @@ def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
         E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     assert isinstance(info.value, E.BracketInvalid)
     assert len(calls) == 1
+
+
+def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch):
+    # Below the spacing of floats the midpoint rounds onto an end, and the
+    # bracket stops shrinking; the walk must end there instead of spinning.
+    from emdenlab import shooting
+
+    calls = []
+    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < 5.0, calls))
+
+    def spinning(signum, frame):
+        raise TimeoutError("threshold_bisect did not return")
+
+    previous = signal.signal(signal.SIGALRM, spinning)
+    signal.alarm(10)
+    try:
+        p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=1e-20)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert p_star in (np.nextafter(5.0, 0.0), 5.0)
+    # no round probes a midpoint that rounded onto an end of its bracket
+    probes = [p for batch in calls for p in batch]
+    assert len(set(probes)) == len(probes)
+
+
+@pytest.mark.parametrize("name", ["beta", "r_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_a_non_finite_height_or_horizon(name, value):
+    with pytest.raises(E.NonFiniteParameter):
+        E.ShootConfig(**{name: value})
 
 
 def test_sweep_preserves_order_and_isolates_bad_rows():
