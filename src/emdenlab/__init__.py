@@ -57,6 +57,7 @@ from .errors import (
     NonpositiveNode,
     NonpositiveRadius,
     NonpositiveSolution,
+    NormOutOfRange,
     NotCritical,
     NotInRange,
     NotInSerrinSupercriticalRange,

@@ -9,29 +9,43 @@ the two integrals into Beta functions.  Past the symmetry-breaking
 threshold (a > 0, b large) the radial bubble is no longer the minimizer
 and best_constant refuses rather than report a wrong constant.
 
-Quadrature is decade-by-decade adaptive Gauss-Kronrod (QUADPACK's 21-point
-rule, evaluated on arrays) with a power-law origin stub and a fitted
-power-law tail; a tail flatter than 1/r is reported as a divergent norm
-instead of being truncated into a finite lie.  best_constant evaluates
-the bubble on whole arrays of radii; energy takes a scalar handle and
-calls it once per radius.
+There are two quadratures because there are two integrands of different
+regularity, not two paths to the same number.
+
+* best_constant integrates the bubble, which it knows in closed form.  In
+  t = sigma log(lambda r) both integrands are exp(c1 t - c2 log(1 + e^t))
+  times a constant: analytic in a strip and exponentially small at both
+  ends, so the plain trapezoid rule converges geometrically (Trefethen
+  and Weideman, "The exponentially convergent trapezoidal rule", SIAM
+  Review 56, 2014).  Everything stays in logarithms, so the strip
+  a - 2 < b < a - 1.5, where the bubble spans about 1/sigma decades of r
+  and its amplitude leaves double range, costs no more than any other row.
+* energy integrates whatever scalar handle it is given, which may be only
+  finitely smooth (a C^2 bump, a cut-off tail); a global trapezoid
+  converges only algebraically there.  It keeps decade-by-decade adaptive
+  Gauss-Kronrod (QUADPACK's 21-point rule, evaluated on arrays) with a
+  power-law origin stub and a fitted power-law tail; a tail flatter than
+  1/r is reported as a divergent norm instead of being truncated into a
+  finite lie.  The handle is called once per radius.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .closed_forms import bubble_eval, normalized_bubble
+from .closed_forms import _softplus
 from .errors import (
     BalanceViolated,
     DegenerateWeight,
     DimensionTooSmall,
     InadmissibleWeights,
     NonintegrableProfile,
+    NormOutOfRange,
     NotInRange,
     QuadratureMismatch,
     SymmetryBreakingRegion,
@@ -45,6 +59,7 @@ from .params import (
     balance_tolerance,
     fs_region,
     p_critical,
+    require_admissible,
 )
 from .pohozaev import sphere_area
 
@@ -52,11 +67,24 @@ ADMISSIBLE = "Admissible"
 BAND_VIOLATED = "BandViolated"
 BALANCE_VIOLATED = "BalanceViolated"
 
+# energy's decade quadrature
 _R_ORIGIN = 1e-8
 _DECADE_MAX = 40
 _TAIL_REL = 1e-10
 _TAIL_FIT_MIN_R = 1e2
 _DIVERGENCE_R = 1e6
+
+# best_constant's trapezoid in t: the first half-window, the e-folds both
+# ends must sit below the peak, the agreement of successive halvings of h,
+# and the most nodes one sum may take
+_T_WINDOW = 60.0
+_T_DECAY = 80.0
+_T_REL = 1e-14
+_T_MAX_NODES = 2**20
+
+# natural logs of the largest and smallest normal doubles
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
 
 RadialProfile = Callable[[float], Tuple[float, float]]
 ArrayProfile = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -173,7 +201,7 @@ _G10_WEIGHTS = np.array(_WG + tuple(reversed(_WG)))
 _EPSABS = 1e-300
 _EPSREL = 1e-12
 _LIMIT = 200  # subintervals per decade
-_BLOCK_DECADES = 12  # decades refined together, one integrand call per level
+_BLOCK_DECADES = 12  # decades whose level-0 GK21 takes one integrand call
 
 
 def _gk21(g, lo, hi, extra):
@@ -193,17 +221,28 @@ def _gk21(g, lo, hi, extra):
 def _refine_decades(g, ends, extra):
     """Adaptive GK21 on each decade [ends[j], ends[j+1]], all decades at once.
 
+    Returns the decade integrals, g at ends, and g at extra; see _refine.
+    """
+    n = len(ends) - 1
+    lo, hi = ends[:-1], ends[1:]
+    val, err, g_fixed = _gk21(g, lo, hi, np.concatenate((ends, extra)))
+    return _refine(g, lo, hi, val, err), g_fixed[: n + 1], g_fixed[n + 1 :]
+
+
+def _refine(g, lo, hi, val, err):
+    """Integrals of the decades [lo[j], hi[j]], refined from their one-interval GK21.
+
     Each decade is bisected until its summed |K21 - G10| is within
     max(_EPSABS, _EPSREL |integral|) or it holds _LIMIT subintervals.  A
     level bisects every subinterval whose error exceeds its length's share
     of its decade's tolerance (the largest ones when the limit is near),
-    and evaluates g once over all the new halves.  Returns the decade
-    integrals, g at ends, and g at extra.
+    and evaluates g once over all the new halves.  A decade's refinement
+    and sum depend on that decade alone, so any subset of decades gives
+    each of them the same bits.
     """
-    n = len(ends) - 1
-    lo, hi, owner = ends[:-1], ends[1:], np.arange(n)
+    n = len(lo)
+    owner = np.arange(n)
     width = hi - lo
-    val, err, g_fixed = _gk21(g, lo, hi, np.concatenate((ends, extra)))
     while True:
         total = np.bincount(owner, val, n)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
@@ -211,7 +250,7 @@ def _refine_decades(g, ends, extra):
         open_ = (np.bincount(owner, err, n) > tol) & (count < _LIMIT)
         split = open_[owner] & (err > tol[owner] * (hi - lo) / width[owner])
         if not split.any():
-            return total, g_fixed[: n + 1], g_fixed[n + 1 :]
+            return total
         room = _LIMIT - count
         for d in np.flatnonzero(np.bincount(owner[split], minlength=n) > room):
             mine = np.flatnonzero(split & (owner == d))
@@ -229,6 +268,48 @@ def _refine_decades(g, ends, extra):
         err = np.concatenate((err[keep], new_err))
 
 
+def _tail_stops(total: float, hi: float, g_lo: float, g_hi: float, label: str) -> bool:
+    """The tail stop rule at the decade ending in hi, its ends' integrand g_lo, g_hi.
+
+    True once the power law fitted through the decade's ends predicts a
+    remainder under _TAIL_REL of total (or g_hi is zero), never below
+    _TAIL_FIT_MIN_R.  A tail flatter than 1/r past _DIVERGENCE_R raises
+    NonintegrableProfile.
+    """
+    if hi < _TAIL_FIT_MIN_R:
+        return False
+    if g_hi == 0.0:
+        return True
+    if g_lo <= 0.0:
+        return False
+    slope = math.log10(g_hi / g_lo)
+    if slope >= -1.0 - 1e-6:
+        if hi >= _DIVERGENCE_R:
+            raise NonintegrableProfile(
+                f"{label}: tail integrand ~ r^{slope:.6f} at r = {hi:g}"
+            )
+        return False
+    return g_hi * hi / (-slope - 1.0) <= _TAIL_REL * abs(total)
+
+
+def _predicted_stop(total, first, edges, estimates, g_ends, label) -> int:
+    """The decade from first on where the stop rule fires on level-0 estimates.
+
+    Also the decade where the running estimate stops being finite or the
+    rule raises, and the block's last decade if none of these happens.
+    """
+    for j in range(first, len(estimates)):
+        total += float(estimates[j])
+        try:
+            if not math.isfinite(total) or _tail_stops(
+                total, edges[j + 1], float(g_ends[j]), float(g_ends[j + 1]), label
+            ):
+                return j
+        except NonintegrableProfile:
+            return j
+    return len(estimates) - 1
+
+
 def _integrate_radial(
     weight_exp: float, f: Callable[[np.ndarray], np.ndarray], label: str
 ) -> float:
@@ -236,13 +317,17 @@ def _integrate_radial(
 
     Below _R_ORIGIN the integrand is closed in its fitted local power law.
     Each decade [10^k, 10^(k+1)] from 1e-8 on gets its own adaptive GK21
-    quadrature (epsrel 1e-12, at most 200 subintervals), decades being
-    refined _BLOCK_DECADES at a time so that f sees one array per
-    refinement level.  The upper end stops once the fitted tail power
-    predicts a remainder under _TAIL_REL relative, and a tail flatter
-    than 1/r past _DIVERGENCE_R raises NonintegrableProfile.  Decades of
-    a block past the stop are discarded, so overflow there is silenced;
-    a summed decade that is not finite raises NonintegrableProfile.
+    quadrature (epsrel 1e-12, at most 200 subintervals).  Decades come
+    _BLOCK_DECADES at a time: one call of f covers a block's one-interval
+    GK21 and its ends, and the level-0 estimates predict the decade where
+    the tail stops; decades are refined up to that one only (f sees one
+    array per refinement level), and further on if the exact sum does not
+    stop there.  The upper end stops once the fitted tail power predicts a
+    remainder under _TAIL_REL relative, and a tail flatter than 1/r past
+    _DIVERGENCE_R raises NonintegrableProfile.  Decades past the stop are
+    discarded, so overflow there is silenced; a summed decade that is not
+    finite raises NonintegrableProfile.  Used by energy only: best_constant
+    has a smooth integrand and its own trapezoid (_log_trapezoid).
     """
 
     def g(r):
@@ -251,10 +336,14 @@ def _integrate_radial(
     total = None
     for k0 in range(-8, _DECADE_MAX, _BLOCK_DECADES):
         ks = range(k0, min(k0 + _BLOCK_DECADES, _DECADE_MAX))
-        ends = np.array([10.0**k for k in ks] + [10.0 ** (ks[-1] + 1)])
+        edges = [10.0**k for k in ks] + [10.0 ** (ks[-1] + 1)]
+        ends = np.array(edges)
         stub = (_R_ORIGIN, 10.0 * _R_ORIGIN) if total is None else ()
         with np.errstate(all="ignore"):
-            pieces, g_ends, g_stub = _refine_decades(g, ends, stub)
+            estimates, errors, g_fixed = _gk21(
+                g, ends[:-1], ends[1:], np.concatenate((ends, stub))
+            )
+        g_ends, g_stub = g_fixed[: len(ends)], g_fixed[len(ends) :]
         if total is None:
             g0, g1 = float(g_stub[0]), float(g_stub[1])
             if g0 > 0.0 and g1 > 0.0:
@@ -268,31 +357,24 @@ def _integrate_radial(
                 total = 0.0
             if not math.isfinite(total):
                 raise NonintegrableProfile(f"{label}: origin stub is {total}")
-        for j, k in enumerate(ks):
-            lo, hi = 10.0**k, 10.0 ** (k + 1)
-            total += float(pieces[j])
-            if not math.isfinite(total):
-                raise NonintegrableProfile(
-                    f"{label}: decade [{lo:g}, {hi:g}] integrates to {pieces[j]}"
+        first = 0
+        while first < len(ks):
+            last = _predicted_stop(total, first, edges, estimates, g_ends, label)
+            part = slice(first, last + 1)
+            with np.errstate(all="ignore"):
+                pieces = _refine(
+                    g, ends[:-1][part], ends[1:][part], estimates[part], errors[part]
                 )
-            if hi < _TAIL_FIT_MIN_R:
-                continue
-            ghi = float(g_ends[j + 1])
-            if ghi == 0.0:
-                return total
-            glo = float(g_ends[j])
-            if glo <= 0.0:
-                continue
-            slope = math.log10(ghi / glo)
-            if slope >= -1.0 - 1e-6:
-                if hi >= _DIVERGENCE_R:
+            for j, piece in enumerate(pieces, first):
+                lo, hi = edges[j], edges[j + 1]
+                total += float(piece)
+                if not math.isfinite(total):
                     raise NonintegrableProfile(
-                        f"{label}: tail integrand ~ r^{slope:.6f} at r = {hi:g}"
+                        f"{label}: decade [{lo:g}, {hi:g}] integrates to {piece}"
                     )
-                continue
-            remainder = ghi * hi / (-slope - 1.0)
-            if remainder <= _TAIL_REL * abs(total):
-                return total
+                if _tail_stops(total, hi, float(g_ends[j]), float(g_ends[j + 1]), label):
+                    return total
+            first = last + 1
     raise NonintegrableProfile(f"{label}: no convergent tail by r = 1e{_DECADE_MAX}")
 
 
@@ -315,15 +397,25 @@ def _pointwise(profile: RadialProfile) -> ArrayProfile:
     return on_array
 
 
-def _quotient(triple: CknTriple, profile: ArrayProfile) -> EnergyReport:
-    """Gradient mass, q-mass, q-norm and quotient of an array profile."""
+def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
+    """Rayleigh quotient of a radial profile handle r -> (v, v').
+
+    Works for any integrable weights; balance is not required (the value
+    is then scale-dependent, which is the caller's business).  The handle
+    takes scalar radii; it is called point by point.  The quadrature is
+    the decade-wise adaptive GK21 of _integrate_radial, not best_constant's
+    trapezoid: a handle may be only finitely smooth (a C^2 bump, say), and
+    there a global trapezoid converges only algebraically.
+    """
+    _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
+    on_array = _pointwise(profile)
     omega = sphere_area(N)
     grad = omega * _integrate_radial(
-        N - 1.0 + a, lambda r: profile(r)[1] ** 2, "gradient norm"
+        N - 1.0 + a, lambda r: on_array(r)[1] ** 2, "gradient norm"
     )
     qmass = omega * _integrate_radial(
-        N - 1.0 + b, lambda r: np.abs(profile(r)[0]) ** q, "decay norm"
+        N - 1.0 + b, lambda r: np.abs(on_array(r)[0]) ** q, "decay norm"
     )
     if qmass <= 0.0:
         raise ValueError("profile has zero weighted q-norm")
@@ -340,17 +432,6 @@ def _quotient(triple: CknTriple, profile: ArrayProfile) -> EnergyReport:
     )
 
 
-def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
-    """Rayleigh quotient of a radial profile handle r -> (v, v').
-
-    Works for any integrable weights; balance is not required (the value
-    is then scale-dependent, which is the caller's business).  The handle
-    takes scalar radii; it is called point by point.
-    """
-    _validate_triple(triple)
-    return _quotient(triple, _pointwise(profile))
-
-
 def bubble_energy_closed_form(triple: CknTriple) -> float:
     """Beta-function value of E on the bubble; needs the balance to hold.
 
@@ -359,6 +440,9 @@ def bubble_energy_closed_form(triple: CknTriple) -> float:
     B(m+1, m+1)/sigma, so
 
         E = m^2 sigma B(m+2, m) omega^(1-2/q) (B(m+1, m+1)/sigma)^(-2/q).
+
+    The product is formed in logarithms: near b = a - 2 both Beta values
+    underflow while E stays of order one.
     """
     _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
@@ -373,28 +457,123 @@ def bubble_energy_closed_form(triple: CknTriple) -> float:
         )
     sigma = 2.0 + b - a
     m = (N - 2.0 + a) / sigma
-    omega = sphere_area(N)
-    grad_part = m * m * sigma * math.exp(
-        math.lgamma(m + 2.0) + math.lgamma(m) - math.lgamma(2.0 * m + 2.0)
+    log_grad = (
+        math.log(m * m * sigma)
+        + math.lgamma(m + 2.0)
+        + math.lgamma(m)
+        - math.lgamma(2.0 * m + 2.0)
     )
-    q_part = math.exp(2.0 * math.lgamma(m + 1.0) - math.lgamma(2.0 * m + 2.0)) / sigma
-    return grad_part * omega ** (1.0 - 2.0 / q) * q_part ** (-2.0 / q)
+    log_q = 2.0 * math.lgamma(m + 1.0) - math.lgamma(2.0 * m + 2.0) - math.log(sigma)
+    log_omega = math.log(sphere_area(N))
+    return math.exp(log_grad + (1.0 - 2.0 / q) * log_omega - 2.0 / q * log_q)
+
+
+def _log_bubble_integrand(u, slope: float, decay: float):
+    """log g(t*+u) - log g(t*) for log g(t) = slope t - decay log(1 + e^t).
+
+    t* = log(slope/(decay - slope)) is the peak.  Written as
+    slope u - decay log1p(p expm1(u)) with p = slope/decay, the two terms
+    are of the size of slope u, not of decay log(1 + e^t), which is what
+    keeps the terms accurate when sigma is small and decay is large.
+    """
+    with np.errstate(over="ignore"):
+        return slope * u - decay * np.log1p(slope / decay * np.expm1(u))
+
+
+def _log_trapezoid(slope: float, decay: float, label: str) -> float:
+    """log of the integral of exp(slope t - decay log(1 + e^t)) over the real line.
+
+    The integrand grows like e^(slope t) from the left and falls like
+    e^((slope - decay) t) to the right, so it is integrable exactly when
+    0 < slope < decay; an end that does not decay raises
+    NonintegrableProfile.  The window is centred on the peak; its half
+    width starts at _T_WINDOW and doubles until both ends sit _T_DECAY
+    e-folds below the peak.  The step h halves from 1, each level adding
+    only the midpoints, until two successive sums agree to _T_REL.  Terms
+    are exp(log g - peak) (_log_bubble_integrand), so nothing over- or
+    underflows; a sum that is not finite, or one needing more than
+    _T_MAX_NODES nodes, raises NonintegrableProfile.
+    """
+    if not 0.0 < slope < decay:
+        raise NonintegrableProfile(
+            f"{label}: integrand ~ e^({slope:.6g} t) as t -> -inf and "
+            f"~ e^({slope - decay:.6g} t) as t -> +inf; both ends must decay"
+        )
+    t_peak = math.log(slope / (decay - slope))
+    peak = slope * t_peak - decay * float(_softplus(t_peak))
+    half = _T_WINDOW
+    while _log_bubble_integrand(np.array([-half, half]), slope, decay).max() > -_T_DECAY:
+        half *= 2.0
+    h, n = 1.0, 2 * round(half)
+    total = np.exp(_log_bubble_integrand(np.linspace(-half, half, n + 1), slope, decay)).sum()
+    while True:
+        if 2 * n > _T_MAX_NODES:
+            raise NonintegrableProfile(
+                f"{label}: trapezoid in t on a window of {2 * half:g} "
+                f"not settled at h = {h:g}"
+            )
+        mids = -half + h * (np.arange(n) + 0.5)
+        h, n = 0.5 * h, 2 * n
+        refined = 0.5 * total + h * np.exp(_log_bubble_integrand(mids, slope, decay)).sum()
+        if not math.isfinite(refined):
+            raise NonintegrableProfile(f"{label}: trapezoid sum is {refined}")
+        if abs(refined - total) <= _T_REL * refined:
+            return peak + math.log(refined)
+        total = refined
+
+
+def _bubble_log_norms(triple: CknTriple) -> Tuple[float, float]:
+    """log of the gradient mass G and the q-mass Q of the v(0) = 1 bubble.
+
+    With m = (N-2+a)/sigma and g = (N-2+a)/2 the bubble is
+    v = A lambda^g (1 + (lambda r)^sigma)^(-m), where
+    log A = log(m(m+1) sigma^2)/(p_c - 1) and log lambda = -log A/g make
+    log v(0) = 0.  Neither A nor lambda is formed: at small sigma they
+    leave double range.  In t = sigma log(lambda r), with s = softplus,
+
+        log r = t/sigma - log lambda,   log v = -m s(t),
+        log|v'| = log(m sigma) + log lambda + (sigma-1) t/sigma - (m+1) s(t),
+
+    and dr/r = dt/sigma, so the gradient integrand is
+    (N+a) log r + 2 log|v'| - log sigma and the q-mass integrand is
+    (N+b) log r + q log v - log sigma.  Each is slope t - decay s(t) plus
+    a constant, which is added to the trapezoid's log afterwards.
+    """
+    N, a, b, q = triple.N, triple.a, triple.b, triple.q
+    sigma = 2.0 + b - a
+    m = (N - 2.0 + a) / sigma
+    g = (N - 2.0 + a) / 2.0
+    log_A = math.log(m * (m + 1.0) * sigma**2) / (p_critical(N, a, b) - 1.0)
+    log_lam = -log_A / g
+    log_sigma, log_omega = math.log(sigma), math.log(sphere_area(N))
+    grad = _log_trapezoid(
+        (N + a + 2.0 * (sigma - 1.0)) / sigma, 2.0 * (m + 1.0), "gradient norm"
+    )
+    grad += log_omega + 2.0 * math.log(m * sigma) - (N + a - 2.0) * log_lam - log_sigma
+    qmass = _log_trapezoid((N + b) / sigma, q * m, "decay norm")
+    qmass += log_omega - (N + b) * log_lam - log_sigma
+    return grad, qmass
 
 
 def best_constant(triple: CknTriple) -> EnergyReport:
     """Sharp constant of the quotient, valid in the radial-minimizer region.
 
-    Evaluates E on the exact bubble by quadrature, attaches the Beta
-    closed form, and cross-checks the two to 1e-6 relative (raising
-    QuadratureMismatch when they disagree).  Refuses with
-    SymmetryBreakingRegion where the radial bubble is not the minimizer.
+    Evaluates E on the exact bubble with v(0) = 1 by the trapezoid rule in
+    t = sigma log(lambda r), in logarithms throughout (_bubble_log_norms),
+    attaches the Beta closed form, and cross-checks the two to 1e-6
+    relative (raising QuadratureMismatch when they disagree).  Refuses
+    with SymmetryBreakingRegion where the radial bubble is not the
+    minimizer, and raises NormOutOfRange when the gradient mass or the
+    q-mass of that bubble lies outside double range (as sigma -> 0 their
+    logs grow like 1/sigma), since the reported norms could not be
+    written down.
     """
     report = check_balance(triple)
     if report.verdict != ADMISSIBLE:
         raise BalanceViolated(
             f"best constant needs an admissible triple, verdict was {report.verdict}"
         )
-    N, a, b = triple.N, triple.a, triple.b
+    N, a, b, q = triple.N, triple.a, triple.b, triple.q
     if N - 2.0 + a <= 0:
         raise DegenerateWeight(f"N - 2 + a = {N - 2 + a}, need it positive")
     params = ProblemParams(N=N, a=a, b=b, p=p_critical(N, a, b))
@@ -403,18 +582,24 @@ def best_constant(triple: CknTriple) -> EnergyReport:
             f"(a, b) = ({a}, {b}) lies above the symmetry-breaking threshold; "
             "the radial bubble is not the minimizer there"
         )
-    prof = normalized_bubble(params)
-    measured = _quotient(triple, lambda r: bubble_eval(prof, r))
+    require_admissible(params)
+    log_grad, log_qmass = _bubble_log_norms(triple)
+    for name, value in (("gradient norm", log_grad), ("decay norm", log_qmass)):
+        if not _LOG_MIN <= value <= _LOG_MAX:
+            raise NormOutOfRange(
+                f"{name} of the v(0) = 1 bubble is 10^{value / math.log(10.0):.1f}, "
+                "outside double range"
+            )
+    rayleigh = math.exp(log_grad - 2.0 / q * log_qmass)
     closed = bubble_energy_closed_form(triple)
-    if abs(measured.rayleigh - closed) > 1e-6 * abs(closed):
+    if abs(rayleigh - closed) > 1e-6 * abs(closed):
         raise QuadratureMismatch(
-            "quadrature and closed form disagree: "
-            f"{measured.rayleigh!r} vs {closed!r}"
+            f"quadrature and closed form disagree: {rayleigh!r} vs {closed!r}"
         )
     return EnergyReport(
-        grad_norm_sq=measured.grad_norm_sq,
-        q_norm=measured.q_norm,
-        rayleigh=measured.rayleigh,
+        grad_norm_sq=math.exp(log_grad),
+        q_norm=math.exp(log_qmass / q),
+        rayleigh=rayleigh,
         closed_form=closed,
-        s_estimate=measured.rayleigh,
+        s_estimate=rayleigh,
     )

@@ -84,3 +84,7 @@ class NonintegrableProfile(EmdenLabError):
 
 class QuadratureMismatch(EmdenLabError):
     """Quadrature and closed form of the same constant disagree."""
+
+
+class NormOutOfRange(EmdenLabError):
+    """A weighted norm is finite but lies outside the range of a double."""

@@ -207,12 +207,13 @@ def derive(params: ProblemParams) -> DerivedExponents:
 def classify(params: ProblemParams) -> Regime:
     """Place params in exactly one regime of the existence dichotomy.
 
-    Raises NonFiniteParameter for a NaN p, which no regime contains.
+    Raises NonFiniteParameter for a NaN or infinite p: no regime contains
+    NaN, and the exponents derived at p = inf are limits, not values.
     """
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p
-    if math.isnan(p):
-        raise NonFiniteParameter(f"p = {p}, need a number")
+    if not math.isfinite(p):
+        raise NonFiniteParameter(f"p = {p}, need it finite")
     if N + b <= 0:
         return Regime(INADMISSIBLE_WEIGHTS, "N+b<=0")
     if b <= a - 2:

@@ -15,7 +15,8 @@ residual of order one).
 
 All quadrature here is a function of the stored trajectory nodes alone, so
 a report recomputed from an exported CSV matches the original digit for
-digit.
+digit.  scipy's CubicSpline is imported on first use, so importing the
+package does not load scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NonpositiveSolution, RangeExceeded
 from .params import ProblemParams, Record, validate
@@ -75,6 +75,8 @@ def weighted_node_integral(
     up_to = r <= R
     if np.any(v[up_to] <= 0.0):
         raise NonpositiveSolution(f"trajectory not positive on (0, {R}]")
+    from scipy.interpolate import CubicSpline
+
     z = np.log(r)
     g = np.exp((exponent + 1.0) * z) * v**power
     bulk = float(CubicSpline(z, g).integrate(z[0], math.log(R)))

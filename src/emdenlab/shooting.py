@@ -30,22 +30,25 @@ stages of accepted steps are built later in bulk, for a bounded buffer
 of held steps at a time, so rejected steps never pay for them.  Its
 numbers agree with shoot's to round-off, amplified only where the answer
 is below the absolute tolerance.
+
+scipy is imported on first use, not with the package: solve_ivp by the
+first shoot (through the module attribute, so a caller may rebind it),
+brentq and CubicSpline where a crossing is refined or a node spline
+built, and the DOP853 tableau by the first sweep_shoot (_tableau).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop853
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import (
     BracketInvalid,
@@ -57,6 +60,16 @@ from .errors import (
 from .params import ProblemParams, Record, derive, require_admissible
 
 log = logging.getLogger(__name__)
+
+
+def __getattr__(name):
+    """solve_ivp, imported from scipy when it is first looked up."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # The series hand-off never shrinks below this radius.
 _EPS_FLOOR = 1e-12
@@ -149,6 +162,8 @@ class RadialTrajectory:
 
     def _node_splines(self):
         if self._splines is None:
+            from scipy.interpolate import CubicSpline
+
             # splines in log r; exclude a terminal v <= 0 node from the
             # v-spline domain decision but keep it for root bracketing
             z = np.log(self.r)
@@ -288,7 +303,9 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
 
     DOP853 with a terminal zero-crossing event; the crossing radius comes
     from scipy's root refinement on the dense output, accurate to far
-    better than the 1e-8 relative contract.
+    better than the 1e-8 relative contract.  solve_ivp is whatever the
+    module attribute shooting.solve_ivp is at call time (scipy's, imported
+    on first use, unless it has been rebound).
     """
     eps, v0, dv0 = series_start(params, config)
     if eps >= config.r_max:
@@ -300,7 +317,8 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     crossing.terminal = True
     crossing.direction = -1
 
-    sol = solve_ivp(
+    # looked up on the module at call time, so a rebound solve_ivp is used
+    sol = sys.modules[__name__].solve_ivp(
         _make_rhs(params),
         (eps, config.r_max),
         (v0, dv0),
@@ -341,6 +359,8 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
             return Inconclusive("no positive segment to classify")
         if v[i] == 0.0:
             return CrossedZero(float(r[i]))
+        from scipy.optimize import brentq
+
         sv, _ = traj._node_splines()
         z0 = brentq(sv, math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
         return CrossedZero(float(math.exp(z0)))
@@ -464,21 +484,51 @@ def threshold_bisect(
 # DOP853 step for step as scipy's solve_ivp drives it (Hairer, Norsett and
 # Wanner, Solving ODEs I, sections II.5 and II.10), advanced over many lanes
 # at once.  Sums and powers round differently from scipy's, so lane results
-# match shoot's to round-off, not bit for bit.
-_A, _B, _C = _dop853.A, _dop853.B, _dop853.C
-_STAGES = _dop853.N_STAGES
+# match shoot's to round-off, not bit for bit.  The sizes of the method are
+# checked against scipy's when its tableau loads.
+_STAGES = 12  # stages of a step
+_STAGES_EXTENDED = 16  # with the field at the step's end and 3 dense-output stages
+_INTERPOLATOR_POWER = 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 _EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# Stage coefficients shaped to broadcast over K's (stage, lane, component)
-# axes: _A_ROWS[s] weighs stage s's predecessors, _E53 stacks the fifth- and
-# third-order error weights, _D_ROWS the dense-output weights.
-_A_ROWS = [_A[s, :s, None, None] for s in range(_dop853.N_STAGES_EXTENDED)]
-_B_COL = _B[:, None, None]
-_E53 = np.stack([_dop853.E5, _dop853.E3])[:, :, None, None]
-_D_ROWS = _dop853.D[:, :, None, None]
+
+class _Tableau(NamedTuple):
+    """DOP853's coefficients, shaped to broadcast over K's (stage, lane, component) axes.
+
+    A_ROWS[s] weighs stage s's predecessors, E53 stacks the fifth- and
+    third-order error weights, D_ROWS holds the dense-output weights and C
+    the stage nodes.
+    """
+
+    A_ROWS: list
+    B_COL: np.ndarray
+    E53: np.ndarray
+    D_ROWS: np.ndarray
+    C: np.ndarray
+
+
+@functools.cache
+def _tableau() -> _Tableau:
+    """scipy's DOP853 tableau, imported and shaped once, on the first sweep_shoot."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+
+    sizes = (dop.N_STAGES, dop.N_STAGES_EXTENDED, dop.INTERPOLATOR_POWER)
+    if sizes != (_STAGES, _STAGES_EXTENDED, _INTERPOLATOR_POWER):
+        raise RuntimeError(
+            f"scipy's DOP853 has stages, extended stages and interpolator power "
+            f"{sizes}, expected {(_STAGES, _STAGES_EXTENDED, _INTERPOLATOR_POWER)}"
+        )
+    return _Tableau(
+        A_ROWS=[dop.A[s, :s, None, None] for s in range(_STAGES_EXTENDED)],
+        B_COL=dop.B[:, None, None],
+        E53=np.stack([dop.E5, dop.E3])[:, :, None, None],
+        D_ROWS=dop.D[:, :, None, None],
+        C=dop.C,
+    )
+
 
 # Accepted steps held back before their dense-output stages are built in one
 # pass.  More rows mean fewer passes; the buffer also grows to a batch's
@@ -532,9 +582,9 @@ def _stage_sum(coeffs, K):
     return np.add.reduce(coeffs * K[: coeffs.shape[-3]], axis=-3)
 
 
-def _stage(s, r, y, hc, K, fld):
+def _stage(s, r, y, hc, K, fld, tab):
     """Stage s of every lane into K[s]: the field at r, y + h sum_j A[s, j] K[j]."""
-    ys = _stage_sum(_A_ROWS[s], K)
+    ys = _stage_sum(tab.A_ROWS[s], K)
     ys *= hc
     ys += y
     _lane_rhs(r, ys, fld, K[s])
@@ -573,7 +623,7 @@ class _StepLog:
     lanes that have left are dropped when the table fills, before it grows.
     """
 
-    WIDTH = 5 + 2 * _dop853.INTERPOLATOR_POWER
+    WIDTH = 5 + 2 * _INTERPOLATOR_POWER
 
     def __init__(self):
         self.rows = np.empty((1024, self.WIDTH))
@@ -611,7 +661,7 @@ class _Pending:
         self.t = np.empty(size)
         self.h = np.empty(size)
         self.y = np.empty((size, 2))
-        self.K = np.empty((_dop853.N_STAGES_EXTENDED, size, 2))
+        self.K = np.empty((_STAGES_EXTENDED, size, 2))
         self.n = 0
 
     def room(self, m):
@@ -627,7 +677,7 @@ class _Pending:
         self.K[: _STAGES + 1, rows] = K[:, k]
         self.n = rows.stop
 
-    def flush(self, prm, log_, live):
+    def flush(self, prm, log_, live, tab):
         """Build every held step's dense output in one pass into log_."""
         n = self.n
         if not n:
@@ -637,14 +687,14 @@ class _Pending:
         fld = _field(prm, lane)
         hc = h[:, None]
         for s in range(_STAGES + 1, len(K)):
-            _stage(s, t + _C[s] * h, y, hc, K, fld)
-        y_new = y + hc * _stage_sum(_B_COL, K)  # as the step summed it
+            _stage(s, t + tab.C[s] * h, y, hc, K, fld, tab)
+        y_new = y + hc * _stage_sum(tab.B_COL, K)  # as the step summed it
         delta = y_new - y
-        F = np.empty((_dop853.INTERPOLATOR_POWER, n, 2))
+        F = np.empty((_INTERPOLATOR_POWER, n, 2))
         F[0] = delta
         F[1] = hc * K[0] - delta
         F[2] = 2 * delta - hc * (K[_STAGES] + K[0])
-        F[3:] = hc * _stage_sum(_D_ROWS, K)
+        F[3:] = hc * _stage_sum(tab.D_ROWS, K)
         F = F.transpose(1, 0, 2).reshape(n, -1)
         log_.append(np.column_stack([lane, t, h, y, F]), live)
         self.n = 0
@@ -693,8 +743,11 @@ def sweep_shoot(
     node grid and classified.  A row that fails its parameter checks never
     enters a lane and comes back as Inconclusive("rejected: ...") in its
     place.  processes is still accepted, so existing callers keep working,
-    and is ignored.
+    and is ignored.  scipy's DOP853 tableau and brentq are imported on the
+    first call.
     """
+    from scipy.optimize import brentq
+
     rows = list(rows)
     outcomes: list = [None] * len(rows)
     starts = {}
@@ -706,6 +759,7 @@ def sweep_shoot(
     if not starts:
         return outcomes
 
+    tab = _tableau()
     t_bound = config.r_max
     rtol = max(config.rel_tol, 100 * _EPS)
     atol = config.abs_tol * max(1.0, config.beta)
@@ -737,15 +791,15 @@ def sweep_shoot(
 
             K = np.empty((_STAGES + 1, L, 2))
             K[0] = f
-            r_stage = t + _C[1:_STAGES, None] * h
+            r_stage = t + tab.C[1:_STAGES, None] * h
             for s in range(1, _STAGES):
-                _stage(s, r_stage[s - 1], y, hc, K, fld)
-            y_new = y + hc * _stage_sum(_B_COL, K)
+                _stage(s, r_stage[s - 1], y, hc, K, fld, tab)
+            y_new = y + hc * _stage_sum(tab.B_COL, K)
             f_new = K[_STAGES]
             _lane_rhs(t + h, y_new, fld, f_new)
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _stage_sum(_E53, K)
+            err = _stage_sum(tab.E53, K)
             err /= scale
             err *= err
             err5, err3 = np.add.reduce(err, axis=-1)
@@ -763,7 +817,7 @@ def sweep_shoot(
 
             acc = np.flatnonzero(accept)
             if not pending.room(len(acc)):
-                pending.flush(prm, log_, live)
+                pending.flush(prm, log_, live, tab)
             pending.push(acc, lane, t, h, y, K)
 
             crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
@@ -773,7 +827,7 @@ def sweep_shoot(
             f[acc] = f_new[acc]
             if not gone.any():
                 continue
-            pending.flush(prm, log_, live)
+            pending.flush(prm, log_, live, tab)
             for k in np.flatnonzero(gone):
                 j = int(lane[k])
                 live[j] = False

@@ -195,8 +195,9 @@ def test_quadrature_mismatch_is_a_named_error(monkeypatch):
         E.best_constant(E.CknTriple(3, 0.0, 0.0, 6.0))
 
 
-# rayleigh on the ckn_grid anchor rows (N = 3, q set by balance), as
-# computed by the decade-wise scipy quad version of the quadrature
+# rayleigh of energy on the scalar bubble handle at the ckn_grid anchor rows
+# (N = 3, q set by balance), as computed by the decade-wise scipy quad
+# version of the quadrature; the decade GK21 still gives them
 PINNED_ANCHORS = {
     (-0.25, -1.25): 2.5484981659983363,
     (0.0, -1.0): 2.894405018076772,
@@ -205,17 +206,38 @@ PINNED_ANCHORS = {
 }
 
 
+def _bubble_log_norms(N, a, b, q):
+    """log G and log Q of the v(0) = 1 bubble from their Beta forms.
+
+    v = (1 + (lam r)^sigma)^(-m) with A lam^g = 1 gives
+    G = omega A^2 m^2 sigma B(m+2, m) and Q = omega A^q B(m+1, m+1)/sigma.
+    """
+    sigma = 2.0 + b - a
+    m = (N - 2.0 + a) / sigma
+    log_A = math.log(m * (m + 1.0) * sigma**2) / (q - 2.0)
+    log_omega = math.log(E.sphere_area(N))
+    log_G = log_omega + 2.0 * log_A + math.log(m * m * sigma) + (
+        math.lgamma(m + 2.0) + math.lgamma(m) - math.lgamma(2.0 * m + 2.0)
+    )
+    log_Q = log_omega + q * log_A - math.log(sigma) + (
+        2.0 * math.lgamma(m + 1.0) - math.lgamma(2.0 * m + 2.0)
+    )
+    return log_G, log_Q
+
+
 @pytest.mark.parametrize("a, b", sorted(PINNED_ANCHORS))
 def test_best_constant_keeps_the_pinned_anchor_values(a, b):
     triple = E.CknTriple(3, a, b, 2.0 * (3 + b) / (1.0 + a))
     rep = E.best_constant(triple)
     assert type(rep.rayleigh) is float
-    assert rep.rayleigh == pytest.approx(PINNED_ANCHORS[a, b], rel=1e-13)
-    # the scalar-handle path runs the same quadrature
+    assert type(rep.grad_norm_sq) is float and type(rep.q_norm) is float
+    assert rep.rayleigh == pytest.approx(E.bubble_energy_closed_form(triple), rel=1e-13)
+    log_G, log_Q = _bubble_log_norms(3, a, b, triple.q)
+    assert rep.grad_norm_sq == pytest.approx(math.exp(log_G), rel=1e-13)
+    assert rep.q_norm == pytest.approx(math.exp(log_Q / triple.q), rel=1e-13)
+    # the scalar-handle path keeps the decade quadrature and its values
     scalar = E.energy(triple, _bubble_profile(3, a, b))
-    assert scalar.rayleigh == pytest.approx(rep.rayleigh, rel=1e-13)
-    assert scalar.grad_norm_sq == pytest.approx(rep.grad_norm_sq, rel=1e-13)
-    assert scalar.q_norm == pytest.approx(rep.q_norm, rel=1e-13)
+    assert scalar.rayleigh == pytest.approx(PINNED_ANCHORS[a, b], rel=1e-13)
 
 
 def test_gk21_constants_are_exact_on_polynomials():
@@ -290,3 +312,38 @@ def test_scalar_handle_may_overflow_past_the_tail_stop():
 
     rep = E.energy(E.CknTriple(3, 0.0, 0.0, 6.0), prof)
     assert rep.rayleigh == pytest.approx(5.943491075634604, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 0.05, 0.2, 0.49])
+@pytest.mark.parametrize("N, a", [(3, -0.5), (3, 0.5), (4, -0.5), (4, 0.25), (4, 0.5)])
+def test_best_constant_holds_across_the_band_edge_strip(N, a, sigma):
+    # a - 2 < b < a - 1.5: the bubble spans about 1/sigma decades of r
+    b = a - 2.0 + sigma
+    triple = E.CknTriple(N, a, b, 2.0 * (N + b) / (N - 2.0 + a))
+    assert E.check_balance(triple).verdict == E.ADMISSIBLE
+    rep = E.best_constant(triple)
+    assert rep.rayleigh == pytest.approx(E.bubble_energy_closed_form(triple), rel=1e-12)
+
+
+def test_closed_form_holds_where_its_beta_values_underflow():
+    # sigma = 0.003 at a = 1: B(m+1, m+1) ~ 4^-667 underflows, the norms of
+    # the v(0) = 1 bubble and the quotient do not
+    b = 1.0 - 2.0 + 0.003
+    triple = E.CknTriple(3, 1.0, b, 2.0 * (3 + b) / 2.0)
+    closed = E.bubble_energy_closed_form(triple)
+    assert math.isfinite(closed)
+    assert E.best_constant(triple).rayleigh == pytest.approx(closed, rel=1e-12)
+
+
+# a ckn_band_edge row (seed 2) with sigma = 3.7e-4: the v(0) = 1 bubble's
+# gradient mass is about 10^4340
+STRIP_OUT_OF_RANGE = (2.4275882562467754, 0.4279581335187795)
+
+
+def test_best_constant_names_norms_outside_double_range():
+    a, b = STRIP_OUT_OF_RANGE
+    triple = E.CknTriple(3, a, b, 2.0 * (3 + b) / (1.0 + a))
+    with pytest.raises(E.NormOutOfRange, match=r"10\^\d+"):
+        E.best_constant(triple)
+    # the quotient itself stays of order one
+    assert 1.0 < E.bubble_energy_closed_form(triple) < 10.0

@@ -100,6 +100,15 @@ def test_classify_refuses_a_nan_power(capsys):
     assert "NonFiniteParameter" in err
 
 
+@pytest.mark.parametrize("p", ["inf", "-inf"])
+def test_classify_refuses_an_infinite_power(capsys, p):
+    # it used to exit 0 and print "p": Infinity, which is not JSON
+    code, out, err = run(capsys, "classify", "--N", "3", "--a", "0", "--b", "0", f"--p={p}")
+    assert code == 2 and out == ""
+    assert "Infinity" not in out
+    assert "NonFiniteParameter" in err
+
+
 @pytest.mark.parametrize("flag", ["--beta", "--rmax"])
 @pytest.mark.parametrize("subcommand", ["shoot", "sweep", "threshold"])
 def test_nan_config_exits_2_instead_of_hanging(tmp_path, subcommand, flag):
@@ -424,3 +433,13 @@ def test_unknown_flags_trip_argparse(capsys):
 def test_missing_subcommand_trips_argparse(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_ckn_grid_names_a_norm_outside_double_range(capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("a,b\n2.4275882562467754,0.4279581335187795\n0,0\n")
+    code, out, _ = run(capsys, "ckn", "--N", "3", "--grid", str(grid))
+    assert code == 0
+    cells = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert math.isnan(float(cells[0][3])) and cells[0][4] == "NormOutOfRange"
+    assert float(cells[1][3]) == pytest.approx(5.477904089531332, rel=1e-13)

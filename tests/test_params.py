@@ -82,6 +82,13 @@ def test_classify_refuses_a_nan_power():
         E.classify(E.ProblemParams(3, 0.0, 0.0, math.nan))
 
 
+@pytest.mark.parametrize("p", [math.inf, -math.inf])
+def test_classify_refuses_an_infinite_power(p):
+    # p = inf used to read "supercritical", with exponents taken at the limit
+    with pytest.raises(E.NonFiniteParameter):
+        E.classify(E.ProblemParams(3, 0.0, 0.0, p))
+
+
 def test_derive_requires_p_above_one():
     with pytest.raises(ValueError):
         E.derive(E.ProblemParams(3, 0.0, 0.0, 1.0))
