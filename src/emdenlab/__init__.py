@@ -29,6 +29,7 @@ from .closed_forms import (
     bubble_amplitude,
     bubble_eval,
     bubble_second_derivative,
+    first_zero_law,
     normalized_bubble,
     residual,
     singular_eval,

@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ from .closed_forms import (
     residual,
 )
 from .emden_fowler import fixed_points, hamiltonian, to_cylinder
-from .errors import EmdenLabError
+from .errors import EmdenLabError, NonFiniteParameter
 from .params import (
     INADMISSIBLE_WEIGHTS,
     SYMMETRY_BREAKING,
@@ -169,6 +170,8 @@ def cmd_threshold(args) -> Output:
 def cmd_bubble(args) -> Output:
     if args.samples < 2:
         raise ValueError(f"--samples = {args.samples}, need at least 2")
+    if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
+        raise NonFiniteParameter(f"need finite --rmin, --rmax, got [{args.rmin}, {args.rmax}]")
     if not 0 < args.rmin < args.rmax:
         raise ValueError(f"need 0 < --rmin < --rmax, got [{args.rmin}, {args.rmax}]")
     N, a, b = args.N, args.a, args.b

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveSolution, RangeExceeded
+from .errors import NonFiniteParameter, NonpositiveSolution, RangeExceeded
 from .params import ProblemParams, Record, validate
 from .shooting import RadialTrajectory
 
@@ -68,6 +68,8 @@ def weighted_node_integral(
     if exponent <= -1.0:
         raise ValueError(f"exponent = {exponent}: the weight is not integrable at 0")
     r, v = traj.r, traj.v
+    if not math.isfinite(R):
+        raise NonFiniteParameter(f"R = {R}, need it finite")
     if R <= 0:
         raise ValueError(f"R = {R}, need it positive")
     if R > r[-1] * (1 + 1e-12):
@@ -89,6 +91,8 @@ def evaluate(traj: RadialTrajectory, R: float) -> PohozaevReport:
     params = traj.params
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p
+    if not math.isfinite(R):
+        raise NonFiniteParameter(f"R = {R}, need it finite")
     if R <= 0:
         raise ValueError(f"R = {R}, need it positive")
     if R > traj.r[-1] * (1 + 1e-12):

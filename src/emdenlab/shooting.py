@@ -20,16 +20,22 @@ beta = 1 crossing radii into a modest window, so a fixed horizon loses
 almost no resolution near the critical exponent.
 
 Single shots (shoot) run scipy's DOP853 via solve_ivp.  Batches
-(sweep_shoot, and through it threshold_bisect, which shoots four
-bisection levels per batch) run a lockstep port of the same DOP853 that
-advances every row at once as numpy arrays, one step per row per
-iteration, with each row's own step size, error control, crossing
+(sweep_shoot, and through it threshold_bisect) run a lockstep port of the
+same DOP853 that advances every row at once as numpy arrays, one step per
+row per iteration, with each row's own step size, error control, crossing
 refinement and node sampling.  An iteration evaluates the field 12 times
 (the step's stages and the field at its end); the three dense-output
 stages of accepted steps are built later in bulk, for a bounded buffer
 of held steps at a time, so rejected steps never pay for them.  Its
 numbers agree with shoot's to round-off, amplified only where the answer
 is below the absolute tolerance.
+
+threshold_bisect shoots its probes in lockstep rounds.  The first round
+holds the bracket's ends, the next four bisection levels and the path the
+serial walk would take if the threshold sat where the first-zero law
+(closed_forms.first_zero_law) puts the horizon; when the law is right the
+whole walk reads its decisions from that one round.  Later rounds, needed
+only where the path runs out, shoot four levels each.
 
 scipy is imported on first use, not with the package: solve_ivp by the
 first shoot (through the module attribute, so a caller may rebind it),
@@ -50,6 +56,7 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
+from .closed_forms import first_zero_law
 from .errors import (
     BracketInvalid,
     EmdenLabError,
@@ -57,7 +64,7 @@ from .errors import (
     NonMonotoneThreshold,
     RangeExceeded,
 )
-from .params import ProblemParams, Record, derive, require_admissible
+from .params import ProblemParams, Record, derive, p_critical, require_admissible
 
 log = logging.getLogger(__name__)
 
@@ -410,6 +417,40 @@ def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> l
     )
 
 
+def _bisection_path(lo: float, hi: float, tol_p: float, p_pred: float) -> list:
+    """The midpoints the serial walk from (lo, hi) probes if the threshold is p_pred.
+
+    One midpoint per level, from the recursion and stop rules of
+    _bisection_tree; a midpoint below p_pred is taken to cross.
+    """
+    path = []
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol_p and lo < mid < hi:
+        path.append(mid)
+        lo, hi = (mid, hi) if mid < p_pred else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return path
+
+
+def _predicted_threshold(N: int, a: float, b: float, config: ShootConfig) -> float:
+    """Where the first-zero law puts the crossing threshold of config's shots.
+
+    The shot of height beta crosses at beta^(-(p-1)/sigma) times the unit
+    shot's radius, and (p-1)/sigma = 2/(N-2+a) at p_c, so the law puts its
+    first zero on the horizon r_max at p_c - delta with
+    delta = (C / (r_max beta^(2/(N-2+a))))^(N-2+a).  Where delta leaves
+    float range the prediction is p_c; it never raises.
+    """
+    p_c = p_critical(N, a, b)
+    try:
+        nu, log_c = first_zero_law(N, a, b)
+        log_delta = (log_c - math.log(config.r_max)) / nu - 2.0 * math.log(config.beta)
+        delta = math.exp(log_delta)
+    except (ArithmeticError, ValueError):
+        return p_c
+    return p_c - delta if math.isfinite(delta) else p_c
+
+
 def _require_crossing_prefix(crosses: dict) -> None:
     """NonMonotoneThreshold unless every crossing p lies below every other p."""
     ps = sorted(crosses)
@@ -434,33 +475,54 @@ def threshold_bisect(
     """Bisect the crossing/no-crossing boundary in p.
 
     The lower endpoint must cross, the upper must not, else BracketInvalid;
-    weights the shooter refuses raise its errors.  Probes are shot in
-    rounds through sweep_shoot: each round shoots every midpoint of the
-    next _ROUND_DEPTH bisection levels of the current bracket (the first
-    round also the two ends), and the serial walk then reads its decisions
-    from them, so the result is the serial bisection's bit for bit.  An
+    weights the shooter refuses raise its errors, and a NaN or infinite
+    tol_p raises NonFiniteParameter.  Probes are shot in
+    rounds through sweep_shoot, and the serial walk then reads its
+    decisions from them, so the result is the serial bisection's bit for
+    bit.  The first round shoots the two ends, every midpoint of the next
+    _ROUND_DEPTH bisection levels, and the walk's path to the threshold
+    the first-zero law predicts (_predicted_threshold), one midpoint per
+    level; a right prediction finishes the walk in this one round.  Each
+    later round, shot only where the walk leaves the probes it has, holds
+    every midpoint of the next _ROUND_DEPTH levels of the current bracket.
+    The answer never depends on the prediction: every decision is read
+    from a shot, and a wrong prediction costs only rounds.  An
     inconclusive probe counts as not crossing.  Crossing must be monotone
     in p: every round checks that its crossing probes all lie below its
-    other probes, else NonMonotoneThreshold.  Each probe is logged.  The
-    walk also ends when the bracket's midpoint rounds onto one of its
-    ends, so a tol_p below the float spacing still terminates.
+    other probes, else NonMonotoneThreshold.  Each round (its lane count
+    and how many of its probes lie on the predicted path) and each probe
+    are logged.  The walk also ends when the bracket's midpoint rounds
+    onto one of its ends, so a tol_p below the float spacing still
+    terminates.
     """
     if not p_lo < p_hi < math.inf:
         raise BracketInvalid(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
     if p_lo <= 1.0:
         raise BracketInvalid(f"p_lo = {p_lo}: the shooter requires p > 1")
+    if not math.isfinite(tol_p):
+        raise NonFiniteParameter(f"tol_p = {tol_p}, need it finite")
     if not tol_p > 0:
         raise ValueError(f"tol_p = {tol_p}, need it positive")
     require_admissible(ProblemParams(N, a, b, p_lo))
+    rounds = 0
 
-    def shoot_round(probes, crosses):
+    def shoot_round(probes, crosses, on_path=0):
+        nonlocal rounds
+        rounds += 1
+        log.info(
+            "threshold round %d: %d lanes, %d on the predicted path",
+            rounds, len(probes), on_path,
+        )
         outcomes = sweep_shoot([ProblemParams(N, a, b, p) for p in probes], config)
         for p, outcome in zip(probes, outcomes):
             log.info("threshold probe p=%.17g -> %s", p, outcome)
             crosses[p] = isinstance(outcome, CrossedZero)
         return crosses
 
-    crosses = shoot_round([p_lo, p_hi] + _bisection_tree(p_lo, p_hi, tol_p), {})
+    probes = [p_lo, p_hi] + _bisection_tree(p_lo, p_hi, tol_p)
+    path = _bisection_path(p_lo, p_hi, tol_p, _predicted_threshold(N, a, b, config))
+    probes += [p for p in path if p not in probes]
+    crosses = shoot_round(probes, {}, len(path))
     if not crosses[p_lo]:
         raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
     if crosses[p_hi]:

@@ -149,6 +149,28 @@ def test_bubble_rejects_noncritical_p(capsys):
     assert "NotCritical" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bubble", "--p", "nan"],
+        ["bubble", "--lambda-scale", "nan"],
+        ["bubble", "--lambda-scale", "inf"],
+        ["bubble", "--rmax", "inf"],
+        ["bubble", "--rmin", "nan"],
+        ["pohozaev", "--p", "3", "--rmax", "10", "--radii", "1,nan"],
+        ["threshold", "--p-lo", "4", "--p-hi", "6", "--tol", "inf"],
+    ],
+)
+def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
+    # each used to exit 0 with NaN or Infinity in the JSON, or 2 with
+    # scipy's "Integral bounds not in order"; --tol inf skipped the bisection
+    command, *flags = argv
+    code, out, err = run(capsys, command, "--N", "3", "--a", "0", "--b", "0", *flags)
+    assert code == 2 and out == ""
+    assert "NaN" not in out and "Infinity" not in out
+    assert err.startswith("NonFiniteParameter: ")
+
+
 def test_pohozaev_round_trip_reuses_the_exported_trajectory(capsys, tmp_path):
     first = tmp_path / "one"
     argv = [

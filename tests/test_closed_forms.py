@@ -1,5 +1,9 @@
 """Explicit profile families checked against symbolic substitution."""
 
+import math
+import time
+
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -111,6 +115,20 @@ def test_bubble_rejects_noncritical_exponent():
         E.bubble(E.ProblemParams(3, 0.0, 0.0, 4.0))
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_bubble_refuses_a_non_finite_power(p):
+    # |nan - p_c| > tol is false, so NaN used to pass the NotCritical check
+    with pytest.raises(E.NonFiniteParameter):
+        E.bubble(E.ProblemParams(3, 0.0, 0.0, p))
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_bubble_refuses_a_non_finite_dilation(lam):
+    # nan <= 0 is false, so NaN used to pass the lambda_scale check
+    with pytest.raises(E.NonFiniteParameter):
+        E.bubble(_critical_params(3, 0.0, 0.0), lambda_scale=lam)
+
+
 def test_singular_solution_requires_serrin_supercritical():
     with pytest.raises(E.NotInSerrinSupercriticalRange):
         E.singular_solution(E.ProblemParams(3, 0.0, 0.0, 3.0))
@@ -179,3 +197,67 @@ def test_lambda_scale_moves_mass_without_changing_the_family():
         v, _ = E.bubble_eval(prof, r)
         v1, _ = E.bubble_eval(base, lam * r)
         assert np.allclose(v, lam**half_m * v1, rtol=1e-13)
+
+
+# Families of the first-zero law's oracle: one per radial shape, sigma < 1
+# and sigma > 2 included.
+LAW_FAMILIES = [
+    (3, 0.0, 0.0),
+    (4, 0.0, 0.0),
+    (3, 0.5, 1.0),
+    (5, 1.0, 2.0),
+    (3, 0.0, 1.0),
+    (6, -1.5, -1.0),
+]
+LAW_DELTAS = [1e-3, 3e-4, 1e-4]
+
+
+def _melnikov_constant(N, a, b):
+    """C = (sigma A^2 / I)^(1/M) with I = int w'^2 dt by mpmath.quad, no Beta function.
+
+    The v(0) = 1 bubble is v = (1 + s)^(-m) with s = r^sigma/(m (m+1) sigma^2),
+    its tail coefficient A = (m (m+1) sigma^2)^m, and in t = log r its
+    Emden-Fowler form w = r^(M/2) v has w' = w M (1 - s) / (2 (1 + s)).
+    """
+    with mpmath.workdps(30):
+        M = mpmath.mpf(N - 2) + a
+        sigma = 2 + mpmath.mpf(b) - a
+        m = M / sigma
+        k = m * (m + 1) * sigma**2
+
+        def dw(t):
+            s = mpmath.exp(sigma * t) / k
+            w = mpmath.exp(M * t / 2) * (1 + s) ** (-m)
+            return w * M * (1 - s) / (2 * (1 + s))
+
+        peak = mpmath.log(k) / sigma  # s = 1
+        integral = mpmath.quad(lambda t: dw(t) ** 2, [-mpmath.inf, peak, mpmath.inf])
+        return float((sigma * k ** (2 * m) / integral) ** (1 / M))
+
+
+def test_first_zero_law_matches_long_shots_and_the_melnikov_integral():
+    for N, a, b in LAW_FAMILIES:
+        nu, log_c = E.first_zero_law(N, a, b)
+        assert nu == 1.0 / (N - 2 + a)
+        assert math.exp(log_c) == pytest.approx(_melnikov_constant(N, a, b), rel=1e-13)
+    assert math.exp(E.first_zero_law(3, 0.0, 0.0)[1]) == pytest.approx(17.6425, abs=1e-4)
+    assert math.exp(E.first_zero_law(4, 0.0, 0.0)[1]) == pytest.approx(4 * 6**0.5, rel=1e-14)
+
+    rows = [
+        E.ProblemParams(N, a, b, E.params.p_critical(N, a, b) - delta)
+        for N, a, b in LAW_FAMILIES
+        for delta in LAW_DELTAS
+    ]
+    t0 = time.perf_counter()
+    outcomes = E.sweep_shoot(rows, E.ShootConfig(beta=1.0, r_max=1e14))
+    print(f"first-zero law batch: {len(rows)} shots in {time.perf_counter() - t0:.3f} s")
+    for i, (N, a, b) in enumerate(LAW_FAMILIES):
+        nu, log_c = E.first_zero_law(N, a, b)
+        gaps = []
+        for row, outcome in zip(rows[3 * i : 3 * i + 3], outcomes[3 * i : 3 * i + 3]):
+            assert isinstance(outcome, E.CrossedZero), (row, outcome)
+            delta = E.params.p_critical(N, a, b) - row.p
+            gaps.append(abs(outcome.r0 * delta**nu / math.exp(log_c) - 1.0))
+        # the law is asymptotic: its error shrinks as p approaches p_c
+        assert gaps[0] > gaps[1] > gaps[2], ((N, a, b), gaps)
+        assert gaps[2] <= 2e-3, ((N, a, b), gaps)

@@ -11,6 +11,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emdenlab as E
 
@@ -208,11 +210,19 @@ def test_threshold_bisect_rejects_bad_brackets():
         E.threshold_bisect(3, 0.0, 0.0, 3.0, 4.5, tol_p=0.05, config=config)
 
 
-def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config):
-    """Reference bisection: one shoot per probe, each waiting on the last."""
+def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config, lockstep=False):
+    """Reference bisection: one shot per probe, each waiting on the last.
+
+    Shots come from shoot, or with lockstep=True from one-row sweep_shoot
+    batches, the engine threshold_bisect itself runs on.
+    """
 
     def crosses(p):
-        outcome = E.shoot(E.ProblemParams(N, a, b, p), config).outcome
+        params = E.ProblemParams(N, a, b, p)
+        if lockstep:
+            outcome = E.sweep_shoot([params], config)[0]
+        else:
+            outcome = E.shoot(params, config).outcome
         return isinstance(outcome, E.CrossedZero)
 
     assert crosses(p_lo) and not crosses(p_hi)
@@ -284,11 +294,104 @@ def test_threshold_bisect_shoots_four_levels_per_batch(monkeypatch, caplog):
         p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     # serial bisection: 5.0 fails, then 4.75, 4.875, 4.9375 and 4.96875 cross
     assert p_star == 0.5 * (4.96875 + 5.0)
-    # width 1 to 0.05 takes 5 halvings: 2 ends + 15 midpoints, then 1
-    assert [len(batch) for batch in calls] == [17, 1]
+    # width 1 to 0.05 takes 5 halvings: 2 ends + 15 midpoints of four levels,
+    # and the predicted path (p_h just below 5) adds its fifth level, 4.96875
+    assert [len(batch) for batch in calls] == [18]
     assert calls[0][:3] == [4.5, 5.5, 5.0]
+    four_levels = [4.5, 5.5] + [4.5 + k / 16 for k in range(1, 16)]
+    assert set(four_levels) <= set(calls[0])
     probes = [r for r in caplog.records if r.msg.startswith("threshold probe")]
     assert len(probes) == 18
+    rounds = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold round")]
+    assert rounds == ["threshold round 1: 18 lanes, 5 on the predicted path"]
+
+
+def _counting_sweep(calls):
+    from emdenlab import shooting
+
+    real = shooting.sweep_shoot
+
+    def sweep_shoot(rows, config):
+        calls.append(len(rows))
+        return real(rows, config)
+
+    return sweep_shoot
+
+
+def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
+    # README bracket at the default config: beta = 1, r_max = 1e4, where
+    # p_h sits 1.8e-3 below p_c and the first-zero law places it within 1e-5
+    from emdenlab import shooting
+
+    config = E.ShootConfig()
+    calls = []
+    monkeypatch.setattr(shooting, "sweep_shoot", _counting_sweep(calls))
+    p_star = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
+    assert calls == [31]  # 2 ends + 15 of the tree + 14 more path midpoints
+    monkeypatch.undo()
+    assert p_star == serial_threshold(3, 0.0, 0.0, 4.0, 6.0, 1e-5, config, lockstep=True)
+
+    # a prediction 0.3 off only costs rounds: the tree rounds take over
+    predict = shooting._predicted_threshold
+    for offset in (0.3, -0.3):
+        calls = []
+        monkeypatch.setattr(shooting, "sweep_shoot", _counting_sweep(calls))
+        monkeypatch.setattr(
+            shooting, "_predicted_threshold", lambda *args: predict(*args) + offset
+        )
+        got = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
+        assert got == p_star
+        assert len(calls) > 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "N, a, b, beta, r_max",
+    [
+        (3, 0.0, 0.0, 1e-300, 1e4),
+        (3, 0.0, 0.0, 1e300, 1e300),
+        (3, 0.0, -2.0 + 1e-15, 1.0, 1e4),
+        (3, 0.0, 1e308, 1.0, 1e4),
+        (10**300, 0.0, 0.0, 1.0, 1e4),
+    ],
+    ids=["delta-overflows", "delta-underflows", "C-overflows", "p_c-infinite",
+         "log-C-infinite"],
+)
+def test_threshold_prediction_never_raises(N, a, b, beta, r_max):
+    from emdenlab import shooting
+
+    config = E.ShootConfig(beta=beta, r_max=r_max)
+    p_pred = shooting._predicted_threshold(N, a, b, config)
+    p_c = E.params.p_critical(N, a, b)
+    assert p_pred == p_c or 0.0 < p_c - p_pred < math.inf
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    theta=st.floats(4.5, 9.0),
+    below=st.floats(1e-9, 3.0),
+    above=st.floats(0.0, 3.0),
+    tol_p=st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-20]),
+    prediction=st.floats(0.0, 13.0),
+)
+def test_threshold_bisect_is_the_serial_walk_whatever_the_prediction(
+    theta, below, above, tol_p, prediction
+):
+    from emdenlab import shooting
+
+    p_lo, p_hi = theta - below, theta + above
+    lo, hi = p_lo, p_hi
+    while hi - lo > tol_p and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid < theta else (lo, mid)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < theta, calls))
+        mp.setattr(shooting, "_predicted_threshold", lambda *args: prediction)
+        got = E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=tol_p)
+    assert got == 0.5 * (lo + hi)
+    probes = [p for batch in calls for p in batch]
+    assert len(set(probes)) == len(probes)
 
 
 def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
