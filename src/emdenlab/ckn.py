@@ -38,12 +38,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .closed_forms import _softplus
+from .closed_forms import _bubble_constants, _softplus
 from .errors import (
     BalanceViolated,
-    DegenerateWeight,
-    DimensionTooSmall,
-    InadmissibleWeights,
+    NonFiniteParameter,
     NonintegrableProfile,
     NormOutOfRange,
     NotInRange,
@@ -51,10 +49,10 @@ from .errors import (
     SymmetryBreakingRegion,
 )
 from .params import (
-    BALANCE_REL_TOL,
     SYMMETRY_BREAKING,
     ProblemParams,
     Record,
+    _check_dimension,
     balance_residual,
     balance_tolerance,
     fs_region,
@@ -120,23 +118,26 @@ class EnergyReport(Record):
 
 
 def _validate_triple(triple: CknTriple) -> None:
-    if triple.N < 3:
-        raise DimensionTooSmall(f"N = {triple.N}, need N >= 3")
+    """N, a and b as params checks them (N - 2 + a aside), then q finite and q >= 2."""
+    _check_dimension(triple.N, triple.a, triple.b)
+    if not math.isfinite(triple.q):
+        raise NonFiniteParameter(f"q = {triple.q}, need it finite")
     if triple.q < 2:
         raise NotInRange(f"q = {triple.q}, need q >= 2")
 
 
-def check_balance(triple: CknTriple, tol_bal: float = BALANCE_REL_TOL) -> BalanceReport:
+def check_balance(triple: CknTriple) -> BalanceReport:
     """Verdict on the two structural conditions, balance checked first.
 
     The report also carries the separate necessary conditions for a
     positive extremal (q > 2 and b > a - 2 > -N) so a caller can see
-    which one fails even when the headline verdict is about balance.
+    which one fails even when the headline verdict is about balance; a
+    triple failing them gets its report, not an error.
     """
     _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
     defect = balance_residual(N, a, b, q)
-    balance_ok = abs(defect) <= balance_tolerance(N, a, tol_bal)
+    balance_ok = abs(defect) <= balance_tolerance(N, a)
     band_low = a - 2.0 <= 2.0 * b / q
     band_high = 2.0 * b / q <= a
     if not balance_ok:
@@ -446,17 +447,13 @@ def bubble_energy_closed_form(triple: CknTriple) -> float:
     """
     _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
-    if N - 2 + a <= 0:
-        raise DegenerateWeight(f"N - 2 + a = {N - 2 + a}, need it positive")
-    if N + b <= 0 or b <= a - 2.0:
-        raise InadmissibleWeights(f"weights (a, b) = ({a}, {b}) out of range")
+    require_admissible(ProblemParams(N, a, b, q - 1.0))
     defect = balance_residual(N, a, b, q)
     if abs(defect) > balance_tolerance(N, a):
         raise BalanceViolated(
             f"closed form lives on the balance manifold; defect = {defect}"
         )
-    sigma = 2.0 + b - a
-    m = (N - 2.0 + a) / sigma
+    sigma, m, _ = _bubble_constants(N, a, b)
     log_grad = (
         math.log(m * m * sigma)
         + math.lgamma(m + 2.0)
@@ -540,10 +537,9 @@ def _bubble_log_norms(triple: CknTriple) -> Tuple[float, float]:
     a constant, which is added to the trapezoid's log afterwards.
     """
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
-    sigma = 2.0 + b - a
-    m = (N - 2.0 + a) / sigma
+    sigma, m, K = _bubble_constants(N, a, b)
     g = (N - 2.0 + a) / 2.0
-    log_A = math.log(m * (m + 1.0) * sigma**2) / (p_critical(N, a, b) - 1.0)
+    log_A = math.log(K) / (p_critical(N, a, b) - 1.0)
     log_lam = -log_A / g
     log_sigma, log_omega = math.log(sigma), math.log(sphere_area(N))
     grad = _log_trapezoid(
@@ -574,15 +570,13 @@ def best_constant(triple: CknTriple) -> EnergyReport:
             f"best constant needs an admissible triple, verdict was {report.verdict}"
         )
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
-    if N - 2.0 + a <= 0:
-        raise DegenerateWeight(f"N - 2 + a = {N - 2 + a}, need it positive")
     params = ProblemParams(N=N, a=a, b=b, p=p_critical(N, a, b))
     if fs_region(params) == SYMMETRY_BREAKING:
         raise SymmetryBreakingRegion(
             f"(a, b) = ({a}, {b}) lies above the symmetry-breaking threshold; "
             "the radial bubble is not the minimizer there"
         )
-    require_admissible(params)
+    closed = bubble_energy_closed_form(triple)  # refuses inadmissible weights
     log_grad, log_qmass = _bubble_log_norms(triple)
     for name, value in (("gradient norm", log_grad), ("decay norm", log_qmass)):
         if not _LOG_MIN <= value <= _LOG_MAX:
@@ -591,7 +585,6 @@ def best_constant(triple: CknTriple) -> EnergyReport:
                 "outside double range"
             )
     rayleigh = math.exp(log_grad - 2.0 / q * log_qmass)
-    closed = bubble_energy_closed_form(triple)
     if abs(rayleigh - closed) > 1e-6 * abs(closed):
         raise QuadratureMismatch(
             f"quadrature and closed form disagree: {rayleigh!r} vs {closed!r}"

@@ -29,14 +29,7 @@ from .errors import (
     NotCritical,
     NotInSerrinSupercriticalRange,
 )
-from .params import (
-    CRITICAL_REL_TOL,
-    ProblemParams,
-    derive,
-    p_critical,
-    require_admissible,
-    validate,
-)
+from .params import ProblemParams, _is_critical, derive, require_admissible, validate
 
 # Switch to log-space evaluation once exponent*log(...) passes this size.
 _LOG_GUARD = 500.0
@@ -75,12 +68,22 @@ class SingularProfile:
     amplitude: float
 
 
+def _bubble_constants(N, a, b) -> tuple[float, float, float]:
+    """sigma = 2 + b - a, m = (N-2+a)/sigma and K = m(m+1)sigma^2, with A = K^(1/(p-1)).
+
+    Divides by sigma: call it on admissible weights only.
+    """
+    sigma = 2.0 + b - a
+    m = (N - 2 + a) / sigma
+    return sigma, m, m * (m + 1.0) * sigma**2
+
+
 def bubble_amplitude(params: ProblemParams) -> float:
     """Amplitude A = (m(m+1)sigma^2)^(1/(p-1)) making the profile exact."""
     require_admissible(params)
-    d = derive(params)
-    m = (params.N - 2 + params.a) / d.sigma
-    return (m * (m + 1.0) * d.sigma**2) ** (1.0 / (params.p - 1.0))
+    derive(params)  # p > 1
+    _, _, K = _bubble_constants(params.N, params.a, params.b)
+    return K ** (1.0 / (params.p - 1.0))
 
 
 def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
@@ -90,14 +93,13 @@ def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
         if not math.isfinite(value):
             raise NonFiniteParameter(f"{name} = {value}, need it finite")
     d = derive(params)
-    if abs(params.p - d.p_critical) > CRITICAL_REL_TOL * abs(d.p_critical):
+    if not _is_critical(params.p, d.p_critical):
         raise NotCritical(f"p = {params.p}, p_critical = {d.p_critical}")
     if lambda_scale <= 0:
         raise ValueError(f"lambda_scale = {lambda_scale}, need it positive")
-    m = (params.N - 2 + params.a) / d.sigma
     return BubbleProfile(
         params=params,
-        m=m,
+        m=_bubble_constants(params.N, params.a, params.b)[1],
         amplitude=bubble_amplitude(params),
         lambda_scale=lambda_scale,
     )
@@ -148,13 +150,11 @@ def first_zero_law(N: int, a: float, b: float) -> tuple[float, float]:
     shrinks with delta; against lockstep shots it is below 2e-3 at
     delta = 1e-4 on the test suite's six families.
     """
-    require_admissible(ProblemParams(N, a, b, p_critical(N, a, b)))
-    M = N - 2.0 + a
-    sigma = 2.0 + b - a
-    m = M / sigma
-    log_A = m * math.log(M * (M + sigma))  # m (m+1) sigma^2 = M (M + sigma)
+    require_admissible(ProblemParams(N, a, b, math.nan))  # p plays no part
+    _, m, K = _bubble_constants(N, a, b)
+    log_A = m * math.log(K)
     log_beta = 2.0 * math.lgamma(m + 1.0) - math.lgamma(2.0 * m + 2.0)
-    nu = 1.0 / M
+    nu = 1.0 / (N - 2.0 + a)
     return nu, nu * (math.log(2.0) + log_A - math.log(m) - log_beta)
 
 

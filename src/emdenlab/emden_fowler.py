@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NonpositiveNode, NotInRange
-from .params import CRITICAL_REL_TOL, ProblemParams, derive, validate
+from .params import CRITICAL_REL_TOL, ProblemParams, derive
 from .shooting import RadialTrajectory
 
 # |discriminant| below this is reported as degenerate rather than guessing
@@ -125,9 +125,6 @@ def fixed_points(params: ProblemParams) -> FixedPointReport:
 
     Requires p > p_serrin so that lambda2 > 0 and the fixed point exists.
     """
-    validate(params)
-    if params.p <= 1:
-        raise NotInRange(f"p = {params.p}, need p > 1")
     d = derive(params)
     if params.p <= d.p_serrin:
         raise NotInRange(

@@ -8,6 +8,13 @@ and the whole qualitative picture (does a positive entire solution exist,
 does the shooting trajectory cross zero, where does the cylinder phase
 plane sit) is controlled by a handful of derived exponents.  This module
 computes them and nothing heavier; every solver downstream keys off it.
+
+It owns the paper's standing rules; other modules call, never restate them:
+N finite, whole, >= 3 and a, b finite (_check_dimension); N - 2 + a > 0
+(_weight_gap, run by validate and by p_critical before it divides);
+b > a - 2 and N + b > 0 (require_admissible); p > 1 (derive); criticality
+(_is_critical); the balance tolerance (balance_tolerance).  The bubble's
+constants live in closed_forms._bubble_constants.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
 # is numerically indistinguishable from critical for the solvers here.
 CRITICAL_REL_TOL = 1e-12
 
-# Default relative tolerance for the dimensional balance identity.
+# Relative tolerance for the dimensional balance identity.
 BALANCE_REL_TOL = 1e-9
 
 # Regime labels (values double as the JSON encoding).
@@ -93,9 +100,33 @@ class DerivedExponents(Record):
     fs_b_threshold: float | None
 
 
+def _check_dimension(N, a, b) -> None:
+    """NonFiniteParameter, NonIntegerDimension or DimensionTooSmall for a bad N, a, b."""
+    for name, value in (("N", N), ("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} = {value}, need it finite")
+    if not float(N).is_integer():
+        raise NonIntegerDimension(f"N = {N}, need a whole number")
+    if N < 3:
+        raise DimensionTooSmall(f"N = {N}, need N >= 3")
+
+
+def _weight_gap(N, a) -> float:
+    """N - 2 + a, refused with DegenerateWeight unless it is positive."""
+    gap = N - 2.0 + a
+    if gap <= 0:
+        raise DegenerateWeight(f"N - 2 + a = {gap}, need it positive")
+    return gap
+
+
+def _is_critical(p: float, p_c: float) -> bool:
+    """p equals the critical exponent p_c to within CRITICAL_REL_TOL."""
+    return abs(p - p_c) <= CRITICAL_REL_TOL * abs(p_c)
+
+
 def p_critical(N: int, a: float, b: float) -> float:
-    """(N + 2 + 2b - a)/(N - 2 + a), the existence threshold of the dichotomy."""
-    return (N + 2.0 + 2.0 * b - a) / (N - 2.0 + a)
+    """(N + 2 + 2b - a)/(N - 2 + a), the dichotomy's threshold; N - 2 + a <= 0 refused."""
+    return (N + 2.0 + 2.0 * b - a) / _weight_gap(N, a)
 
 
 def _serrin(q: ProblemParams) -> float:
@@ -146,18 +177,8 @@ def validate(params: ProblemParams) -> ProblemParams:
     subtler (inadmissible weights, exponent ranges) is a regime question,
     not a validity question.
     """
-    for name in ("N", "a", "b"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise NonFiniteParameter(f"{name} = {value}, need it finite")
-    if not float(params.N).is_integer():
-        raise NonIntegerDimension(f"N = {params.N}, need a whole number")
-    if params.N < 3:
-        raise DimensionTooSmall(f"N = {params.N}, need N >= 3")
-    if params.N - 2 + params.a <= 0:
-        raise DegenerateWeight(
-            f"N - 2 + a = {params.N - 2 + params.a}, need it positive"
-        )
+    _check_dimension(params.N, params.a, params.b)
+    _weight_gap(params.N, params.a)
     return params
 
 
@@ -184,10 +205,10 @@ def beta_fs(N: int, a: float) -> float:
 
 
 def derive(params: ProblemParams) -> DerivedExponents:
-    """Compute the derived exponents.  Requires p > 1 (gamma divides by p-1)."""
+    """The derived exponents; validate's refusals, and NotInRange for p <= 1."""
     validate(params)
     if params.p <= 1:
-        raise ValueError(f"derive requires p > 1, got p = {params.p}")
+        raise NotInRange(f"p = {params.p}, need p > 1")
     N, a, b, p = params.N, params.a, params.b, params.p
     M = N - 2 + a
     sigma = 2.0 + b - a
@@ -227,7 +248,7 @@ def classify(params: ProblemParams) -> Regime:
     d = derive(params)
     if p <= d.p_serrin:
         return Regime(NO_POSITIVE_SOLUTION_SERRIN, "p<=p_serrin")
-    if abs(p - d.p_critical) <= CRITICAL_REL_TOL * abs(d.p_critical):
+    if _is_critical(p, d.p_critical):
         return Regime(CRITICAL, "|p-p_critical|<=tol")
     if p < d.p_critical:
         return Regime(SUBCRITICAL_LIOUVILLE, "p_serrin<p<p_critical")
@@ -239,12 +260,12 @@ def balance_residual(N: int, a: float, b: float, q: float) -> float:
     return (N + b) / q + 1.0 - (N + a) / 2.0
 
 
-def balance_tolerance(N: int, a: float, tol_bal: float = BALANCE_REL_TOL) -> float:
-    """Largest |balance_residual| counted as balanced: tol_bal * max(1, |(N+a)/2|)."""
-    return tol_bal * max(1.0, abs((N + a) / 2.0))
+def balance_tolerance(N: int, a: float) -> float:
+    """Largest |balance_residual| counted as balanced: BALANCE_REL_TOL * max(1, |(N+a)/2|)."""
+    return BALANCE_REL_TOL * max(1.0, abs((N + a) / 2.0))
 
 
-def fs_region(params: ProblemParams, tol_bal: float = BALANCE_REL_TOL) -> str:
+def fs_region(params: ProblemParams) -> str:
     """Symmetry region of the minimization problem at q = p + 1.
 
     Only meaningful on the balance curve (which pins p to the critical
@@ -259,7 +280,7 @@ def fs_region(params: ProblemParams, tol_bal: float = BALANCE_REL_TOL) -> str:
     validate(params)
     N, a, b, p = params.N, params.a, params.b, params.p
     q = p + 1.0
-    if abs(balance_residual(N, a, b, q)) > balance_tolerance(N, a, tol_bal):
+    if abs(balance_residual(N, a, b, q)) > balance_tolerance(N, a):
         raise BalanceViolated(
             f"(N+b)/q + 1 = {(N + b) / q + 1.0}, (N+a)/2 = {(N + a) / 2.0}"
         )

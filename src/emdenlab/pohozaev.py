@@ -65,8 +65,6 @@ def weighted_node_integral(
     negligible for any sane hand-off radius.  Needs exponent > -1 and a
     positive trajectory up to R.
     """
-    if exponent <= -1.0:
-        raise ValueError(f"exponent = {exponent}: the weight is not integrable at 0")
     r, v = traj.r, traj.v
     if not math.isfinite(R):
         raise NonFiniteParameter(f"R = {R}, need it finite")
@@ -74,9 +72,10 @@ def weighted_node_integral(
         raise ValueError(f"R = {R}, need it positive")
     if R > r[-1] * (1 + 1e-12):
         raise RangeExceeded(f"R = {R} beyond the last stored node {r[-1]}")
-    up_to = r <= R
-    if np.any(v[up_to] <= 0.0):
+    if np.any(v[r <= R] <= 0.0):
         raise NonpositiveSolution(f"trajectory not positive on (0, {R}]")
+    if exponent <= -1.0:
+        raise ValueError(f"exponent = {exponent}: the weight is not integrable at 0")
     from scipy.interpolate import CubicSpline
 
     z = np.log(r)
@@ -89,21 +88,11 @@ def weighted_node_integral(
 def evaluate(traj: RadialTrajectory, R: float) -> PohozaevReport:
     """Check the ball identity at radius R on a positive stretch of the shot."""
     params = traj.params
-    validate(params)
+    coeff = ball_nonexistence_coeff(params)  # validates params
     N, a, b, p = params.N, params.a, params.b, params.p
-    if not math.isfinite(R):
-        raise NonFiniteParameter(f"R = {R}, need it finite")
-    if R <= 0:
-        raise ValueError(f"R = {R}, need it positive")
-    if R > traj.r[-1] * (1 + 1e-12):
-        raise RangeExceeded(f"R = {R} beyond the stored horizon {traj.r[-1]}")
-    up_to = traj.r <= R
-    if np.any(traj.v[up_to] <= 0.0):
-        raise NonpositiveSolution(f"trajectory not positive on (0, {R}]")
-
     omega = sphere_area(N)
+    # checks R, before the splines are read
     interior = omega * weighted_node_integral(traj, N - 1.0 + b, p + 1.0, R)
-    coeff = ball_nonexistence_coeff(params)
     sv, sdv = traj._node_splines()
     zR = math.log(R)
     vR, dvR = float(sv(zR)), float(sdv(zR))

@@ -248,14 +248,12 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
 
     Starts from config.epsilon0 (default 1e-4 * min(1, sigma)) and halves it
     until the next-order correction drops below rel_tol, never going under
-    1e-12.  Refuses inadmissible weights (require_admissible) and a NaN or
-    infinite p (NonFiniteParameter).
+    1e-12.  Refuses inadmissible weights (require_admissible), a NaN or
+    infinite p (NonFiniteParameter) and p <= 1 (derive's NotInRange).
     """
     require_admissible(params)
     if not math.isfinite(params.p):
         raise NonFiniteParameter(f"p = {params.p}, need it finite")
-    if params.p <= 1:
-        raise ValueError(f"the shooter requires p > 1, got p = {params.p}")
     d = derive(params)
     eps = config.epsilon0
     if eps is None:
@@ -400,15 +398,20 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
 _ROUND_DEPTH = 4
 
 
-def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> list:
-    """Every midpoint the next depth bisection steps from (lo, hi) may probe.
+def _split(lo: float, hi: float, tol_p: float) -> float | None:
+    """The midpoint 0.5 * (lo + hi) the bisection splits (lo, hi) at, or None.
 
-    Midpoints come from the same 0.5 * (lo + hi) recursion as the serial
-    walk, and an interval is split only while it is wider than tol_p and
-    its midpoint lies strictly inside it.
+    None once the bracket is no wider than tol_p, or its midpoint rounds
+    onto one of its ends (tol_p below the float spacing of the bracket).
     """
     mid = 0.5 * (lo + hi)
-    if depth == 0 or not hi - lo > tol_p or not lo < mid < hi:
+    return mid if hi - lo > tol_p and lo < mid < hi else None
+
+
+def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> list:
+    """Every midpoint the next depth bisection steps from (lo, hi) may probe (_split)."""
+    mid = _split(lo, hi, tol_p)
+    if depth == 0 or mid is None:
         return []
     return (
         [mid]
@@ -420,15 +423,12 @@ def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> l
 def _bisection_path(lo: float, hi: float, tol_p: float, p_pred: float) -> list:
     """The midpoints the serial walk from (lo, hi) probes if the threshold is p_pred.
 
-    One midpoint per level, from the recursion and stop rules of
-    _bisection_tree; a midpoint below p_pred is taken to cross.
+    One midpoint per level (_split); a midpoint below p_pred is taken to cross.
     """
     path = []
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol_p and lo < mid < hi:
+    while (mid := _split(lo, hi, tol_p)) is not None:
         path.append(mid)
         lo, hi = (mid, hi) if mid < p_pred else (lo, mid)
-        mid = 0.5 * (lo + hi)
     return path
 
 
@@ -528,10 +528,7 @@ def threshold_bisect(
     if crosses[p_hi]:
         raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
     _require_crossing_prefix(crosses)
-    while p_hi - p_lo > tol_p:
-        mid = 0.5 * (p_lo + p_hi)
-        if not p_lo < mid < p_hi:
-            break  # tol_p is below the float spacing of the bracket
+    while (mid := _split(p_lo, p_hi, tol_p)) is not None:
         if mid not in crosses:
             probes = _bisection_tree(p_lo, p_hi, tol_p)
             crosses = shoot_round(probes, {p_lo: True, p_hi: False})

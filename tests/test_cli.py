@@ -159,6 +159,9 @@ def test_bubble_rejects_noncritical_p(capsys):
         ["bubble", "--rmin", "nan"],
         ["pohozaev", "--p", "3", "--rmax", "10", "--radii", "1,nan"],
         ["threshold", "--p-lo", "4", "--p-hi", "6", "--tol", "inf"],
+        ["ckn", "--q", "nan"],
+        ["ckn", "--q", "inf"],
+        ["ckn", "--a", "nan", "--q", "6"],
     ],
 )
 def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
@@ -169,6 +172,13 @@ def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
     assert code == 2 and out == ""
     assert "NaN" not in out and "Infinity" not in out
     assert err.startswith("NonFiniteParameter: ")
+
+
+def test_bubble_with_a_degenerate_weight_exits_2_with_a_named_error(capsys):
+    # N - 2 + a = 0 used to end in a ZeroDivisionError traceback from p_critical
+    code, out, err = run(capsys, "bubble", "--N", "3", "--a", "-1", "--b", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("DegenerateWeight: ")
 
 
 def test_pohozaev_round_trip_reuses_the_exported_trajectory(capsys, tmp_path):
@@ -334,6 +344,17 @@ def test_sweep_preserves_grid_order_and_survives_bad_rows(capsys, tmp_path):
     kinds = [line.split(",")[4] for line in lines[1:]]
     assert kinds == ["crossed_zero", "inconclusive", "positive_global"]
     assert "rejected:" in lines[2]
+
+
+def test_sweep_rejects_a_row_with_p_at_most_1_and_finishes(capsys, tmp_path):
+    # such a row used to abort the whole sweep with exit 2 and no output
+    grid = tmp_path / "sweep_grid.csv"
+    grid.write_text("N,a,b,p\n3,0,0,3\n3,0,0,0.5\n")
+    code, out, _ = run(capsys, "sweep", "--grid", str(grid), "--rmax", "10")
+    assert code == 0
+    good, bad = out.strip().splitlines()[1:]
+    assert good.split(",")[4] == "crossed_zero"
+    assert bad.split(",")[4] == "inconclusive" and "rejected:" in bad
 
 
 def test_sweep_rejects_a_non_integer_dimension_instead_of_rounding(capsys, tmp_path):

@@ -204,3 +204,75 @@ def test_fs_threshold_consistency_between_derive_and_fs_region():
         q = 2.0 * (N + b) / M
         assert math.isclose(E.balance_residual(N, a, b, q), 0.0, abs_tol=1e-12)
         assert E.fs_region(E.ProblemParams(N, a, b, q - 1.0)) == region
+
+
+# Entry points that check the standing rules, on (N, a, b, p) or on a ckn triple.
+_SHORT = E.ShootConfig(r_max=10.0)
+ON_PARAMS = {
+    "derive": E.derive,
+    "series_start": E.series_start,
+    "shoot": lambda params: E.shoot(params, _SHORT),
+    "bubble": E.bubble,
+    "first_zero_law": lambda params: E.first_zero_law(params.N, params.a, params.b),
+    "fixed_points": E.fixed_points,
+}
+ON_TRIPLE = {
+    "bubble_energy_closed_form": E.bubble_energy_closed_form,
+    "best_constant": E.best_constant,
+}
+P_RULE = ("derive", "series_start", "shoot", "bubble", "fixed_points")
+WEIGHT_RULES = tuple(ON_PARAMS) + tuple(ON_TRIPLE)
+# derive and fixed_points check N - 2 + a > 0, but not b > a - 2 or N + b > 0
+ADMISSIBILITY = ("series_start", "shoot", "bubble", "first_zero_law", "bubble_energy_closed_form")
+
+
+@pytest.mark.parametrize(
+    "params, triple, checked_by, error",
+    [
+        pytest.param((3, 0.0, 0.0, 1.0), None, P_RULE, E.NotInRange, id="p=1"),
+        pytest.param((3, 0.0, 0.0, 0.5), None, P_RULE, E.NotInRange, id="p=0.5"),
+        pytest.param(
+            (2, 0.0, 0.0, 3.0), (2, 0.0, 0.0, 4.0), WEIGHT_RULES, E.DimensionTooSmall,
+            id="N=2",
+        ),
+        pytest.param(
+            (3.5, 0.0, 0.0, 3.0), (3.5, 0.0, 0.0, 4.0), WEIGHT_RULES,
+            E.NonIntegerDimension, id="N=3.5",
+        ),
+        # the triple is balanced and in band, so best_constant reaches the weights
+        pytest.param(
+            (3, -1.0, 0.0, 3.0), (3, -1.0, -3.0, 4.0), WEIGHT_RULES, E.DegenerateWeight,
+            id="N-2+a=0",
+        ),
+        pytest.param(
+            (3, 0.0, -2.0, 3.0), (3, 0.0, -2.0, 2.0), ADMISSIBILITY + ("best_constant",),
+            E.InadmissibleWeights, id="b=a-2",
+        ),
+        # no balanced triple has N + b = 0 and N - 2 + a > 0
+        pytest.param(
+            (3, 0.0, -3.0, 3.0), (3, 0.0, -3.0, 4.0), ADMISSIBILITY,
+            E.InadmissibleWeights, id="N+b=0",
+        ),
+        pytest.param(
+            (3, math.nan, 0.0, 3.0), (3, math.nan, 0.0, 4.0), WEIGHT_RULES,
+            E.NonFiniteParameter, id="a=nan",
+        ),
+    ],
+)
+def test_one_refusal_per_rule(params, triple, checked_by, error):
+    params = E.ProblemParams(*params)
+    raised = {}
+    for name in checked_by:
+        arg = params if name in ON_PARAMS else E.CknTriple(*triple)
+        try:
+            (ON_PARAMS | ON_TRIPLE)[name](arg)
+        except Exception as exc:  # noqa: BLE001 - the class is what is checked
+            raised[name] = type(exc).__name__
+        else:
+            raised[name] = None
+    assert raised == {name: error.__name__ for name in checked_by}
+    (outcome,) = E.sweep_shoot([params], _SHORT)
+    assert isinstance(outcome, E.Inconclusive) and outcome.reason.startswith("rejected:")
+    if error in (E.DegenerateWeight, E.InadmissibleWeights):
+        # check_balance reports these weights (a_minus_2_gt_minus_N, b_gt_a_minus_2)
+        assert isinstance(E.check_balance(E.CknTriple(*triple)), E.BalanceReport)

@@ -442,13 +442,16 @@ def test_sweep_preserves_order_and_isolates_bad_rows():
         E.ProblemParams(3, 0.0, 0.0, 3.0),
         E.ProblemParams(2, 0.0, 0.0, 3.0),  # rejected: dimension too small
         E.ProblemParams(3, 0.0, 0.0, 5.0),
+        E.ProblemParams(3, 0.0, 0.0, 1.0),  # rejected: p <= 1
     ]
     outcomes = E.sweep_shoot(rows, E.ShootConfig(r_max=100.0), processes=2)
-    assert len(outcomes) == 3
+    assert len(outcomes) == 4
     assert isinstance(outcomes[0], E.CrossedZero)
     assert isinstance(outcomes[1], E.Inconclusive)
     assert outcomes[1].reason.startswith("rejected:")
     assert isinstance(outcomes[2], E.PositiveGlobal)
+    assert isinstance(outcomes[3], E.Inconclusive)
+    assert outcomes[3].reason.startswith("rejected:")
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf])
