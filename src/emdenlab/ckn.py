@@ -22,11 +22,12 @@ regularity, not two paths to the same number.
   and its amplitude leaves double range, costs no more than any other row.
 * energy integrates whatever scalar handle it is given, which may be only
   finitely smooth (a C^2 bump, a cut-off tail); a global trapezoid
-  converges only algebraically there.  It keeps decade-by-decade adaptive
-  Gauss-Kronrod (QUADPACK's 21-point rule, evaluated on arrays) with a
-  power-law origin stub and a fitted power-law tail; a tail flatter than
-  1/r is reported as a divergent norm instead of being truncated into a
-  finite lie.  The handle is called once per radius.
+  converges only algebraically there.  It keeps adaptive Gauss-Kronrod
+  (QUADPACK's 21-point rule, evaluated on arrays), one decade of r at a
+  time, with a power-law origin stub and a fitted power-law tail; no
+  radius past the decade where the tail stops is evaluated.  A tail
+  flatter than 1/r is reported as a divergent norm instead of being
+  truncated into a finite lie.  The handle is called once per radius.
 """
 
 from __future__ import annotations
@@ -202,7 +203,6 @@ _G10_WEIGHTS = np.array(_WG + tuple(reversed(_WG)))
 _EPSABS = 1e-300
 _EPSREL = 1e-12
 _LIMIT = 200  # subintervals per decade
-_BLOCK_DECADES = 12  # decades whose level-0 GK21 takes one integrand call
 
 
 def _gk21(g, lo, hi, extra):
@@ -219,43 +219,30 @@ def _gk21(g, lo, hi, extra):
     return k21, np.abs(k21 - g10), values[nodes.size :]
 
 
-def _refine_decades(g, ends, extra):
-    """Adaptive GK21 on each decade [ends[j], ends[j+1]], all decades at once.
+def _refine(g, lo, hi, val, err) -> float:
+    """Integral of g over the decade [lo, hi], refined from its one-interval GK21.
 
-    Returns the decade integrals, g at ends, and g at extra; see _refine.
-    """
-    n = len(ends) - 1
-    lo, hi = ends[:-1], ends[1:]
-    val, err, g_fixed = _gk21(g, lo, hi, np.concatenate((ends, extra)))
-    return _refine(g, lo, hi, val, err), g_fixed[: n + 1], g_fixed[n + 1 :]
-
-
-def _refine(g, lo, hi, val, err):
-    """Integrals of the decades [lo[j], hi[j]], refined from their one-interval GK21.
-
-    Each decade is bisected until its summed |K21 - G10| is within
+    val and err are the K21 value and |K21 - G10| of that one interval.
+    The decade is bisected until its summed |K21 - G10| is within
     max(_EPSABS, _EPSREL |integral|) or it holds _LIMIT subintervals.  A
     level bisects every subinterval whose error exceeds its length's share
-    of its decade's tolerance (the largest ones when the limit is near),
-    and evaluates g once over all the new halves.  A decade's refinement
-    and sum depend on that decade alone, so any subset of decades gives
-    each of them the same bits.
+    of the tolerance (the largest ones when the limit is near), and
+    evaluates g once over all the new halves.  Sums run in array order.
     """
-    n = len(lo)
-    owner = np.arange(n)
     width = hi - lo
+    lo, hi = np.array([lo]), np.array([hi])
     while True:
-        total = np.bincount(owner, val, n)
+        total = np.cumsum(val)[-1]
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(total))
-        count = np.bincount(owner, minlength=n)
-        open_ = (np.bincount(owner, err, n) > tol) & (count < _LIMIT)
-        split = open_[owner] & (err > tol[owner] * (hi - lo) / width[owner])
+        if not (np.cumsum(err)[-1] > tol and len(val) < _LIMIT):
+            return float(total)
+        split = err > tol * (hi - lo) / width
         if not split.any():
-            return total
-        room = _LIMIT - count
-        for d in np.flatnonzero(np.bincount(owner[split], minlength=n) > room):
-            mine = np.flatnonzero(split & (owner == d))
-            smallest = np.argsort(err[mine], kind="stable")[: len(mine) - room[d]]
+            return float(total)
+        room = _LIMIT - len(val)
+        if split.sum() > room:
+            mine = np.flatnonzero(split)
+            smallest = np.argsort(err[mine], kind="stable")[: len(mine) - room]
             split[mine[smallest]] = False
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
@@ -264,7 +251,6 @@ def _refine(g, lo, hi, val, err):
         keep = ~split
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        owner = np.concatenate((owner[keep], owner[split], owner[split]))
         val = np.concatenate((val[keep], new_val))
         err = np.concatenate((err[keep], new_err))
 
@@ -293,97 +279,58 @@ def _tail_stops(total: float, hi: float, g_lo: float, g_hi: float, label: str) -
     return g_hi * hi / (-slope - 1.0) <= _TAIL_REL * abs(total)
 
 
-def _predicted_stop(total, first, edges, estimates, g_ends, label) -> int:
-    """The decade from first on where the stop rule fires on level-0 estimates.
-
-    Also the decade where the running estimate stops being finite or the
-    rule raises, and the block's last decade if none of these happens.
-    """
-    for j in range(first, len(estimates)):
-        total += float(estimates[j])
-        try:
-            if not math.isfinite(total) or _tail_stops(
-                total, edges[j + 1], float(g_ends[j]), float(g_ends[j + 1]), label
-            ):
-                return j
-        except NonintegrableProfile:
-            return j
-    return len(estimates) - 1
-
-
 def _integrate_radial(
     weight_exp: float, f: Callable[[np.ndarray], np.ndarray], label: str
 ) -> float:
     """int_0^inf r^weight_exp f(r) dr, f >= 0 evaluated on arrays.
 
     Below _R_ORIGIN the integrand is closed in its fitted local power law.
-    Each decade [10^k, 10^(k+1)] from 1e-8 on gets its own adaptive GK21
-    quadrature (epsrel 1e-12, at most 200 subintervals).  Decades come
-    _BLOCK_DECADES at a time: one call of f covers a block's one-interval
-    GK21 and its ends, and the level-0 estimates predict the decade where
-    the tail stops; decades are refined up to that one only (f sees one
-    array per refinement level), and further on if the exact sum does not
-    stop there.  The upper end stops once the fitted tail power predicts a
-    remainder under _TAIL_REL relative, and a tail flatter than 1/r past
-    _DIVERGENCE_R raises NonintegrableProfile.  Decades past the stop are
-    discarded, so overflow there is silenced; a summed decade that is not
-    finite raises NonintegrableProfile.  Used by energy only: best_constant
-    has a smooth integrand and its own trapezoid (_log_trapezoid).
+    Then one decade [10^k, 10^(k+1)] at a time from 1e-8 on: its
+    one-interval GK21 together with its upper end (one call of f), its
+    adaptive refinement (epsrel 1e-12, at most 200 subintervals, one call
+    of f per level), its addition to the running sum, and the tail stop
+    rule on that sum: the upper end stops once the fitted tail power
+    predicts a remainder under _TAIL_REL relative, and a tail flatter than
+    1/r past _DIVERGENCE_R raises NonintegrableProfile.  No radius past
+    the stopping decade is evaluated; a running sum that is not finite
+    raises NonintegrableProfile.  Used by energy only: best_constant has a
+    smooth integrand and its own trapezoid (_log_trapezoid).
     """
 
     def g(r):
         return r**weight_exp * f(r)
 
-    total = None
-    for k0 in range(-8, _DECADE_MAX, _BLOCK_DECADES):
-        ks = range(k0, min(k0 + _BLOCK_DECADES, _DECADE_MAX))
-        edges = [10.0**k for k in ks] + [10.0 ** (ks[-1] + 1)]
-        ends = np.array(edges)
-        stub = (_R_ORIGIN, 10.0 * _R_ORIGIN) if total is None else ()
+    with np.errstate(all="ignore"):
+        g0, g1 = g(np.array([_R_ORIGIN, 10.0 * _R_ORIGIN])).tolist()
+    if g0 > 0.0 and g1 > 0.0:
+        slope = math.log10(g1 / g0)
+        if slope <= -1.0 + 1e-9:
+            raise NonintegrableProfile(f"{label}: integrand ~ r^{slope:.6f} at the origin")
+        total = g0 * _R_ORIGIN / (slope + 1.0)
+    else:
+        total = 0.0
+    if not math.isfinite(total):
+        raise NonintegrableProfile(f"{label}: origin stub is {total}")
+    g_lo = g0  # the first decade starts at _R_ORIGIN
+    for k in range(-8, _DECADE_MAX):
+        lo, hi = 10.0**k, 10.0 ** (k + 1)
         with np.errstate(all="ignore"):
-            estimates, errors, g_fixed = _gk21(
-                g, ends[:-1], ends[1:], np.concatenate((ends, stub))
-            )
-        g_ends, g_stub = g_fixed[: len(ends)], g_fixed[len(ends) :]
-        if total is None:
-            g0, g1 = float(g_stub[0]), float(g_stub[1])
-            if g0 > 0.0 and g1 > 0.0:
-                slope = math.log10(g1 / g0)
-                if slope <= -1.0 + 1e-9:
-                    raise NonintegrableProfile(
-                        f"{label}: integrand ~ r^{slope:.6f} at the origin"
-                    )
-                total = g0 * _R_ORIGIN / (slope + 1.0)
-            else:
-                total = 0.0
-            if not math.isfinite(total):
-                raise NonintegrableProfile(f"{label}: origin stub is {total}")
-        first = 0
-        while first < len(ks):
-            last = _predicted_stop(total, first, edges, estimates, g_ends, label)
-            part = slice(first, last + 1)
-            with np.errstate(all="ignore"):
-                pieces = _refine(
-                    g, ends[:-1][part], ends[1:][part], estimates[part], errors[part]
-                )
-            for j, piece in enumerate(pieces, first):
-                lo, hi = edges[j], edges[j + 1]
-                total += float(piece)
-                if not math.isfinite(total):
-                    raise NonintegrableProfile(
-                        f"{label}: decade [{lo:g}, {hi:g}] integrates to {piece}"
-                    )
-                if _tail_stops(total, hi, float(g_ends[j]), float(g_ends[j + 1]), label):
-                    return total
-            first = last + 1
+            val, err, (g_hi,) = _gk21(g, np.array([lo]), np.array([hi]), np.array([hi]))
+            piece = _refine(g, lo, hi, val, err)
+        total += piece
+        if not math.isfinite(total):
+            raise NonintegrableProfile(f"{label}: decade [{lo:g}, {hi:g}] integrates to {piece}")
+        if _tail_stops(total, hi, g_lo, float(g_hi), label):
+            return total
+        g_lo = float(g_hi)
     raise NonintegrableProfile(f"{label}: no convergent tail by r = 1e{_DECADE_MAX}")
 
 
 def _pointwise(profile: RadialProfile) -> ArrayProfile:
     """Array form of a scalar handle, called once per radius.
 
-    A point where the handle overflows (any ArithmeticError) reads nan,
-    which raises NonintegrableProfile only if its decade is summed.
+    A point where the handle overflows (any ArithmeticError) reads nan;
+    a decade summed over such a point raises NonintegrableProfile.
     """
 
     def on_array(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

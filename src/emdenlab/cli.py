@@ -175,6 +175,8 @@ def cmd_bubble(args) -> Output:
     if not 0 < args.rmin < args.rmax:
         raise ValueError(f"need 0 < --rmin < --rmax, got [{args.rmin}, {args.rmax}]")
     N, a, b = args.N, args.a, args.b
+    # N, a and b first, so the first rule broken is the one named
+    validate(ProblemParams(N, a, b, math.nan))
     params = ProblemParams(N, a, b, p_critical(N, a, b) if args.p is None else args.p)
     if args.lambda_scale is not None:
         prof = bubble(params, args.lambda_scale)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import NonpositiveNode, NotInRange
-from .params import CRITICAL_REL_TOL, ProblemParams, derive
+from .params import ProblemParams, _is_critical, derive, require_admissible
 from .shooting import RadialTrajectory
 
 # |discriminant| below this is reported as degenerate rather than guessing
@@ -47,19 +46,9 @@ class FixedPointReport:
     """The interior fixed point (w_star, 0) and its linearization.
 
     kind is one of center, stable_spiral, stable_node, unstable_spiral,
-    unstable_node, saddle, degenerate; eigenvalues are the roots of
+    unstable_node, degenerate; eigenvalues are the roots of
     mu^2 + lambda1 mu + (p-1) lambda2 = 0.
     """
-
-    KINDS: ClassVar[tuple] = (
-        "center",
-        "stable_spiral",
-        "stable_node",
-        "unstable_spiral",
-        "unstable_node",
-        "saddle",
-        "degenerate",
-    )
 
     w_star: float
     eigenvalues: tuple
@@ -123,8 +112,10 @@ def hamiltonian(params: ProblemParams, w, dw):
 def fixed_points(params: ProblemParams) -> FixedPointReport:
     """Locate (w_star, 0) and classify its linearization.
 
-    Requires p > p_serrin so that lambda2 > 0 and the fixed point exists.
+    Requires admissible weights and p > p_serrin, so that lambda2 > 0 and
+    the fixed point exists; the kind is center exactly when p is critical.
     """
+    require_admissible(params)
     d = derive(params)
     if params.p <= d.p_serrin:
         raise NotInRange(
@@ -137,13 +128,10 @@ def fixed_points(params: ProblemParams) -> FixedPointReport:
     root = cmath.sqrt(complex(disc))
     eigenvalues = ((-d.lambda1 - root) / 2.0, (-d.lambda1 + root) / 2.0)
 
-    M = params.N - 2.0 + params.a
     if abs(disc) < DEGENERATE_TOL:
         kind = "degenerate"
-    elif product < 0.0:
-        kind = "saddle"  # unreachable for p > p_serrin, kept for completeness
     elif disc < 0.0:
-        if abs(d.lambda1) <= CRITICAL_REL_TOL * M:
+        if _is_critical(p, d.p_critical):
             kind = "center"
         else:
             kind = "stable_spiral" if d.lambda1 > 0 else "unstable_spiral"

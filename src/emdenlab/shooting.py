@@ -102,9 +102,9 @@ class ShootConfig(Record):
     min_fit_radius: float = 10.0
 
     def __post_init__(self):
-        for name in ("beta", "r_max"):
+        for name in ("beta", "r_max", "rel_tol", "abs_tol", "epsilon0"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise NonFiniteParameter(f"{name} = {value}, need it finite")
         if not self.beta > 0:
             raise ValueError(f"beta = {self.beta}, need it positive")

@@ -282,36 +282,45 @@ def test_best_constant_refuses_exactly_where_fs_region_breaks_symmetry():
     assert seen == {E.SYMMETRY_BREAKING, E.RADIAL_MINIMIZER}
 
 
+def _refined_decade(g, lo, hi):
+    """g at the decade's ends and its refined integral, as energy forms them."""
+    val, err, g_ends = E.ckn._gk21(g, np.array([lo]), np.array([hi]), np.array([lo, hi]))
+    return E.ckn._refine(g, lo, hi, val, err), g_ends
+
+
 def test_decade_refinement_converges_or_stops_at_the_subinterval_limit():
-    ends = np.array([1.0, 10.0, 100.0])
-    total, g_ends, _ = E.ckn._refine_decades(lambda r: r**-2.5, ends, ())
-    exact = (ends[:-1] ** -1.5 - ends[1:] ** -1.5) / 1.5
-    np.testing.assert_allclose(total, exact, rtol=1e-14)
-    np.testing.assert_array_equal(g_ends, ends**-2.5)
+    for lo, hi in ((1.0, 10.0), (10.0, 100.0)):
+        total, g_ends = _refined_decade(lambda r: r**-2.5, lo, hi)
+        assert total == pytest.approx((lo**-1.5 - hi**-1.5) / 1.5, rel=1e-14)
+        np.testing.assert_array_equal(g_ends, np.array([lo, hi]) ** -2.5)
 
-    sizes = []
+        sizes = []
 
-    def wiggle(r):
-        sizes.append(r.size)
-        return 1.0 + np.cos(1e4 * r)
+        def wiggle(r, sizes=sizes):
+            sizes.append(r.size)
+            return 1.0 + np.cos(1e4 * r)
 
-    total, _, _ = E.ckn._refine_decades(wiggle, ends, ())
-    assert np.isfinite(total).all()
-    # no subinterval of either decade converges, so each stops after
-    # _LIMIT - 1 bisections, two new halves apiece
-    intervals = (sum(sizes) - len(ends)) // 21
-    assert intervals == 2 * (1 + 2 * (E.ckn._LIMIT - 1))
+        total, _ = _refined_decade(wiggle, lo, hi)
+        assert math.isfinite(total)
+        # no subinterval converges, so the decade stops after _LIMIT - 1
+        # bisections, two new halves apiece
+        intervals = (sum(sizes) - 2) // 21
+        assert intervals == 1 + 2 * (E.ckn._LIMIT - 1)
 
 
 def test_scalar_handle_may_overflow_past_the_tail_stop():
     # v ~ 1/r; r**20 overflows a Python float past r ~ 1e15, beyond the
-    # decade where the tail stops but inside the block evaluated with it
+    # decade where the tail stops, and no radius past that decade is asked for
+    radii = []
+
     def prof(r):
+        radii.append(r)
         s = 1.0 + r**20
         return s**-0.05, -r**19 * s**-1.05
 
     rep = E.energy(E.CknTriple(3, 0.0, 0.0, 6.0), prof)
     assert rep.rayleigh == pytest.approx(5.943491075634604, rel=1e-12)
+    assert max(radii) < 1e15
 
 
 @pytest.mark.parametrize("sigma", [1e-2, 0.05, 0.2, 0.49])

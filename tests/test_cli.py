@@ -162,6 +162,8 @@ def test_bubble_rejects_noncritical_p(capsys):
         ["ckn", "--q", "nan"],
         ["ckn", "--q", "inf"],
         ["ckn", "--a", "nan", "--q", "6"],
+        ["shoot", "--p", "3", "--rtol", "nan"],
+        ["shoot", "--p", "3", "--eps0", "inf"],
     ],
 )
 def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
@@ -179,6 +181,14 @@ def test_bubble_with_a_degenerate_weight_exits_2_with_a_named_error(capsys):
     code, out, err = run(capsys, "bubble", "--N", "3", "--a", "-1", "--b", "0")
     assert code == 2 and out == ""
     assert err.startswith("DegenerateWeight: ")
+
+
+def test_bubble_names_the_dimension_before_the_weight(capsys):
+    # N = 2, a = 0 breaks N >= 3 and N - 2 + a > 0; the first is named, as
+    # with --a 0.5 and in every library entry point
+    code, out, err = run(capsys, "bubble", "--N", "2", "--a", "0", "--b", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("DimensionTooSmall: ")
 
 
 def test_pohozaev_round_trip_reuses_the_exported_trajectory(capsys, tmp_path):

@@ -39,6 +39,9 @@ def test_cylinder_map_rejects_nonpositive_nodes():
         ((3, 0.0, -1.9, 1.12), "unstable_node"),
         # sigma solves 8 s^2 - 8 s + 1 = 0, where the discriminant vanishes
         ((3, 0.0, (2.0 - 2.0**0.5) / 4.0 - 2.0, 2.0), "degenerate"),
+        # within CRITICAL_REL_TOL of p_c = 5, where classify says critical
+        ((3, 0.0, 0.0, 5.0 + 4.5e-12), "center"),
+        ((3, 0.0, 0.0, 5.0 - 4.5e-12), "center"),
     ],
 )
 def test_fixed_point_kind_catalog(params, kind):

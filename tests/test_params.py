@@ -222,8 +222,11 @@ ON_TRIPLE = {
 }
 P_RULE = ("derive", "series_start", "shoot", "bubble", "fixed_points")
 WEIGHT_RULES = tuple(ON_PARAMS) + tuple(ON_TRIPLE)
-# derive and fixed_points check N - 2 + a > 0, but not b > a - 2 or N + b > 0
-ADMISSIBILITY = ("series_start", "shoot", "bubble", "first_zero_law", "bubble_energy_closed_form")
+# derive checks N - 2 + a > 0, but not b > a - 2 or N + b > 0
+ADMISSIBILITY = (
+    "series_start", "shoot", "bubble", "first_zero_law", "fixed_points",
+    "bubble_energy_closed_form",
+)
 
 
 @pytest.mark.parametrize(

@@ -430,7 +430,7 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
     assert len(set(probes)) == len(probes)
 
 
-@pytest.mark.parametrize("name", ["beta", "r_max"])
+@pytest.mark.parametrize("name", ["beta", "r_max", "rel_tol", "abs_tol", "epsilon0"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_refuses_a_non_finite_height_or_horizon(name, value):
     with pytest.raises(E.NonFiniteParameter):
