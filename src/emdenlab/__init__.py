@@ -51,6 +51,7 @@ from .errors import (
     DimensionTooSmall,
     EmdenLabError,
     InadmissibleWeights,
+    MalformedTrajectory,
     NonFiniteParameter,
     NonIntegerDimension,
     NonintegrableProfile,

@@ -9,6 +9,10 @@ the run.  Numeric text uses the shortest round-trip representation, so
 identical flags produce byte-identical data files; the manifest's
 wall_time_s is the one intentionally nondeterministic field.
 
+main() may be called many times in one process: every call parses with the
+one parser built by its first call, and dispatches to cmd_<subcommand> as
+the module holds it at that moment.
+
 Exit codes: 0 success, 2 invalid parameters, 3 inconclusive numerics,
 4 I/O failure.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -197,7 +202,9 @@ def cmd_bubble(args) -> Output:
     }
     files = {
         "bubble.json": _json_text(payload),
-        "bubble.csv": csv_text(["r", "v", "dv"], zip(r, v, dv)),
+        "bubble.csv": csv_text(
+            ["r", "v", "dv"], zip(r.tolist(), v.tolist(), dv.tolist())
+        ),
     }
     config = {"rmin": args.rmin, "rmax": args.rmax, "samples": args.samples}
     return Output(files, payload["params"], config)
@@ -264,7 +271,9 @@ def cmd_phase(args) -> Output:
     }
     files = {
         "phase.json": _json_text(payload),
-        "cylinder.csv": csv_text(["t", "w", "dw"], zip(cyl.t, cyl.w, cyl.dw)),
+        "cylinder.csv": csv_text(
+            ["t", "w", "dw"], zip(cyl.t.tolist(), cyl.w.tolist(), cyl.dw.tolist())
+        ),
     }
     return Output(files, payload["params"], config.to_dict(), _shot_code(traj))
 
@@ -439,13 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="regime of the existence dichotomy")
     _add_problem_flags(sp)
     _add_out_flags(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("shoot", help="integrate one radial trajectory")
     _add_problem_flags(sp)
     _add_shoot_flags(sp)
     _add_out_flags(sp, plot=True)
-    sp.set_defaults(func=cmd_shoot)
 
     sp = sub.add_parser("threshold", help="bisect the crossing threshold in p")
     _add_problem_flags(sp, with_p=False)
@@ -454,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-3, help="bracket width target")
     _add_shoot_flags(sp, beta=100.0, rmax=1e3)
     _add_out_flags(sp)
-    sp.set_defaults(func=cmd_threshold)
 
     sp = sub.add_parser("bubble", help="exact critical profile and its residual")
     _add_problem_flags(sp, with_p=False)
@@ -464,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmax", type=float, default=1e3, help="last sample radius")
     sp.add_argument("--lambda-scale", type=float, default=None, help="dilation; default normalizes v(0) = 1")
     _add_out_flags(sp, plot=True)
-    sp.set_defaults(func=cmd_bubble)
 
     sp = sub.add_parser("pohozaev", help="ball integral identity along a shot")
     _add_problem_flags(sp)
@@ -472,13 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--traj", default=None, help="reuse a trajectory CSV instead of shooting")
     _add_shoot_flags(sp)
     _add_out_flags(sp)
-    sp.set_defaults(func=cmd_pohozaev)
 
     sp = sub.add_parser("phase", help="cylinder-frame orbit and fixed point")
     _add_problem_flags(sp)
     _add_shoot_flags(sp)
     _add_out_flags(sp, plot=True)
-    sp.set_defaults(func=cmd_phase)
 
     sp = sub.add_parser("ckn", help="weighted Rayleigh quotient best constant")
     sp.add_argument("--N", type=int, required=True, help="space dimension (>= 3)")
@@ -487,23 +490,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=float, default=None, help="norm exponent")
     sp.add_argument("--grid", default=None, help="CSV of a,b rows; q is set by balance")
     _add_out_flags(sp)
-    sp.set_defaults(func=cmd_ckn)
 
     sp = sub.add_parser("sweep", help="batch of shots from a grid file")
     sp.add_argument("--grid", required=True, help="CSV of N,a,b,p rows")
     _add_shoot_flags(sp)
     _add_out_flags(sp, plot=True)
-    sp.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built on the first main call and shared by the rest."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    """Run one subcommand: print its primary payload, then write --out if given."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand: print its primary payload, then write --out if given.
+
+    cmd_<subcommand> is looked up on the module at call time, so a cmd_*
+    function rebound after the parser was built is the one that runs.
+    """
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        output = args.func(args)
+        output = globals()[f"cmd_{args.command}"](args)
         sys.stdout.write(next(iter(output.files.values())))
         if args.out is not None:
             _write_out(args, output, t0)

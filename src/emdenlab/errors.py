@@ -54,6 +54,10 @@ class NonpositiveNode(EmdenLabError):
     """Trajectory node with r <= 0 or v <= 0 where positivity is required."""
 
 
+class MalformedTrajectory(EmdenLabError):
+    """A trajectory CSV row is not three numbers, or its radii do not increase."""
+
+
 class NonpositiveSolution(EmdenLabError):
     """Solution not positive on the requested interval."""
 

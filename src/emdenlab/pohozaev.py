@@ -16,7 +16,8 @@ residual of order one).
 All quadrature here is a function of the stored trajectory nodes alone, so
 a report recomputed from an exported CSV matches the original digit for
 digit.  scipy's CubicSpline is imported on first use, so importing the
-package does not load scipy.
+package does not load scipy.  A trajectory keeps its integrand splines,
+so the reports at several radii build each spline once.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ def weighted_node_integral(
     """int_0^R r^exponent v(r)^power dr from the stored nodes only.
 
     The bulk is a cubic spline in z = log r of r^(exponent+1) v^power
-    integrated exactly; [0, first node] is closed in the leading power
-    approximation v ~ v(r1), which costs O(r1^(exponent+1)) relative and is
-    negligible for any sane hand-off radius.  Needs exponent > -1 and a
+    integrated exactly, built once per trajectory and (exponent, power)
+    and kept on the trajectory for its other radii; [0, first node] is
+    closed in the leading power approximation v ~ v(r1), which costs
+    O(r1^(exponent+1)) relative and is negligible for any sane hand-off
+    radius.  Needs exponent > -1 and a
     positive trajectory up to R.
     """
     r, v = traj.r, traj.v
@@ -76,11 +79,14 @@ def weighted_node_integral(
         raise NonpositiveSolution(f"trajectory not positive on (0, {R}]")
     if exponent <= -1.0:
         raise ValueError(f"exponent = {exponent}: the weight is not integrable at 0")
-    from scipy.interpolate import CubicSpline
+    spline = traj._integrands.get((exponent, power))
+    if spline is None:
+        from scipy.interpolate import CubicSpline
 
-    z = np.log(r)
-    g = np.exp((exponent + 1.0) * z) * v**power
-    bulk = float(CubicSpline(z, g).integrate(z[0], math.log(R)))
+        z = np.log(r)
+        spline = CubicSpline(z, np.exp((exponent + 1.0) * z) * v**power)
+        traj._integrands[exponent, power] = spline
+    bulk = float(spline.integrate(spline.x[0], math.log(R)))
     stub = float(v[0]) ** power * float(r[0]) ** (exponent + 1.0) / (exponent + 1.0)
     return stub + bulk
 

@@ -30,6 +30,11 @@ of held steps at a time, so rejected steps never pay for them.  Its
 numbers agree with shoot's to round-off, amplified only where the answer
 is below the absolute tolerance.
 
+Both sample their stored nodes with one routine (_dense_nodes) from a
+table of DOP853 steps: shoot builds the table from solve_ivp's
+interpolants, a lane from the steps it logged.  solve_ivp's OdeSolution
+evaluates no node.
+
 threshold_bisect shoots its probes in lockstep rounds.  The first round
 holds the bracket's ends, the next four bisection levels and the path the
 serial walk would take if the threshold sat where the first-zero law
@@ -60,8 +65,10 @@ from .closed_forms import first_zero_law
 from .errors import (
     BracketInvalid,
     EmdenLabError,
+    MalformedTrajectory,
     NonFiniteParameter,
     NonMonotoneThreshold,
+    NonpositiveNode,
     RangeExceeded,
 )
 from .params import ProblemParams, Record, derive, p_critical, require_admissible
@@ -166,6 +173,8 @@ class RadialTrajectory:
     outcome: ShotOutcome | None = None
     config: ShootConfig | None = None
     _splines: object = field(default=None, repr=False)
+    # pohozaev's integrand splines, by (exponent, power)
+    _integrands: dict = field(default_factory=dict, repr=False)
 
     def _node_splines(self):
         if self._splines is None:
@@ -203,18 +212,17 @@ class RadialTrajectory:
                 raise RangeExceeded(
                     "r below the first stored node needs the original config"
                 )
-            vb, dvb = _series_values(self.params, self.config.beta, r_arr[below])
+            sigma = derive(self.params).sigma
+            vb, dvb = _series_values(self.params, sigma, self.config.beta, r_arr[below])
             v[below], dv[below] = vb, dvb
         if np.isscalar(r) or np.ndim(r) == 0:
             return float(v[0]), float(dv[0])
         return v, dv
 
 
-def _series_values(params: ProblemParams, beta: float, r):
+def _series_values(params: ProblemParams, sigma: float, beta: float, r):
     """Two-term start v = beta - beta^p r^sigma/(sigma(N+b)), dv its derivative."""
-    d = derive(params)
     N, b, p = params.N, params.b, params.p
-    sigma = d.sigma
     r_arr = np.asarray(r, dtype=float)
     v = beta - beta**p * r_arr**sigma / (sigma * (N + b))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -230,9 +238,12 @@ def series_truncation_estimate(params: ProblemParams, beta: float, eps: float) -
     The maximum of the v-correction (against beta) and the dv-correction
     (against the leading dv term); used to auto-shrink the hand-off radius.
     """
-    d = derive(params)
+    return _truncation(params, derive(params).sigma, beta, eps)
+
+
+def _truncation(params: ProblemParams, sigma: float, beta: float, eps: float) -> float:
+    """series_truncation_estimate with sigma = 2 + b - a already derived."""
     N, b, p = params.N, params.b, params.p
-    sigma = d.sigma
     corr_v = (
         p
         * beta ** (2.0 * (p - 1.0))
@@ -250,25 +261,26 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
     until the next-order correction drops below rel_tol, never going under
     1e-12.  Refuses inadmissible weights (require_admissible), a NaN or
     infinite p (NonFiniteParameter) and p <= 1 (derive's NotInRange).
+    derive runs once per call, however many halvings it takes.
     """
     require_admissible(params)
     if not math.isfinite(params.p):
         raise NonFiniteParameter(f"p = {params.p}, need it finite")
-    d = derive(params)
+    sigma = derive(params).sigma
     eps = config.epsilon0
     if eps is None:
-        eps = 1e-4 * min(1.0, d.sigma)
+        eps = 1e-4 * min(1.0, sigma)
     while eps > _EPS_FLOOR:
-        est = series_truncation_estimate(params, config.beta, eps)
-        if est <= config.rel_tol:
+        if _truncation(params, sigma, config.beta, eps) <= config.rel_tol:
             break
         eps *= 0.5
-    log.debug(
-        "series hand-off at eps=%g, truncation estimate %g",
-        eps,
-        series_truncation_estimate(params, config.beta, eps),
-    )
-    v, dv = _series_values(params, config.beta, eps)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "series hand-off at eps=%g, truncation estimate %g",
+            eps,
+            _truncation(params, sigma, config.beta, eps),
+        )
+    v, dv = _series_values(params, sigma, config.beta, eps)
     return eps, float(v), float(dv)
 
 
@@ -310,7 +322,11 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     from scipy's root refinement on the dense output, accurate to far
     better than the 1e-8 relative contract.  solve_ivp is whatever the
     module attribute shooting.solve_ivp is at call time (scipy's, imported
-    on first use, unless it has been rebound).
+    on first use, unless it has been rebound).  The nodes are sampled by
+    the lockstep's sampler (_dense_nodes) from a table of the run's
+    interpolants, each with its own h, since the last step runs past a
+    terminal event; OdeSolution itself evaluates no node, and the values
+    are the ones it would give, bit for bit.
     """
     eps, v0, dv0 = series_start(params, config)
     if eps >= config.r_max:
@@ -336,7 +352,10 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     crossed = sol.t_events[0].size > 0
     r_end = float(sol.t[-1])
     nodes = _node_grid(eps, r_end, config.nodes_per_decade)
-    v, dv = sol.sol(nodes)
+    steps = np.array(
+        [(0.0, s.t_old, s.h, *s.y_old, *s.F.ravel()) for s in sol.sol.interpolants]
+    )
+    v, dv = _dense_nodes(steps, nodes)
     traj = _pinned_trajectory(params, config, nodes, v, dv, (eps, v0, dv0), crossed)
     if sol.status == -1 and not crossed:
         traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {sol.message}")
@@ -770,17 +789,21 @@ def _dense_v(r, step):
 
 
 def _dense_nodes(steps, nodes):
-    """(v, dv) at sorted nodes from a lane's logged steps, as OdeSolution does it."""
-    t_old, h = steps[:, 1], steps[:, 2]
-    F = steps[:, 5:].reshape(len(steps), -1, 2)
-    seg = np.searchsorted(np.append(t_old, nodes[-1]), nodes, side="left") - 1
-    seg = np.clip(seg, 0, len(steps) - 1)
-    x = ((nodes - t_old[seg]) / h[seg])[:, None]
+    """(v, dv) at sorted nodes from rows of a step table, as OdeSolution does it.
+
+    Rows are (lane, t_old, h, v_old, dv_old, F) as _StepLog holds them;
+    a node on a step boundary is read from the earlier step.  Each node's
+    row is gathered once, and the arithmetic is Dop853DenseOutput's.
+    """
+    seg = np.searchsorted(steps[:, 1], nodes, side="left") - 1
+    rows = steps[np.clip(seg, 0, len(steps) - 1)]
+    F = rows[:, 5:].reshape(len(nodes), -1, 2)
+    x = ((nodes - rows[:, 1]) / rows[:, 2])[:, None]
     y = np.zeros((len(nodes), 2))
     for i in range(F.shape[1]):
-        y += F[seg, -1 - i]
+        y += F[:, -1 - i]
         y *= x if i % 2 == 0 else 1 - x
-    y += steps[seg, 3:5]
+    y += rows[:, 3:5]
     return y[:, 0], y[:, 1]
 
 
@@ -927,7 +950,8 @@ def csv_text(header, rows) -> str:
 
 def trajectory_csv(traj: RadialTrajectory) -> str:
     """The nodes as `r,v,dv` CSV text; trajectory_from_csv reads it back exactly."""
-    return csv_text(["r", "v", "dv"], zip(traj.r, traj.v, traj.dv))
+    columns = traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()
+    return csv_text(["r", "v", "dv"], zip(*columns))
 
 
 def trajectory_to_csv(traj: RadialTrajectory, path) -> None:
@@ -939,20 +963,37 @@ def trajectory_to_csv(traj: RadialTrajectory, path) -> None:
 def trajectory_from_csv(
     path, params: ProblemParams, config: ShootConfig | None = None
 ) -> RadialTrajectory:
-    """Rebuild a trajectory from its CSV; node data round-trips exactly."""
+    """Rebuild a trajectory from its CSV; node data round-trips exactly.
+
+    Refuses a header other than r,v,dv, fewer than two nodes, a row that
+    is not three numbers and radii that do not strictly increase
+    (MalformedTrajectory), a NaN or infinite value (NonFiniteParameter)
+    and a radius r <= 0 (NonpositiveNode).
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["r", "v", "dv"]:
-            raise ValueError(f"unexpected trajectory header {header!r}")
+            raise MalformedTrajectory(f"unexpected trajectory header {header!r}")
         for line in reader:
-            rows.append((float(line[0]), float(line[1]), float(line[2])))
+            try:
+                r, v, dv = map(float, line)
+            except ValueError:
+                raise MalformedTrajectory(
+                    f"row {reader.line_num} {line!r} is not three numbers r,v,dv"
+                ) from None
+            rows.append((r, v, dv))
     if len(rows) < 2:
-        raise ValueError("trajectory CSV needs at least two nodes")
+        raise MalformedTrajectory("trajectory CSV needs at least two nodes")
     arr = np.asarray(rows, dtype=float)
-    traj = RadialTrajectory(
-        params=params, r=arr[:, 0], v=arr[:, 1], dv=arr[:, 2], config=config
-    )
+    if not np.isfinite(arr).all():
+        raise NonFiniteParameter("trajectory CSV holds a NaN or infinite value")
+    r = arr[:, 0]
+    if not r[0] > 0.0:
+        raise NonpositiveNode(f"trajectory CSV starts at r = {float(r[0])!r}, need r > 0")
+    if not (r[1:] > r[:-1]).all():
+        raise MalformedTrajectory("trajectory CSV radii do not strictly increase")
+    traj = RadialTrajectory(params=params, r=r, v=arr[:, 1], dv=arr[:, 2], config=config)
     traj.outcome = classify_trajectory(traj)
     return traj

@@ -211,6 +211,27 @@ def test_pohozaev_round_trip_reuses_the_exported_trajectory(capsys, tmp_path):
     assert json.loads(out_one)["reports"] == json.loads(out_two)["reports"]
 
 
+@pytest.mark.parametrize(
+    "nodes, error",
+    [
+        ("0.5,1.0,0.0\n1.0,0.9\n", "MalformedTrajectory"),
+        ("1.0,0.9,-0.1\n0.5,1.0,0.0\n", "MalformedTrajectory"),
+        ("0.5,nan,0.0\n1.0,0.9,-0.1\n", "NonFiniteParameter"),
+        ("0.0,1.0,0.0\n1.0,0.9,-0.1\n", "NonpositiveNode"),
+    ],
+    ids=["two_columns", "decreasing_r", "nan_v", "zero_r"],
+)
+def test_pohozaev_refuses_a_malformed_trajectory_file(capsys, tmp_path, nodes, error):
+    path = tmp_path / "bad.csv"
+    path.write_text("r,v,dv\n" + nodes)
+    code, out, err = run(
+        capsys, "pohozaev", "--N", "3", "--a", "0", "--b", "0", "--p", "3",
+        "--radii", "0.75", "--traj", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"{error}: ")
+
+
 def test_repeat_runs_are_byte_identical_except_wall_time(capsys, tmp_path):
     dirs = [tmp_path / "r1", tmp_path / "r2"]
     for d in dirs:
@@ -465,6 +486,31 @@ def test_every_subcommand_keeps_the_output_contract(capsys, tmp_path, argv, prim
     assert run(capsys, *argv, "--emit-plot", "--out", str(plot))[0] == code
     assert outputs(plot) == files | {f"{argv[0]}.gp"}
     assert (plot / f"{argv[0]}.gp").read_text().startswith("# gnuplot")
+
+
+def test_main_calls_share_one_parser_and_dispatch_at_call_time(capsys, monkeypatch):
+    from emdenlab import cli
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    argv = ["classify", "--N", "3", "--a", "0", "--b", "0", "--p", "5"]
+    assert run(capsys, *argv)[0] == 0
+    first = run(capsys, *argv)
+    assert built == [1]
+
+    seen = []
+
+    def fake_shoot(args):
+        seen.append(args.p)
+        return cli.Output({"shoot.json": "{}\n"}, {}, {}, 0)
+
+    monkeypatch.setattr(cli, "cmd_shoot", fake_shoot)
+    shot = run(capsys, "shoot", "--N", "3", "--a", "0", "--b", "0", "--p", "3")
+    assert shot == (0, "{}\n", "")
+    assert seen == [3.0] and built == [1]
+    assert run(capsys, *argv) == first
 
 
 def test_io_failure_exits_4(capsys):

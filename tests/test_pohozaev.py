@@ -127,6 +127,19 @@ def test_weighted_node_integral_on_exact_power_data():
     assert val == pytest.approx(5.0, rel=1e-10)
 
 
+def test_reports_are_the_same_with_the_integrand_kept_between_radii():
+    params = E.ProblemParams(3, 0.0, 0.0, 3.0)
+    traj = E.shoot(params, E.ShootConfig(beta=0.5, r_max=20.0))
+    radii = [0.5, 1.0, 2.0, 4.0, 8.0]
+    kept = [E.ball_identity(traj, R) for R in radii]
+    fresh = [
+        E.ball_identity(E.RadialTrajectory(params, traj.r, traj.v, traj.dv), R)
+        for R in radii
+    ]
+    assert kept == fresh
+    assert len(traj._integrands) == 1
+
+
 def test_report_is_reproducible_from_exported_nodes(tmp_path):
     params = E.ProblemParams(3, 0.0, 0.0, 3.0)
     traj = E.shoot(params, E.ShootConfig(beta=0.5, r_max=20.0))

@@ -512,6 +512,82 @@ def test_batched_sweep_matches_single_shots():
             assert got.oscillation_count == ref.oscillation_count
 
 
+def _captured_solve_ivp(monkeypatch):
+    """Rebind shooting.solve_ivp to scipy's, keeping every run's result in a list."""
+    from scipy.integrate import solve_ivp
+
+    from emdenlab import shooting
+
+    runs = []
+
+    def capturing(*args, **kwargs):
+        runs.append(solve_ivp(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(shooting, "solve_ivp", capturing)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "p, kind",
+    [(3.0, E.CrossedZero), (5.0, E.PositiveGlobal), (12.0, E.ConvergedToSingular)],
+    ids=["crossing", "positive", "singular"],
+)
+def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
+    runs = _captured_solve_ivp(monkeypatch)
+    config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, p), config)
+    assert isinstance(traj.outcome, kind)
+    [sol] = runs
+    v, dv = sol.sol(traj.r)
+    # the series start is pinned first, and a crossing's zero last
+    last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
+    assert np.array_equal(traj.v[1:last], v[1:last])
+    assert np.array_equal(traj.dv[1:], dv[1:])
+
+
+def _dense_nodes_per_coefficient(steps, nodes):
+    """The step-table sampler as it was: one gather per coefficient."""
+    t_old, h = steps[:, 1], steps[:, 2]
+    F = steps[:, 5:].reshape(len(steps), -1, 2)
+    seg = np.searchsorted(np.append(t_old, nodes[-1]), nodes, side="left") - 1
+    seg = np.clip(seg, 0, len(steps) - 1)
+    x = ((nodes - t_old[seg]) / h[seg])[:, None]
+    y = np.zeros((len(nodes), 2))
+    for i in range(F.shape[1]):
+        y += F[seg, -1 - i]
+        y *= x if i % 2 == 0 else 1 - x
+    y += steps[seg, 3:5]
+    return y[:, 0], y[:, 1]
+
+
+def test_row_gather_sampler_matches_the_per_coefficient_loop(monkeypatch):
+    from emdenlab import shooting
+
+    runs = _captured_solve_ivp(monkeypatch)
+    traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
+    steps = np.array(
+        [(0.0, s.t_old, s.h, *s.y_old, *s.F.ravel()) for s in runs[0].sol.interpolants]
+    )
+    # the shot's nodes, then every step boundary and the crossing itself
+    for nodes in (traj.r, np.append(steps[:, 1], traj.r[-1])):
+        got = shooting._dense_nodes(steps, nodes)
+        ref = _dense_nodes_per_coefficient(steps, nodes)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_series_start_derives_once_however_often_it_halves(monkeypatch):
+    from emdenlab import shooting
+
+    calls = []
+    derive = shooting.derive
+    monkeypatch.setattr(shooting, "derive", lambda params: calls.append(1) or derive(params))
+    config = E.ShootConfig(beta=100.0)
+    eps, _, _ = shooting.series_start(UNWEIGHTED_CUBIC, config)
+    assert eps < 1e-4 / 8  # several halvings
+    assert len(calls) == 1
+
+
 def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
     # A field that turns to NaN from r = 2 on makes DOP853 reject and shrink
     # its step below the spacing of floats just short of r = 2, on both paths.
@@ -570,6 +646,34 @@ def test_csv_rejects_malformed_input(tmp_path):
     path.write_text("r,v,dv\n1.0,1.0,0.0\n")
     with pytest.raises(ValueError):
         E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
+
+
+@pytest.mark.parametrize(
+    "nodes, error",
+    [
+        (None, "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n2.0,0.5\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n2.0,0.5,-0.1,7.0\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n\n2.0,0.5,-0.1\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n2.0,half,-0.1\n", "MalformedTrajectory"),
+        ("2.0,1.0,0.0\n1.0,0.5,-0.1\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n1.0,0.5,-0.1\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\nnan,0.5,-0.1\n", "NonFiniteParameter"),
+        ("1.0,nan,0.0\n2.0,0.5,-0.1\n", "NonFiniteParameter"),
+        ("1.0,1.0,0.0\n2.0,0.5,-inf\n", "NonFiniteParameter"),
+        ("0.0,1.0,0.0\n2.0,0.5,-0.1\n", "NonpositiveNode"),
+        ("-1.0,1.0,0.0\n2.0,0.5,-0.1\n", "NonpositiveNode"),
+    ],
+    ids=["empty_file", "two_columns", "four_columns", "blank_row", "non_numeric",
+         "decreasing_r", "repeated_r", "nan_r", "nan_v", "infinite_dv", "zero_r",
+         "negative_r"],
+)
+def test_csv_refuses_malformed_nodes_with_a_named_error(tmp_path, nodes, error):
+    path = tmp_path / "bad.csv"
+    path.write_text("" if nodes is None else "r,v,dv\n" + nodes)
+    with pytest.raises(E.EmdenLabError) as info:
+        E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
+    assert type(info.value).__name__ == error
 
 
 def test_config_validation():
