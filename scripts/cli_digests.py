@@ -1,0 +1,115 @@
+"""Digests of the data files a fixed list of CLI calls writes.
+
+Runs every subcommand in-process on fixed inputs, each with its own --out
+directory, and prints one line per data file, "<sha256>  <call>/<file>",
+plus "exit <code>  <call>" per call.  manifest.json is digested without
+its wall_time_s, the one field meant to differ between runs.  Two trees
+write byte-identical files exactly when their listings are equal:
+
+    python scripts/cli_digests.py > after.txt
+    python scripts/cli_digests.py --src ../other-checkout/src > before.txt
+    diff before.txt after.txt
+
+--keep DIR leaves the files in DIR for a closer look.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+CUBIC = ["--N", "3", "--a", "0", "--b", "0"]
+
+# (name, argv): pohozaev-traj reads the trajectory pohozaev wrote
+CALLS = [
+    ("classify-sub", ["classify", *CUBIC, "--p", "3"]),
+    ("classify-weighted", ["classify", "--N", "4", "--a", "0.5", "--b", "1", "--p", "10"]),
+    ("shoot-crossing", ["shoot", *CUBIC, "--p", "3", "--rmax", "10", "--emit-plot"]),
+    ("shoot-weighted", ["shoot", "--N", "3", "--a", "0.5", "--b", "1", "--p", "4",
+                        "--beta", "100"]),
+    ("shoot-positive", ["shoot", *CUBIC, "--p", "5", "--rmax", "50"]),
+    ("shoot-singular", ["shoot", *CUBIC, "--p", "12", "--rmax", "1000"]),
+    ("shoot-inconclusive", ["shoot", *CUBIC, "--p", "5", "--rmax", "2"]),
+    ("threshold", ["threshold", *CUBIC, "--p-lo", "4.5", "--p-hi", "5.5"]),
+    ("bubble", ["bubble", *CUBIC, "--emit-plot"]),
+    ("bubble-scaled", ["bubble", "--N", "4", "--a", "0.5", "--b", "1",
+                       "--lambda-scale", "2.5", "--samples", "50"]),
+    ("pohozaev", ["pohozaev", *CUBIC, "--p", "3", "--beta", "0.5", "--rmax", "20",
+                  "--radii", "0.5,1,2,4,8"]),
+    ("pohozaev-traj", ["pohozaev", *CUBIC, "--p", "3", "--radii", "0.5,1,2,4,8",
+                       "--traj", "{pohozaev}/trajectory.csv"]),
+    ("phase-super", ["phase", *CUBIC, "--p", "12", "--rmax", "1000", "--emit-plot"]),
+    ("phase-sub", ["phase", *CUBIC, "--p", "2.5", "--rmax", "100"]),
+    ("ckn", ["ckn", "--N", "3", "--a", "0", "--b", "0", "--q", "6"]),
+    ("ckn-grid", ["ckn", "--N", "3", "--grid", "{grids}/ckn.csv"]),
+    ("sweep", ["sweep", "--grid", "{grids}/sweep.csv", "--rmax", "100", "--emit-plot"]),
+]
+
+GRIDS = {
+    # values, a refusal below the band, NaN, symmetry breaking, bad balance
+    "ckn.csv": "a,b\n0,0\n0.5,1\n-0.5,-1\n1,-1.5\nnan,0\n0,inf\n2,5.5\n0,-2.5\n",
+    # crossing, positive, a fractional and a too-small N, NaN, p <= 1
+    "sweep.csv": "N,a,b,p\n3,0,0,3\n3,0,0,5\n3.5,0,0,3\n2,0,0,3\n3,nan,0,3\n3,0,0,1\n"
+                 "4,0.5,1,4\n",
+}
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("wall_time_s", None)
+        data = json.dumps(manifest, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(root: str) -> list[str]:
+    """Run CALLS with their outputs under root; the listing lines."""
+    from emdenlab import cli
+
+    grids = os.path.join(root, "grids")
+    os.makedirs(grids, exist_ok=True)
+    for name, text in GRIDS.items():
+        with open(os.path.join(grids, name), "w", newline="") as fh:
+            fh.write(text)
+    dirs = {"grids": grids}
+    lines = []
+    for name, argv in CALLS:
+        out = dirs[name] = os.path.join(root, name)
+        argv = [arg.format(**dirs) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--out", out])
+        lines.append(f"exit {code}  {name}")
+        if os.path.isdir(out):
+            lines += [f"{_digest(os.path.join(out, f))}  {name}/{f}"
+                      for f in sorted(os.listdir(out))]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    here = os.path.dirname(os.path.abspath(__file__))
+    parser.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
+                        help="directory holding the emdenlab package (default: this repo's)")
+    parser.add_argument("--keep", default=None, help="write the files here and keep them")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    if args.keep is not None:
+        lines = run(os.path.abspath(args.keep))
+    else:
+        with tempfile.TemporaryDirectory() as root:
+            lines = run(root)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

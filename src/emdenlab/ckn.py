@@ -81,9 +81,10 @@ _T_DECAY = 80.0
 _T_REL = 1e-14
 _T_MAX_NODES = 2**20
 
-# natural logs of the largest and smallest normal doubles
+# natural and binary logs of the largest and smallest normal doubles
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
+_LOG2_MAX, _LOG2_MIN = sys.float_info.max_exp, sys.float_info.min_exp - 1
 
 RadialProfile = Callable[[float], Tuple[float, float]]
 ArrayProfile = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -345,6 +346,22 @@ def _pointwise(profile: RadialProfile) -> ArrayProfile:
     return on_array
 
 
+def _amplitude_shift(profile: RadialProfile, q: float) -> int:
+    """k such that energy integrates profile / 2^k; 0 unless the stub needs it.
+
+    k is the binary exponent of v at the origin stub, taken only when
+    |v|^q there lies outside 2^(+-256): dividing by a power of two is
+    exact, and every other profile keeps its bits.
+    """
+    try:
+        v0 = abs(float(profile(_R_ORIGIN)[0]))
+    except ArithmeticError:
+        return 0
+    if not 0.0 < v0 < math.inf or q * abs(math.log2(v0)) <= 256.0:
+        return 0
+    return math.frexp(v0)[1]
+
+
 def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
     """Rayleigh quotient of a radial profile handle r -> (v, v').
 
@@ -353,10 +370,21 @@ def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
     takes scalar radii; it is called point by point.  The quadrature is
     the decade-wise adaptive GK21 of _integrate_radial, not best_constant's
     trapezoid: a handle may be only finitely smooth (a C^2 bump, say), and
-    there a global trapezoid converges only algebraically.
+    there a global trapezoid converges only algebraically.  The quotient
+    does not change with the amplitude, so a profile whose |v|^q would
+    leave double range at the origin stub is integrated divided by a power
+    of two (_amplitude_shift) and its norms scaled back; a norm that is
+    then not a double raises NormOutOfRange, as in best_constant.
     """
     _validate_triple(triple)
     N, a, b, q = triple.N, triple.a, triple.b, triple.q
+    shift = _amplitude_shift(profile, q)
+    if shift:
+        unscaled = profile
+
+        def profile(r):
+            return tuple(math.ldexp(x, -shift) for x in unscaled(r))
+
     on_array = _pointwise(profile)
     omega = sphere_area(N)
     grad = omega * _integrate_radial(
@@ -371,6 +399,14 @@ def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
     rayleigh = grad / q_norm**2
     if not rayleigh > 0.0:
         raise ValueError(f"quotient came out nonpositive: {rayleigh}")
+    if shift:
+        for name, value, k in (("gradient norm", grad, 2 * shift), ("decay norm", q_norm, shift)):
+            log2 = math.log2(value) + k
+            if not _LOG2_MIN <= log2 < _LOG2_MAX:
+                raise NormOutOfRange(
+                    f"{name} of the profile is 2^{log2:.1f}, outside double range"
+                )
+        grad, q_norm = math.ldexp(grad, 2 * shift), math.ldexp(q_norm, shift)
     return EnergyReport(
         grad_norm_sq=grad,
         q_norm=q_norm,

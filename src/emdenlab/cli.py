@@ -202,9 +202,7 @@ def cmd_bubble(args) -> Output:
     }
     files = {
         "bubble.json": _json_text(payload),
-        "bubble.csv": csv_text(
-            ["r", "v", "dv"], zip(r.tolist(), v.tolist(), dv.tolist())
-        ),
+        "bubble.csv": csv_text(["r", "v", "dv"], [r.tolist(), v.tolist(), dv.tolist()]),
     }
     config = {"rmin": args.rmin, "rmax": args.rmax, "samples": args.samples}
     return Output(files, payload["params"], config)
@@ -230,12 +228,15 @@ def cmd_pohozaev(args) -> Output:
     }
     header = ["R", "interior", "boundary1", "boundary2", "boundary3",
               "residual", "relative_residual"]
-    rows = (
+    rows = [
         [rep.R, rep.interior_integral, rep.boundary_1, rep.boundary_2,
          rep.boundary_3, rep.residual, rep.relative_residual]
         for rep in reports
-    )
-    files = {"pohozaev.json": _json_text(payload), "pohozaev.csv": csv_text(header, rows)}
+    ]
+    files = {
+        "pohozaev.json": _json_text(payload),
+        "pohozaev.csv": csv_text(header, list(zip(*rows))),
+    }
     if args.traj is None:
         files["trajectory.csv"] = trajectory_csv(traj)
     return Output(files, payload["params"], config)
@@ -272,7 +273,7 @@ def cmd_phase(args) -> Output:
     files = {
         "phase.json": _json_text(payload),
         "cylinder.csv": csv_text(
-            ["t", "w", "dw"], zip(cyl.t.tolist(), cyl.w.tolist(), cyl.dw.tolist())
+            ["t", "w", "dw"], [cyl.t.tolist(), cyl.w.tolist(), cyl.dw.tolist()]
         ),
     }
     return Output(files, payload["params"], config.to_dict(), _shot_code(traj))
@@ -298,7 +299,8 @@ def _ckn_row(N: int, a: float, b: float) -> list:
 def cmd_ckn(args) -> Output:
     if args.grid is not None:
         rows = [_ckn_row(args.N, a, b) for a, b in _read_grid(args.grid, 2)]
-        files = {"ckn_grid.csv": csv_text(["a", "b", "q", "s_estimate", "fs_flag"], rows)}
+        columns = list(zip(*rows))
+        files = {"ckn_grid.csv": csv_text(["a", "b", "q", "s_estimate", "fs_flag"], columns)}
         params = {"N": args.N, "grid": os.path.basename(args.grid)}
         return Output(files, params, {"rows": len(rows)})
     if args.a is None or args.b is None or args.q is None:
@@ -337,7 +339,7 @@ def cmd_sweep(args) -> Output:
         for params, outcome in zip(rows, outcomes)
     )
     table = ([row.get(name, "") for name in _SWEEP_COLUMNS] for row in cells)
-    files = {"sweep.csv": csv_text(_SWEEP_COLUMNS, table)}
+    files = {"sweep.csv": csv_text(_SWEEP_COLUMNS, list(zip(*table)))}
     params = {"grid": os.path.basename(args.grid), "rows": len(rows)}
     return Output(files, params, config.to_dict())
 

@@ -39,7 +39,7 @@ class NotInSerrinSupercriticalRange(EmdenLabError):
 
 
 class NotInRange(EmdenLabError):
-    """Exponent outside the range where the requested object exists."""
+    """A finite value outside the range where the requested object exists."""
 
 
 class NonpositiveRadius(EmdenLabError):

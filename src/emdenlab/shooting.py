@@ -19,21 +19,24 @@ which the threshold search exploits: probing at large beta compresses huge
 beta = 1 crossing radii into a modest window, so a fixed horizon loses
 almost no resolution near the critical exponent.
 
-Single shots (shoot) run scipy's DOP853 via solve_ivp.  Batches
-(sweep_shoot, and through it threshold_bisect) run a lockstep port of the
-same DOP853 that advances every row at once as numpy arrays, one step per
-row per iteration, with each row's own step size, error control, crossing
-refinement and node sampling.  An iteration evaluates the field 12 times
-(the step's stages and the field at its end); the three dense-output
-stages of accepted steps are built later in bulk, for a bounded buffer
-of held steps at a time, so rejected steps never pay for them.  Its
-numbers agree with shoot's to round-off, amplified only where the answer
-is below the absolute tolerance.
+Single shots (shoot) and batches (sweep_shoot, and through it
+threshold_bisect) run one method, DOP853 as scipy's solve_ivp drives it,
+with one tableau (_tableau), initial step, step control, crossing rule and
+node sampler.  Only the array layout differs.  A shot is a scalar step
+loop on Python floats (_scalar_dop853): one lane pays no numpy call
+overhead.  A batch is a lockstep that advances every row at once as numpy
+arrays, one step per row per iteration, with each row's own step size,
+error control, crossing refinement and node sampling.  An iteration
+evaluates the field 12 times (the step's stages and the field at its
+end); the three dense-output stages of accepted steps are built later in
+bulk, for a bounded buffer of held steps at a time, so rejected steps
+never pay for them.  Both sum stages in stage order; the powers in the
+field round differently (the C library's against numpy's), so a shot and
+a lane agree to round-off, amplified only where the answer is below the
+absolute tolerance.
 
 Both sample their stored nodes with one routine (_dense_nodes) from a
-table of DOP853 steps: shoot builds the table from solve_ivp's
-interpolants, a lane from the steps it logged.  solve_ivp's OdeSolution
-evaluates no node.
+table of accepted DOP853 steps in one row layout (_StepLog).
 
 threshold_bisect shoots its probes in lockstep rounds.  The first round
 holds the bracket's ends, the next four bisection levels and the path the
@@ -42,10 +45,10 @@ serial walk would take if the threshold sat where the first-zero law
 whole walk reads its decisions from that one round.  Later rounds, needed
 only where the path runs out, shoot four levels each.
 
-scipy is imported on first use, not with the package: solve_ivp by the
-first shoot (through the module attribute, so a caller may rebind it),
-brentq and CubicSpline where a crossing is refined or a node spline
-built, and the DOP853 tableau by the first sweep_shoot (_tableau).
+scipy is imported on first use, not with the package: the DOP853 tableau
+by the first shot (_tableau), brentq and CubicSpline where a crossing is
+refined or a node spline built.  No shot calls solve_ivp; the module
+still names it (imported on first lookup), for callers that read it.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import logging
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
@@ -69,6 +72,7 @@ from .errors import (
     NonFiniteParameter,
     NonMonotoneThreshold,
     NonpositiveNode,
+    NotInRange,
     RangeExceeded,
 )
 from .params import ProblemParams, Record, derive, p_critical, require_admissible
@@ -97,6 +101,8 @@ class ShootConfig(Record):
     next-order series term is below rel_tol".  nodes_per_decade controls the
     stored log-uniform grid; everything downstream that must be reproducible
     from a CSV (the integral identities in particular) uses only these nodes.
+    A NaN or infinite knob raises NonFiniteParameter, a finite one out of
+    its range NotInRange.
     """
 
     beta: float = 1.0
@@ -109,22 +115,26 @@ class ShootConfig(Record):
     min_fit_radius: float = 10.0
 
     def __post_init__(self):
-        for name in ("beta", "r_max", "rel_tol", "abs_tol", "epsilon0"):
+        for name in ("beta", "r_max", "rel_tol", "abs_tol", "epsilon0", "nodes_per_decade",
+                     "delta_fp", "min_fit_radius"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise NonFiniteParameter(f"{name} = {value}, need it finite")
         if not self.beta > 0:
-            raise ValueError(f"beta = {self.beta}, need it positive")
+            raise NotInRange(f"beta = {self.beta}, need it positive")
         if not self.r_max >= 1.0:
-            raise ValueError(f"r_max = {self.r_max}, need r_max >= 1")
+            raise NotInRange(f"r_max = {self.r_max}, need r_max >= 1")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
             if not 0.0 < tol <= 1e-3:
-                raise ValueError(f"{name} = {tol}, need it in (0, 1e-3]")
+                raise NotInRange(f"{name} = {tol}, need it in (0, 1e-3]")
         if self.epsilon0 is not None and not 0.0 < self.epsilon0 < 1.0:
-            raise ValueError(f"epsilon0 = {self.epsilon0}, need it in (0, 1)")
-        if self.nodes_per_decade < 4:
-            raise ValueError("nodes_per_decade < 4 cannot support the spline")
+            raise NotInRange(f"epsilon0 = {self.epsilon0}, need it in (0, 1)")
+        n = self.nodes_per_decade
+        if not (n >= 4 and n == int(n)):
+            raise NotInRange(
+                f"nodes_per_decade = {n}, need a whole number >= 4 for the spline"
+            )
 
 
 @dataclass(frozen=True)
@@ -285,15 +295,22 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
 
 
 def _make_rhs(params: ProblemParams):
+    """The radial field (r, (v, dv)) -> (dv, dv') of one shot, on Python floats.
+
+    A power that overflows reads inf, as numpy's does, instead of raising.
+    """
     N, a, b, p = params.N, params.a, params.b, params.p
     coeff = N - 1.0 + a
     w = b - a
 
     def rhs(r, y):
         v, dv = y
+        try:
+            source = r**w * abs(v) ** p
+        except OverflowError:
+            source = math.inf
         # odd extension keeps the vector field smooth through v = 0
-        source = abs(v) ** p if v >= 0.0 else -(abs(v) ** p)
-        return (dv, -coeff / r * dv - r**w * source)
+        return (dv, -coeff / r * dv - (source if v >= 0.0 else -source))
 
     return rhs
 
@@ -318,49 +335,22 @@ def _pinned_trajectory(params, config, nodes, v, dv, start, crossed):
 def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialTrajectory:
     """Integrate one trajectory and classify it.
 
-    DOP853 with a terminal zero-crossing event; the crossing radius comes
-    from scipy's root refinement on the dense output, accurate to far
-    better than the 1e-8 relative contract.  solve_ivp is whatever the
-    module attribute shooting.solve_ivp is at call time (scipy's, imported
-    on first use, unless it has been rebound).  The nodes are sampled by
-    the lockstep's sampler (_dense_nodes) from a table of the run's
-    interpolants, each with its own h, since the last step runs past a
-    terminal event; OdeSolution itself evaluates no node, and the values
-    are the ones it would give, bit for bit.
+    DOP853 as a scalar step loop on Python floats (_scalar_dop853), which
+    shares the lockstep's tableau, initial step, step control, crossing
+    rule and node sampler; the field is _make_rhs(params), looked up at
+    call time.  The run stops at the first step that starts at v >= 0 and
+    ends at v <= 0; the crossing radius is refined by brentq on that
+    step's dense output, accurate to far better than the 1e-8 relative
+    contract.  The nodes are sampled by _dense_nodes from the run's table
+    of accepted steps.  A run that fails the minimum-step test keeps the
+    nodes it reached and is Inconclusive.
     """
-    eps, v0, dv0 = series_start(params, config)
-    if eps >= config.r_max:
-        raise ValueError(f"epsilon0 = {eps} >= r_max = {config.r_max}")
-
-    def crossing(r, y):
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-
-    # looked up on the module at call time, so a rebound solve_ivp is used
-    sol = sys.modules[__name__].solve_ivp(
-        _make_rhs(params),
-        (eps, config.r_max),
-        (v0, dv0),
-        method="DOP853",
-        rtol=config.rel_tol,
-        atol=config.abs_tol * max(1.0, config.beta),
-        events=crossing,
-        dense_output=True,
-    )
-    crossed = sol.t_events[0].size > 0
-    r_end = float(sol.t[-1])
-    nodes = _node_grid(eps, r_end, config.nodes_per_decade)
-    steps = np.array(
-        [(0.0, s.t_old, s.h, *s.y_old, *s.F.ravel()) for s in sol.sol.interpolants]
-    )
+    start = series_start(params, config)
+    steps, r_end, crossed, stopped = _scalar_dop853(_make_rhs(params), start, config)
+    nodes = _node_grid(start[0], r_end, config.nodes_per_decade)
     v, dv = _dense_nodes(steps, nodes)
-    traj = _pinned_trajectory(params, config, nodes, v, dv, (eps, v0, dv0), crossed)
-    if sol.status == -1 and not crossed:
-        traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {sol.message}")
-    else:
-        traj.outcome = classify_trajectory(traj)
+    traj = _pinned_trajectory(params, config, nodes, v, dv, start, crossed)
+    traj.outcome = _stopped_at(r_end) if stopped else classify_trajectory(traj)
     return traj
 
 
@@ -494,8 +484,8 @@ def threshold_bisect(
     """Bisect the crossing/no-crossing boundary in p.
 
     The lower endpoint must cross, the upper must not, else BracketInvalid;
-    weights the shooter refuses raise its errors, and a NaN or infinite
-    tol_p raises NonFiniteParameter.  Probes are shot in
+    weights the shooter refuses raise its errors, a NaN or infinite tol_p
+    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  Probes are shot in
     rounds through sweep_shoot, and the serial walk then reads its
     decisions from them, so the result is the serial bisection's bit for
     bit.  The first round shoots the two ends, every midpoint of the next
@@ -521,7 +511,7 @@ def threshold_bisect(
     if not math.isfinite(tol_p):
         raise NonFiniteParameter(f"tol_p = {tol_p}, need it finite")
     if not tol_p > 0:
-        raise ValueError(f"tol_p = {tol_p}, need it positive")
+        raise NotInRange(f"tol_p = {tol_p}, need it positive")
     require_admissible(ProblemParams(N, a, b, p_lo))
     rounds = 0
 
@@ -560,10 +550,11 @@ def threshold_bisect(
 
 
 # DOP853 step for step as scipy's solve_ivp drives it (Hairer, Norsett and
-# Wanner, Solving ODEs I, sections II.5 and II.10), advanced over many lanes
-# at once.  Sums and powers round differently from scipy's, so lane results
-# match shoot's to round-off, not bit for bit.  The sizes of the method are
-# checked against scipy's when its tableau loads.
+# Wanner, Solving ODEs I, sections II.5 and II.10), for one lane on Python
+# floats (_scalar_dop853) or many lanes at once (sweep_shoot).  Sums and
+# powers round differently from scipy's, so results match solve_ivp's to
+# round-off, not bit for bit.  The sizes of the method are checked against
+# scipy's when its tableau loads.
 _STAGES = 12  # stages of a step
 _STAGES_EXTENDED = 16  # with the field at the step's end and 3 dense-output stages
 _INTERPOLATOR_POWER = 7
@@ -590,7 +581,7 @@ class _Tableau(NamedTuple):
 
 @functools.cache
 def _tableau() -> _Tableau:
-    """scipy's DOP853 tableau, imported and shaped once, on the first sweep_shoot."""
+    """scipy's DOP853 tableau, imported and shaped once, on the first shot."""
     from scipy.integrate._ivp import dop853_coefficients as dop
 
     sizes = (dop.N_STAGES, dop.N_STAGES_EXTENDED, dop.INTERPOLATOR_POWER)
@@ -672,15 +663,18 @@ def _rms(x):
     return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
 
 
-def _initial_step(t0, y0, f0, t_bound, fld, rtol, atol):
-    """scipy's select_initial_step for every lane (error estimator order 7)."""
+def _initial_step(t0, y0, f0, t_bound, field, rtol, atol):
+    """scipy's select_initial_step for every lane (error estimator order 7).
+
+    field(r, y, out) writes the lanes' field at radii r and states y into out.
+    """
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval)
     f1 = np.empty_like(y0)
-    _lane_rhs(t0 + h0, y0 + h0[:, None] * f0, fld, f1)
+    field(t0 + h0, y0 + h0[:, None] * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
@@ -807,6 +801,166 @@ def _dense_nodes(steps, nodes):
     return y[:, 0], y[:, 1]
 
 
+def _stopped_at(r: float) -> Inconclusive:
+    """The outcome of a run that failed the minimum-step test at radius r."""
+    return Inconclusive(f"integrator stopped at r = {r}: {_TOO_SMALL_STEP}")
+
+
+class _ScalarTableau(NamedTuple):
+    """_tableau() as Python floats for one lane.
+
+    A[s] and D[i] list (j, weight) for the nonzero weights only: for
+    finite stages a zero term changes no bit of a sum.  B likewise.  E5
+    and E3 keep all 13 weights, so a non-finite field at a step's end
+    (weight 0) still fails the error test, as it does in the lockstep.
+    """
+
+    A: list
+    B: list
+    E5: list
+    E3: list
+    D: list
+    C: list
+
+
+@functools.cache
+def _scalar_tableau() -> _ScalarTableau:
+    """_tableau()'s coefficients converted once to Python floats."""
+    tab = _tableau()
+
+    def nonzero(weights):
+        return [(j, w) for j, w in enumerate(np.ravel(weights).tolist()) if w]
+
+    E5, E3 = (row.ravel().tolist() for row in tab.E53)
+    return _ScalarTableau(
+        A=[nonzero(row) for row in tab.A_ROWS],
+        B=nonzero(tab.B_COL),
+        E5=E5,
+        E3=E3,
+        D=[nonzero(row) for row in tab.D_ROWS],
+        C=tab.C.tolist(),
+    )
+
+
+def _scalar_dop853(rhs, start, config: ShootConfig):
+    """One shot's DOP853 run: (step table, r_end, crossed, stopped).
+
+    The lockstep's iteration for a single lane, written on Python floats:
+    the same initial step (_initial_step on one-lane arrays), step
+    control, stage sums in stage order, error norm, minimum-step test and
+    crossing rule v >= 0 and v_new <= 0, refined by brentq on the step's
+    dense output.  rhs is the field (r, (v, dv)) -> (dv, dv').  The table
+    holds every accepted step in _StepLog's row layout, with lane 0.
+    r_end is the crossing radius, r_max, or for a stopped run the last
+    radius reached.
+    """
+    A, B, E5, E3, D, C = _scalar_tableau()
+    t, v, dv = start
+    t_bound = config.r_max
+    rtol = max(config.rel_tol, 100 * _EPS)
+    atol = config.abs_tol * max(1.0, config.beta)
+
+    def one_lane(r, y, out):
+        out[0] = rhs(float(r[0]), (float(y[0, 0]), float(y[0, 1])))
+
+    f = rhs(t, (v, dv))
+    with np.errstate(all="ignore"):
+        h_abs = _initial_step(
+            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane,
+            rtol, atol,
+        )
+    h_abs = float(h_abs[0])
+    rows = []
+    retry = False
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if not retry:
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:  # a NaN step fails too
+            return np.array(rows), t, False, True
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+
+        K = [f]
+        for s in range(1, _STAGES):
+            sv = sdv = 0.0
+            for j, a in A[s]:
+                kv, kdv = K[j]
+                sv += a * kv
+                sdv += a * kdv
+            K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
+        sv = sdv = 0.0
+        for j, b in B:
+            kv, kdv = K[j]
+            sv += b * kv
+            sdv += b * kdv
+        v_new, dv_new = v + h * sv, dv + h * sdv
+        f_new = rhs(t + h, (v_new, dv_new))
+        K.append(f_new)
+
+        scale_v = atol + max(abs(v), abs(v_new)) * rtol
+        scale_dv = atol + max(abs(dv), abs(dv_new)) * rtol
+        e5v = e5dv = e3v = e3dv = 0.0
+        for e5, e3, (kv, kdv) in zip(E5, E3, K):
+            e5v += e5 * kv
+            e5dv += e5 * kdv
+            e3v += e3 * kv
+            e3dv += e3 * kdv
+        e5v /= scale_v
+        e5dv /= scale_dv
+        e3v /= scale_v
+        e3dv /= scale_dv
+        err5 = e5v * e5v + e5dv * e5dv
+        err3 = e3v * e3v + e3dv * e3dv
+        if err5 == 0 and err3 == 0:
+            error_norm, ratio = 0.0, math.inf
+        else:
+            error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+            ratio = _SAFETY * error_norm**_ERROR_EXPONENT
+        if not error_norm < 1:
+            h_abs = h * max(_MIN_FACTOR, ratio)
+            retry = True
+            continue
+        grow = min(_MAX_FACTOR, ratio)
+        h_abs = h * (min(1.0, grow) if retry else grow)
+        retry = False
+
+        for s in range(_STAGES + 1, _STAGES_EXTENDED):
+            sv = sdv = 0.0
+            for j, a in A[s]:
+                kv, kdv = K[j]
+                sv += a * kv
+                sdv += a * kdv
+            K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
+        delta_v, delta_dv = v_new - v, dv_new - dv
+        (k0v, k0dv), (k12v, k12dv) = f, f_new
+        F = [
+            delta_v, delta_dv,
+            h * k0v - delta_v, h * k0dv - delta_dv,
+            2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
+        ]
+        for weights in D:
+            sv = sdv = 0.0
+            for j, d in weights:
+                kv, kdv = K[j]
+                sv += d * kv
+                sdv += d * kdv
+            F += (h * sv, h * sdv)
+        rows.append((0.0, t, h, v, dv, *F))
+
+        crossed = v >= 0 and v_new <= 0
+        t, v, dv, f = t_new, v_new, dv_new, f_new
+        if crossed or t_new >= t_bound:
+            steps = np.array(rows)
+            if not crossed:
+                return steps, t_bound, False, False
+            from scipy.optimize import brentq
+
+            r0 = brentq(_dense_v, steps[-1, 1], t_new, args=(steps[-1],),
+                        xtol=4 * _EPS, rtol=4 * _EPS)
+            return steps, r0, True, False
+
+
 def sweep_shoot(
     rows, config: ShootConfig = ShootConfig(), processes: int | None = None
 ):
@@ -860,7 +1014,9 @@ def sweep_shoot(
 
     with np.errstate(all="ignore"):
         _lane_rhs(t, y, fld, f)
-        h_abs = _initial_step(t, y, f, t_bound, fld, rtol, atol)
+        h_abs = _initial_step(
+            t, y, f, t_bound, lambda r, y, out: _lane_rhs(r, y, fld, out), rtol, atol
+        )
         retry = np.zeros(len(lane), dtype=bool)
         while len(lane):
             L = len(lane)
@@ -914,9 +1070,7 @@ def sweep_shoot(
                 j = int(lane[k])
                 live[j] = False
                 if failed[k]:
-                    outcomes[j] = Inconclusive(
-                        f"integrator stopped at r = {float(t[k])}: {_TOO_SMALL_STEP}"
-                    )
+                    outcomes[j] = _stopped_at(float(t[k]))
                     continue
                 steps = log_.steps(j)
                 r_end = t_bound
@@ -937,27 +1091,49 @@ def sweep_shoot(
     return outcomes
 
 
-def csv_text(header, rows) -> str:
-    """CSV text with floats in shortest round-trip form and '\n' line ends."""
+def csv_text(header, columns) -> str:
+    """CSV text of equal-length columns, floats in shortest round-trip form, '\n' line ends.
+
+    A table whose columns hold Python floats only is formatted a column at
+    a time (repr) and joined a row at a time.  Any other table goes through
+    csv.writer, so its strings are quoted as the csv module quotes them.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
+    if all(set(map(type, column)) <= {float} for column in columns):
+        lines = list(map(",".join, zip(*(map(repr, column) for column in columns))))
+        return buf.getvalue() + "\n".join(lines) + ("\n" if lines else "")
     writer.writerows(
-        [repr(float(x)) if isinstance(x, float) else x for x in row] for row in rows
+        zip(*([repr(float(x)) if isinstance(x, float) else x for x in column]
+              for column in columns))
     )
     return buf.getvalue()
 
 
 def trajectory_csv(traj: RadialTrajectory) -> str:
     """The nodes as `r,v,dv` CSV text; trajectory_from_csv reads it back exactly."""
-    columns = traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()
-    return csv_text(["r", "v", "dv"], zip(*columns))
+    return csv_text(["r", "v", "dv"], [traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()])
 
 
 def trajectory_to_csv(traj: RadialTrajectory, path) -> None:
     """Write trajectory_csv(traj) to path."""
     with open(path, "w", newline="") as fh:
         fh.write(trajectory_csv(traj))
+
+
+def _refuse_first_bad_row(path) -> None:
+    """MalformedTrajectory naming the first row of path that is not three numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line in reader:
+            try:
+                r, v, dv = map(float, line)
+            except ValueError:
+                raise MalformedTrajectory(
+                    f"row {reader.line_num} {line!r} is not three numbers r,v,dv"
+                ) from None
 
 
 def trajectory_from_csv(
@@ -968,25 +1144,26 @@ def trajectory_from_csv(
     Refuses a header other than r,v,dv, fewer than two nodes, a row that
     is not three numbers and radii that do not strictly increase
     (MalformedTrajectory), a NaN or infinite value (NonFiniteParameter)
-    and a radius r <= 0 (NonpositiveNode).
+    and a radius r <= 0 (NonpositiveNode).  The cells are converted in one
+    pass; only a file that fails it is read again, row by row, to name its
+    first bad row.
     """
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header] != ["r", "v", "dv"]:
-            raise MalformedTrajectory(f"unexpected trajectory header {header!r}")
-        for line in reader:
-            try:
-                r, v, dv = map(float, line)
-            except ValueError:
-                raise MalformedTrajectory(
-                    f"row {reader.line_num} {line!r} is not three numbers r,v,dv"
-                ) from None
-            rows.append((r, v, dv))
-    if len(rows) < 2:
+        table = list(csv.reader(fh))
+    header = table[0] if table else []
+    if [h.strip() for h in header] != ["r", "v", "dv"]:
+        raise MalformedTrajectory(f"unexpected trajectory header {header!r}")
+    body = table[1:]
+    try:
+        if set(map(len, body)) - {3}:
+            raise ValueError("a row without three cells")
+        arr = np.array(list(map(float, itertools.chain.from_iterable(body))))
+    except ValueError:
+        _refuse_first_bad_row(path)
+        raise
+    arr = arr.reshape(-1, 3)
+    if len(arr) < 2:
         raise MalformedTrajectory("trajectory CSV needs at least two nodes")
-    arr = np.asarray(rows, dtype=float)
     if not np.isfinite(arr).all():
         raise NonFiniteParameter("trajectory CSV holds a NaN or infinite value")
     r = arr[:, 0]

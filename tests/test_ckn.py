@@ -120,6 +120,26 @@ def test_energy_is_dilation_and_amplitude_invariant():
     assert max(values) - min(values) <= 1e-10 * max(values)
 
 
+@pytest.mark.parametrize("c", [1e-60, 1e-30, 1e30, 1e60])
+def test_energy_keeps_amplitudes_far_from_one(c):
+    # |v|^q under- or overflows at the origin stub unless energy rescales
+    triple = E.CknTriple(3, 0.0, 0.0, 6.0)
+    base = _bubble_profile(3, 0.0, 0.0)
+    ref = E.energy(triple, base)
+    rep = E.energy(triple, lambda r: tuple(c * x for x in base(r)))
+    assert rep.rayleigh == pytest.approx(ref.rayleigh, rel=1e-10)
+    assert rep.q_norm == pytest.approx(c * ref.q_norm, rel=1e-10)
+    assert rep.grad_norm_sq == pytest.approx(c * c * ref.grad_norm_sq, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_energy_names_norms_beyond_double_range(c):
+    # the quotient is fine, but c^2 times the gradient norm is not a double
+    base = _bubble_profile(3, 0.0, 0.0)
+    with pytest.raises(E.NormOutOfRange, match="gradient norm"):
+        E.energy(E.CknTriple(3, 0.0, 0.0, 6.0), lambda r: tuple(c * x for x in base(r)))
+
+
 def test_best_constant_radial_cases():
     rep = E.best_constant(E.CknTriple(3, 0.0, 0.0, 6.0))
     assert rep.closed_form == pytest.approx(SHARP_UNWEIGHTED_3D, rel=1e-12)

@@ -39,3 +39,20 @@ def test_a_row_shoots_the_same_alone_shuffled_and_beside_any_neighbour(rows, dat
     neighbour = E.ProblemParams(3, 0.0, 0.5, 3.0)
     beside = E.sweep_shoot([neighbour, *rows], SMALL)[1:]
     assert [outcome.to_dict() for outcome in beside] == alone
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    row=admissible_rows(),
+    beta=st.sampled_from([1.0, 100.0]),
+    r_max=st.sampled_from([20.0, 1e3]),
+)
+def test_a_single_shot_and_a_one_lane_sweep_agree(row, beta, r_max):
+    # shoot runs DOP853 on Python floats, sweep_shoot on numpy lanes: the
+    # same steps, with powers that may round differently in the last bit
+    config = E.ShootConfig(beta=beta, r_max=r_max)
+    shot = E.shoot(row, config).outcome
+    [lane] = E.sweep_shoot([row], config)
+    assert lane.kind == shot.kind
+    if isinstance(shot, E.CrossedZero):
+        assert abs(lane.r0 - shot.r0) <= 1e-8 * shot.r0

@@ -5,6 +5,8 @@ a self-contained fixed-step RK4 integrator written here, so the production
 solver and the oracle share no code beyond the arithmetic of the ODE.
 """
 
+import csv
+import io
 import math
 import os
 import signal
@@ -430,11 +432,32 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
     assert len(set(probes)) == len(probes)
 
 
-@pytest.mark.parametrize("name", ["beta", "r_max", "rel_tol", "abs_tol", "epsilon0"])
+@pytest.mark.parametrize(
+    "name",
+    ["beta", "r_max", "rel_tol", "abs_tol", "epsilon0", "nodes_per_decade", "delta_fp",
+     "min_fit_radius"],
+)
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_refuses_a_non_finite_height_or_horizon(name, value):
     with pytest.raises(E.NonFiniteParameter):
         E.ShootConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("beta", 0.0), ("beta", -1.0), ("r_max", 0.5), ("rel_tol", 0.0), ("rel_tol", 1e-2),
+     ("abs_tol", -1e-12), ("epsilon0", 0.0), ("epsilon0", 2.0), ("nodes_per_decade", 2),
+     ("nodes_per_decade", 10.5)],
+)
+def test_config_names_a_value_out_of_range(name, value):
+    with pytest.raises(E.NotInRange, match=name):
+        E.ShootConfig(**{name: value})
+
+
+@pytest.mark.parametrize("tol_p", [0.0, -1e-3])
+def test_threshold_bisect_names_a_nonpositive_tolerance(tol_p):
+    with pytest.raises(E.NotInRange, match="tol_p"):
+        E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=tol_p)
 
 
 def test_sweep_preserves_order_and_isolates_bad_rows():
@@ -512,38 +535,108 @@ def test_batched_sweep_matches_single_shots():
             assert got.oscillation_count == ref.oscillation_count
 
 
-def _captured_solve_ivp(monkeypatch):
-    """Rebind shooting.solve_ivp to scipy's, keeping every run's result in a list."""
-    from scipy.integrate import solve_ivp
-
+def _captured_runs(monkeypatch):
+    """Keep every shot's DOP853 run (step table, r_end, crossed, stopped) in a list."""
     from emdenlab import shooting
 
     runs = []
+    run = shooting._scalar_dop853
 
-    def capturing(*args, **kwargs):
-        runs.append(solve_ivp(*args, **kwargs))
+    def capturing(*args):
+        runs.append(run(*args))
         return runs[-1]
 
-    monkeypatch.setattr(shooting, "solve_ivp", capturing)
+    monkeypatch.setattr(shooting, "_scalar_dop853", capturing)
     return runs
 
 
-@pytest.mark.parametrize(
+SHOT_KINDS = pytest.mark.parametrize(
     "p, kind",
     [(3.0, E.CrossedZero), (5.0, E.PositiveGlobal), (12.0, E.ConvergedToSingular)],
     ids=["crossing", "positive", "singular"],
 )
+
+
+@SHOT_KINDS
 def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
-    runs = _captured_solve_ivp(monkeypatch)
+    from emdenlab import shooting
+
+    runs = _captured_runs(monkeypatch)
     config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
     traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, p), config)
     assert isinstance(traj.outcome, kind)
-    [sol] = runs
-    v, dv = sol.sol(traj.r)
+    [(steps, r_end, crossed, stopped)] = runs
+    assert (r_end, crossed, stopped) == (traj.r[-1], kind is E.CrossedZero, False)
+    assert steps.shape[1] == shooting._StepLog.WIDTH
+    assert (steps[:, 0] == 0).all() and (np.diff(steps[:, 1]) > 0).all()
+    v, dv = shooting._dense_nodes(steps, traj.r)
     # the series start is pinned first, and a crossing's zero last
     last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
     assert np.array_equal(traj.v[1:last], v[1:last])
     assert np.array_equal(traj.dv[1:], dv[1:])
+
+
+@SHOT_KINDS
+def test_shot_agrees_with_scipy_dop853(p, kind):
+    # scipy's solve_ivp runs the same method step for step; only the order
+    # of its sums differs, so the two runs agree to round-off.
+    from scipy.integrate import solve_ivp
+
+    from emdenlab import shooting
+
+    params = E.ProblemParams(3, 0.0, 0.0, p)
+    config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
+    traj = E.shoot(params, config)
+    assert isinstance(traj.outcome, kind)
+
+    def crossing(r, y):
+        return y[0]
+
+    crossing.terminal, crossing.direction = True, -1
+    eps, v0, dv0 = E.series_start(params, config)
+    sol = solve_ivp(
+        shooting._make_rhs(params), (eps, config.r_max), (v0, dv0), method="DOP853",
+        rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
+    )
+    assert traj.r[-1] == pytest.approx(sol.t[-1], rel=1e-12, abs=0)
+    if kind is E.CrossedZero:
+        assert traj.outcome.r0 == pytest.approx(sol.t_events[0][0], rel=1e-12, abs=0)
+    v, dv = sol.sol(traj.r)
+    last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
+    # the runs hold v and dv to rel_tol per step; round-off stays far below
+    assert np.allclose(traj.v[:last], v[:last], rtol=1e-11, atol=1e-13)
+    assert np.allclose(traj.dv, dv, rtol=1e-11, atol=1e-13)
+
+
+def test_a_field_that_overflows_on_a_trial_step_is_rejected_not_raised():
+    # r^400 |v|^3 leaves float range on trial steps that overshoot r = 1;
+    # a Python float power raises there, where numpy's lanes read inf
+    params = E.ProblemParams(3, 0.0, 400.0, 3.0)
+    config = E.ShootConfig()
+    shot = E.shoot(params, config).outcome
+    [lane] = E.sweep_shoot([params], config)
+    assert isinstance(shot, E.CrossedZero) and isinstance(lane, E.CrossedZero)
+    assert shot.r0 == pytest.approx(lane.r0, rel=1e-8, abs=0)
+
+
+def test_shoot_runs_without_solve_ivp(monkeypatch):
+    from emdenlab import shooting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shoot called solve_ivp")
+
+    monkeypatch.setattr(shooting, "solve_ivp", refuse)
+    traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
+    assert traj.outcome.r0 == pytest.approx(FIRST_CROSSING_CUBIC, abs=1e-6)
+
+
+def test_module_still_names_scipy_solve_ivp():
+    # bench/tracing.py wraps shooting.solve_ivp when it installs
+    from scipy.integrate import solve_ivp
+
+    from emdenlab import shooting
+
+    assert shooting.solve_ivp is solve_ivp
 
 
 def _dense_nodes_per_coefficient(steps, nodes):
@@ -564,11 +657,9 @@ def _dense_nodes_per_coefficient(steps, nodes):
 def test_row_gather_sampler_matches_the_per_coefficient_loop(monkeypatch):
     from emdenlab import shooting
 
-    runs = _captured_solve_ivp(monkeypatch)
+    runs = _captured_runs(monkeypatch)
     traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
-    steps = np.array(
-        [(0.0, s.t_old, s.h, *s.y_old, *s.F.ravel()) for s in runs[0].sol.interpolants]
-    )
+    steps = runs[0][0]
     # the shot's nodes, then every step boundary and the crossing itself
     for nodes in (traj.r, np.append(steps[:, 1], traj.r[-1])):
         got = shooting._dense_nodes(steps, nodes)
@@ -636,6 +727,34 @@ def test_csv_round_trip_is_exact(tmp_path):
     path2 = tmp_path / "traj2.csv"
     E.trajectory_to_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _csv_module_text(header, rows):
+    """What csv_text wrote before it worked a column at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) if isinstance(x, float) else x for x in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    floats=st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=6),
+    cells=st.lists(
+        st.tuples(st.floats(), st.one_of(st.text(), st.integers(), st.just(""))),
+        max_size=6,
+    ),
+)
+def test_csv_text_writes_the_bytes_of_the_csv_module(floats, cells):
+    # float tables (subnormals, -0.0, nan and inf included) and mixed ones,
+    # whose strings may need quoting
+    from emdenlab.shooting import csv_text
+
+    for header, rows in ((["r", "v", "dv"], floats), (["s", "flag"], cells)):
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in header]
+        assert csv_text(header, columns) == _csv_module_text(header, rows)
 
 
 def test_csv_rejects_malformed_input(tmp_path):
