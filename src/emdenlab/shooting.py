@@ -806,40 +806,40 @@ def _stopped_at(r: float) -> Inconclusive:
     return Inconclusive(f"integrator stopped at r = {r}: {_TOO_SMALL_STEP}")
 
 
-class _ScalarTableau(NamedTuple):
-    """_tableau() as Python floats for one lane.
-
-    A[s] and D[i] list (j, weight) for the nonzero weights only: for
-    finite stages a zero term changes no bit of a sum.  B likewise.  E5
-    and E3 keep all 13 weights, so a non-finite field at a step's end
-    (weight 0) still fails the error test, as it does in the lockstep.
-    """
-
-    A: list
-    B: list
-    E5: list
-    E3: list
-    D: list
-    C: list
-
-
 @functools.cache
-def _scalar_tableau() -> _ScalarTableau:
-    """_tableau()'s coefficients converted once to Python floats."""
+def _scalar_tableau():
+    """_tableau() as Python floats for one lane: (A, B, E5, E3, D, C).
+
+    Each weight list holds (j, weight) pairs in stage order.  A[s], B and
+    D[i] keep the nonzero weights only: for finite stages a zero term
+    changes no bit of a sum.  E5 and E3 keep all 13, so a non-finite
+    field at a step's end (weight 0) still fails the error test, as it
+    does in the lockstep.
+    """
     tab = _tableau()
 
-    def nonzero(weights):
-        return [(j, w) for j, w in enumerate(np.ravel(weights).tolist()) if w]
+    def weights(row, keep_zeros=False):
+        return [(j, w) for j, w in enumerate(np.ravel(row).tolist()) if w or keep_zeros]
 
-    E5, E3 = (row.ravel().tolist() for row in tab.E53)
-    return _ScalarTableau(
-        A=[nonzero(row) for row in tab.A_ROWS],
-        B=nonzero(tab.B_COL),
-        E5=E5,
-        E3=E3,
-        D=[nonzero(row) for row in tab.D_ROWS],
-        C=tab.C.tolist(),
+    E5, E3 = (weights(row, keep_zeros=True) for row in tab.E53)
+    return (
+        [weights(row) for row in tab.A_ROWS],
+        weights(tab.B_COL),
+        E5,
+        E3,
+        [weights(row) for row in tab.D_ROWS],
+        tab.C.tolist(),
     )
+
+
+def _combine(weights, K):
+    """sum_j w_j K_j of the (v, dv) pairs K over weights' (j, w_j), in stage order."""
+    sv = sdv = 0.0
+    for j, w in weights:
+        kv, kdv = K[j]
+        sv += w * kv
+        sdv += w * kdv
+    return sv, sdv
 
 
 def _scalar_dop853(rhs, start, config: ShootConfig):
@@ -883,33 +883,17 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
 
         K = [f]
         for s in range(1, _STAGES):
-            sv = sdv = 0.0
-            for j, a in A[s]:
-                kv, kdv = K[j]
-                sv += a * kv
-                sdv += a * kdv
+            sv, sdv = _combine(A[s], K)
             K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
-        sv = sdv = 0.0
-        for j, b in B:
-            kv, kdv = K[j]
-            sv += b * kv
-            sdv += b * kdv
+        sv, sdv = _combine(B, K)
         v_new, dv_new = v + h * sv, dv + h * sdv
         f_new = rhs(t + h, (v_new, dv_new))
         K.append(f_new)
 
         scale_v = atol + max(abs(v), abs(v_new)) * rtol
         scale_dv = atol + max(abs(dv), abs(dv_new)) * rtol
-        e5v = e5dv = e3v = e3dv = 0.0
-        for e5, e3, (kv, kdv) in zip(E5, E3, K):
-            e5v += e5 * kv
-            e5dv += e5 * kdv
-            e3v += e3 * kv
-            e3dv += e3 * kdv
-        e5v /= scale_v
-        e5dv /= scale_dv
-        e3v /= scale_v
-        e3dv /= scale_dv
+        (e5v, e5dv), (e3v, e3dv) = _combine(E5, K), _combine(E3, K)
+        e5v, e5dv, e3v, e3dv = e5v / scale_v, e5dv / scale_dv, e3v / scale_v, e3dv / scale_dv
         err5 = e5v * e5v + e5dv * e5dv
         err3 = e3v * e3v + e3dv * e3dv
         if err5 == 0 and err3 == 0:
@@ -926,11 +910,7 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
         retry = False
 
         for s in range(_STAGES + 1, _STAGES_EXTENDED):
-            sv = sdv = 0.0
-            for j, a in A[s]:
-                kv, kdv = K[j]
-                sv += a * kv
-                sdv += a * kdv
+            sv, sdv = _combine(A[s], K)
             K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
         delta_v, delta_dv = v_new - v, dv_new - dv
         (k0v, k0dv), (k12v, k12dv) = f, f_new
@@ -940,11 +920,7 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
             2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
         ]
         for weights in D:
-            sv = sdv = 0.0
-            for j, d in weights:
-                kv, kdv = K[j]
-                sv += d * kv
-                sdv += d * kdv
+            sv, sdv = _combine(weights, K)
             F += (h * sv, h * sdv)
         rows.append((0.0, t, h, v, dv, *F))
 
