@@ -346,20 +346,21 @@ def _pointwise(profile: RadialProfile) -> ArrayProfile:
     return on_array
 
 
-def _amplitude_shift(profile: RadialProfile, q: float) -> int:
-    """k such that energy integrates profile / 2^k; 0 unless the stub needs it.
+def _amplitude_shift(on_array: ArrayProfile, q: float) -> int:
+    """k such that |v / 2^k|^q stays inside double range; 0 if |v|^q does.
 
-    k is the binary exponent of v at the origin stub, taken only when
-    |v|^q there lies outside 2^(+-256): dividing by a power of two is
-    exact, and every other profile keeps its bits.
+    k is the binary exponent of the largest finite |v| on a grid of ten
+    radii a decade over the span _integrate_radial covers, taken only
+    when that |v|^q lies outside 2^(+-256).
     """
-    try:
-        v0 = abs(float(profile(_R_ORIGIN)[0]))
-    except ArithmeticError:
+    radii = np.logspace(-8, _DECADE_MAX, 10 * (_DECADE_MAX + 8) + 1)
+    with np.errstate(all="ignore"):
+        v = np.abs(on_array(radii)[0])
+    v = v[np.isfinite(v)]  # nan where the handle failed
+    peak = float(v.max()) if v.size else 0.0
+    if not peak > 0.0 or q * abs(math.log2(peak)) <= 256.0:
         return 0
-    if not 0.0 < v0 < math.inf or q * abs(math.log2(v0)) <= 256.0:
-        return 0
-    return math.frexp(v0)[1]
+    return math.frexp(peak)[1]
 
 
 def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
@@ -371,21 +372,27 @@ def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
     the decade-wise adaptive GK21 of _integrate_radial, not best_constant's
     trapezoid: a handle may be only finitely smooth (a C^2 bump, say), and
     there a global trapezoid converges only algebraically.  The quotient
-    does not change with the amplitude, so a profile whose |v|^q would
-    leave double range at the origin stub is integrated divided by a power
-    of two (_amplitude_shift) and its norms scaled back; a norm that is
-    then not a double raises NormOutOfRange, as in best_constant.
+    does not change with the amplitude, so a profile whose quadrature
+    fails because |v|^q leaves double range is integrated again divided
+    by a power of two (_amplitude_shift) and its norms scaled back; a norm
+    that is then not a double raises NormOutOfRange, as in best_constant.
+    A profile whose quadrature succeeds is never rescaled.
     """
     _validate_triple(triple)
-    N, a, b, q = triple.N, triple.a, triple.b, triple.q
-    shift = _amplitude_shift(profile, q)
-    if shift:
-        unscaled = profile
-
-        def profile(r):
-            return tuple(math.ldexp(x, -shift) for x in unscaled(r))
-
     on_array = _pointwise(profile)
+    try:
+        return _energy(triple, on_array, 0)
+    except ValueError:
+        shift = _amplitude_shift(on_array, triple.q)
+        if not shift:
+            raise
+    scaled = _pointwise(lambda r: tuple(math.ldexp(x, -shift) for x in profile(r)))
+    return _energy(triple, scaled, shift)
+
+
+def _energy(triple: CknTriple, on_array: ArrayProfile, shift: int) -> EnergyReport:
+    """energy of the profile 2^shift * on_array."""
+    N, a, b, q = triple.N, triple.a, triple.b, triple.q
     omega = sphere_area(N)
     grad = omega * _integrate_radial(
         N - 1.0 + a, lambda r: on_array(r)[1] ** 2, "gradient norm"

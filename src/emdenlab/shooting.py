@@ -663,10 +663,10 @@ def _rms(x):
     return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
 
 
-def _initial_step(t0, y0, f0, t_bound, field, rtol, atol):
+def _initial_step(t0, y0, f0, t_bound, rhs, rtol, atol):
     """scipy's select_initial_step for every lane (error estimator order 7).
 
-    field(r, y, out) writes the lanes' field at radii r and states y into out.
+    rhs(r, y, out) writes the lanes' field at radii r and states y into out.
     """
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
@@ -674,7 +674,7 @@ def _initial_step(t0, y0, f0, t_bound, field, rtol, atol):
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval)
     f1 = np.empty_like(y0)
-    field(t0 + h0, y0 + h0[:, None] * f0, f1)
+    rhs(t0 + h0, y0 + h0[:, None] * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
@@ -896,11 +896,8 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
         e5v, e5dv, e3v, e3dv = e5v / scale_v, e5dv / scale_dv, e3v / scale_v, e3dv / scale_dv
         err5 = e5v * e5v + e5dv * e5dv
         err3 = e3v * e3v + e3dv * e3dv
-        if err5 == 0 and err3 == 0:
-            error_norm, ratio = 0.0, math.inf
-        else:
-            error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
-            ratio = _SAFETY * error_norm**_ERROR_EXPONENT
+        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
+        ratio = _SAFETY * error_norm**_ERROR_EXPONENT if error_norm else math.inf
         if not error_norm < 1:
             h_abs = h * max(_MIN_FACTOR, ratio)
             retry = True
@@ -1098,20 +1095,6 @@ def trajectory_to_csv(traj: RadialTrajectory, path) -> None:
         fh.write(trajectory_csv(traj))
 
 
-def _refuse_first_bad_row(path) -> None:
-    """MalformedTrajectory naming the first row of path that is not three numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for line in reader:
-            try:
-                r, v, dv = map(float, line)
-            except ValueError:
-                raise MalformedTrajectory(
-                    f"row {reader.line_num} {line!r} is not three numbers r,v,dv"
-                ) from None
-
-
 def trajectory_from_csv(
     path, params: ProblemParams, config: ShootConfig | None = None
 ) -> RadialTrajectory:
@@ -1121,8 +1104,8 @@ def trajectory_from_csv(
     is not three numbers and radii that do not strictly increase
     (MalformedTrajectory), a NaN or infinite value (NonFiniteParameter)
     and a radius r <= 0 (NonpositiveNode).  The cells are converted in one
-    pass; only a file that fails it is read again, row by row, to name its
-    first bad row.
+    pass; only a table that fails it is scanned row by row, to name its
+    first bad row (the header is row 1).
     """
     with open(path, newline="") as fh:
         table = list(csv.reader(fh))
@@ -1135,8 +1118,13 @@ def trajectory_from_csv(
             raise ValueError("a row without three cells")
         arr = np.array(list(map(float, itertools.chain.from_iterable(body))))
     except ValueError:
-        _refuse_first_bad_row(path)
-        raise
+        for num, line in enumerate(body, start=2):
+            try:
+                r, v, dv = map(float, line)
+            except ValueError:
+                raise MalformedTrajectory(
+                    f"row {num} {line!r} is not three numbers r,v,dv"
+                ) from None
     arr = arr.reshape(-1, 3)
     if len(arr) < 2:
         raise MalformedTrajectory("trajectory CSV needs at least two nodes")

@@ -132,6 +132,41 @@ def test_energy_keeps_amplitudes_far_from_one(c):
     assert rep.grad_norm_sq == pytest.approx(c * c * ref.grad_norm_sq, rel=1e-10)
 
 
+def _vanishing_profiles():
+    # r^7 e^-r and r^2 e^-r^2: |v|^q underflows at the origin stub, yet the
+    # plain quadrature works, so energy must not rescale them
+    def seventh(r):
+        e = math.exp(-r)
+        return r**7 * e, (7 * r**6 - r**7) * e
+
+    def second(r):
+        e = math.exp(-r * r)
+        return r * r * e, (2 * r - 2 * r**3) * e
+
+    return [
+        (seventh, "0x1.3860cc7bc7923p+4", "0x1.4725cdf8f2e33p+11", "0x1.fe2387f493742p+26"),
+        (second, "0x1.f7e26d62fbda7p+3", "0x1.03feed3cb576cp-1", "0x1.03de5a3796f69p+2"),
+    ]
+
+
+def test_energy_keeps_the_bits_of_profiles_that_vanish_at_the_origin():
+    # frozen values of the unscaled quadrature, before amplitudes were rescaled
+    triple = E.CknTriple(3, 0.0, 0.0, 6.0)
+    for profile, rayleigh, q_norm, grad in _vanishing_profiles():
+        rep = E.energy(triple, profile)
+        assert (rep.rayleigh.hex(), rep.q_norm.hex(), rep.grad_norm_sq.hex()) == (
+            rayleigh, q_norm, grad
+        )
+
+
+@pytest.mark.parametrize("c", [1e-60, 1e60])
+def test_energy_rescales_profiles_that_vanish_at_the_origin(c):
+    triple = E.CknTriple(3, 0.0, 0.0, 6.0)
+    for profile, rayleigh, _, _ in _vanishing_profiles():
+        rep = E.energy(triple, lambda r: tuple(c * x for x in profile(r)))
+        assert rep.rayleigh == pytest.approx(float.fromhex(rayleigh), rel=1e-10)
+
+
 @pytest.mark.parametrize("c", [1e-200, 1e200])
 def test_energy_names_norms_beyond_double_range(c):
     # the quotient is fine, but c^2 times the gradient norm is not a double
