@@ -65,6 +65,7 @@ from .errors import (
     NotInSerrinSupercriticalRange,
     QuadratureMismatch,
     RangeExceeded,
+    RootNotFound,
     SymmetryBreakingRegion,
 )
 from .params import (

@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteParameter,
     NonpositiveRadius,
     NotCritical,
+    NotInRange,
     NotInSerrinSupercriticalRange,
 )
 from .params import ProblemParams, _is_critical, derive, require_admissible, validate
@@ -96,7 +97,7 @@ def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
     if not _is_critical(params.p, d.p_critical):
         raise NotCritical(f"p = {params.p}, p_critical = {d.p_critical}")
     if lambda_scale <= 0:
-        raise ValueError(f"lambda_scale = {lambda_scale}, need it positive")
+        raise NotInRange(f"lambda_scale = {lambda_scale}, need it positive")
     return BubbleProfile(
         params=params,
         m=_bubble_constants(params.N, params.a, params.b)[1],

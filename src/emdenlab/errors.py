@@ -66,6 +66,10 @@ class RangeExceeded(EmdenLabError):
     """Requested radius lies outside the stored trajectory."""
 
 
+class RootNotFound(EmdenLabError):
+    """A root bracket without a sign change, a NaN function value, or no convergence."""
+
+
 class BracketInvalid(EmdenLabError):
     """Bisection endpoints do not straddle the crossing boundary."""
 

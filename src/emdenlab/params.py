@@ -244,7 +244,7 @@ def classify(params: ProblemParams) -> Regime:
         # Serrin-side label since the obstruction is of the same weak kind
         return Regime(NO_POSITIVE_SOLUTION_SERRIN, "p=1")
     if p < 1:
-        raise ValueError(f"p = {p}: need p >= 1")
+        raise NotInRange(f"p = {p}: need p >= 1")
     d = derive(params)
     if p <= d.p_serrin:
         return Regime(NO_POSITIVE_SOLUTION_SERRIN, "p<=p_serrin")

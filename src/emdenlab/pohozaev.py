@@ -15,9 +15,9 @@ residual of order one).
 
 All quadrature here is a function of the stored trajectory nodes alone, so
 a report recomputed from an exported CSV matches the original digit for
-digit.  scipy's CubicSpline is imported on first use, so importing the
-package does not load scipy.  A trajectory keeps its integrand splines,
-so the reports at several radii build each spline once.
+digit.  The splines are the trajectory's not-a-knot splines in log r
+(_numerics), which share one factored set of knots; a trajectory keeps its
+integrand splines, so the reports at several radii build each spline once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteParameter, NonpositiveSolution, RangeExceeded
+from .errors import NonFiniteParameter, NonpositiveSolution, NotInRange, RangeExceeded
 from .params import ProblemParams, Record, validate
 from .shooting import RadialTrajectory
 
@@ -65,28 +65,26 @@ def weighted_node_integral(
     and kept on the trajectory for its other radii; [0, first node] is
     closed in the leading power approximation v ~ v(r1), which costs
     O(r1^(exponent+1)) relative and is negligible for any sane hand-off
-    radius.  Needs exponent > -1 and a
-    positive trajectory up to R.
+    radius.  Needs 0 < R <= the last node and exponent > -1 (else
+    NotInRange or RangeExceeded) and a positive trajectory up to R.
     """
     r, v = traj.r, traj.v
     if not math.isfinite(R):
         raise NonFiniteParameter(f"R = {R}, need it finite")
     if R <= 0:
-        raise ValueError(f"R = {R}, need it positive")
+        raise NotInRange(f"R = {R}, need it positive")
     if R > r[-1] * (1 + 1e-12):
         raise RangeExceeded(f"R = {R} beyond the last stored node {r[-1]}")
     if np.any(v[r <= R] <= 0.0):
         raise NonpositiveSolution(f"trajectory not positive on (0, {R}]")
     if exponent <= -1.0:
-        raise ValueError(f"exponent = {exponent}: the weight is not integrable at 0")
+        raise NotInRange(f"exponent = {exponent}: the weight is not integrable at 0")
     spline = traj._integrands.get((exponent, power))
     if spline is None:
-        from scipy.interpolate import CubicSpline
-
-        z = np.log(r)
-        spline = CubicSpline(z, np.exp((exponent + 1.0) * z) * v**power)
+        knots = traj._log_knots()
+        spline = knots.spline(np.exp((exponent + 1.0) * knots.z) * v**power)
         traj._integrands[exponent, power] = spline
-    bulk = float(spline.integrate(spline.x[0], math.log(R)))
+    bulk = spline.integral(math.log(R))
     stub = float(v[0]) ** power * float(r[0]) ** (exponent + 1.0) / (exponent + 1.0)
     return stub + bulk
 

@@ -45,10 +45,10 @@ serial walk would take if the threshold sat where the first-zero law
 whole walk reads its decisions from that one round.  Later rounds, needed
 only where the path runs out, shoot four levels each.
 
-scipy is imported on first use, not with the package: the DOP853 tableau
-by the first shot (_tableau), brentq and CubicSpline where a crossing is
-refined or a node spline built.  No shot calls solve_ivp; the module
-still names it (imported on first lookup), for callers that read it.
+No shot needs scipy: the tableau is a table of constants (_dop853),
+crossings are refined by brent_root and node splines are _numerics'
+not-a-knot splines.  The module still names scipy's solve_ivp, imported
+on its first lookup, for callers that read it.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
+from . import _dop853
+from ._numerics import Knots, brent_root
 from .closed_forms import first_zero_law
 from .errors import (
     BracketInvalid,
@@ -182,18 +184,22 @@ class RadialTrajectory:
     dv: np.ndarray
     outcome: ShotOutcome | None = None
     config: ShootConfig | None = None
-    _splines: object = field(default=None, repr=False)
+    _knots: Knots | None = field(default=None, repr=False)
+    _splines: tuple | None = field(default=None, repr=False)
     # pohozaev's integrand splines, by (exponent, power)
     _integrands: dict = field(default_factory=dict, repr=False)
 
-    def _node_splines(self):
-        if self._splines is None:
-            from scipy.interpolate import CubicSpline
+    def _log_knots(self) -> Knots:
+        """The knots z = log r that every spline of the trajectory shares, factored once."""
+        if self._knots is None:
+            self._knots = Knots(np.log(self.r))
+        return self._knots
 
-            # splines in log r; exclude a terminal v <= 0 node from the
-            # v-spline domain decision but keep it for root bracketing
-            z = np.log(self.r)
-            self._splines = (CubicSpline(z, self.v), CubicSpline(z, self.dv))
+    def _node_splines(self):
+        """Splines of v and dv in log r; a terminal v <= 0 node is kept for root bracketing."""
+        if self._splines is None:
+            knots = self._log_knots()
+            self._splines = (knots.spline(self.v), knots.spline(self.dv))
         return self._splines
 
     def eval(self, r):
@@ -247,8 +253,17 @@ def series_truncation_estimate(params: ProblemParams, beta: float, eps: float) -
 
     The maximum of the v-correction (against beta) and the dv-correction
     (against the leading dv term); used to auto-shrink the hand-off radius.
+    A beta whose powers leave float range raises NotInRange.
     """
-    return _truncation(params, derive(params).sigma, beta, eps)
+    try:
+        return _truncation(params, derive(params).sigma, beta, eps)
+    except OverflowError:
+        raise _start_overflows(params, beta) from None
+
+
+def _start_overflows(params: ProblemParams, beta: float) -> NotInRange:
+    """The refusal of a beta whose powers in the series start leave float range."""
+    return NotInRange(f"beta = {beta}: the series start overflows at p = {params.p}")
 
 
 def _truncation(params: ProblemParams, sigma: float, beta: float, eps: float) -> float:
@@ -270,7 +285,8 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
     Starts from config.epsilon0 (default 1e-4 * min(1, sigma)) and halves it
     until the next-order correction drops below rel_tol, never going under
     1e-12.  Refuses inadmissible weights (require_admissible), a NaN or
-    infinite p (NonFiniteParameter) and p <= 1 (derive's NotInRange).
+    infinite p (NonFiniteParameter), p <= 1 (derive's NotInRange) and a
+    beta whose powers in the series leave float range (NotInRange).
     derive runs once per call, however many halvings it takes.
     """
     require_admissible(params)
@@ -280,17 +296,20 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
     eps = config.epsilon0
     if eps is None:
         eps = 1e-4 * min(1.0, sigma)
-    while eps > _EPS_FLOOR:
-        if _truncation(params, sigma, config.beta, eps) <= config.rel_tol:
-            break
-        eps *= 0.5
+    try:
+        while eps > _EPS_FLOOR:
+            if _truncation(params, sigma, config.beta, eps) <= config.rel_tol:
+                break
+            eps *= 0.5
+        v, dv = _series_values(params, sigma, config.beta, eps)
+    except OverflowError:
+        raise _start_overflows(params, config.beta) from None
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "series hand-off at eps=%g, truncation estimate %g",
             eps,
             _truncation(params, sigma, config.beta, eps),
         )
-    v, dv = _series_values(params, sigma, config.beta, eps)
     return eps, float(v), float(dv)
 
 
@@ -339,7 +358,7 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     shares the lockstep's tableau, initial step, step control, crossing
     rule and node sampler; the field is _make_rhs(params), looked up at
     call time.  The run stops at the first step that starts at v >= 0 and
-    ends at v <= 0; the crossing radius is refined by brentq on that
+    ends at v <= 0; the crossing radius is refined by brent_root on that
     step's dense output, accurate to far better than the 1e-8 relative
     contract.  The nodes are sampled by _dense_nodes from the run's table
     of accepted steps.  A run that fails the minimum-step test keeps the
@@ -373,10 +392,8 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
             return Inconclusive("no positive segment to classify")
         if v[i] == 0.0:
             return CrossedZero(float(r[i]))
-        from scipy.optimize import brentq
-
         sv, _ = traj._node_splines()
-        z0 = brentq(sv, math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
+        z0 = sv.root(math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
         return CrossedZero(float(math.exp(z0)))
 
     r_end = float(r[-1])
@@ -553,11 +570,10 @@ def threshold_bisect(
 # Wanner, Solving ODEs I, sections II.5 and II.10), for one lane on Python
 # floats (_scalar_dop853) or many lanes at once (sweep_shoot).  Sums and
 # powers round differently from scipy's, so results match solve_ivp's to
-# round-off, not bit for bit.  The sizes of the method are checked against
-# scipy's when its tableau loads.
-_STAGES = 12  # stages of a step
-_STAGES_EXTENDED = 16  # with the field at the step's end and 3 dense-output stages
-_INTERPOLATOR_POWER = 7
+# round-off, not bit for bit.  The coefficients are _dop853's constants.
+_STAGES = _dop853.N_STAGES
+_STAGES_EXTENDED = _dop853.N_STAGES_EXTENDED
+_INTERPOLATOR_POWER = _dop853.INTERPOLATOR_POWER
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 _EPS = np.finfo(float).eps
@@ -581,21 +597,14 @@ class _Tableau(NamedTuple):
 
 @functools.cache
 def _tableau() -> _Tableau:
-    """scipy's DOP853 tableau, imported and shaped once, on the first shot."""
-    from scipy.integrate._ivp import dop853_coefficients as dop
-
-    sizes = (dop.N_STAGES, dop.N_STAGES_EXTENDED, dop.INTERPOLATOR_POWER)
-    if sizes != (_STAGES, _STAGES_EXTENDED, _INTERPOLATOR_POWER):
-        raise RuntimeError(
-            f"scipy's DOP853 has stages, extended stages and interpolator power "
-            f"{sizes}, expected {(_STAGES, _STAGES_EXTENDED, _INTERPOLATOR_POWER)}"
-        )
+    """The DOP853 tableau (_dop853.coefficients), shaped once."""
+    A, B, C, E3, E5, D = _dop853.coefficients()
     return _Tableau(
-        A_ROWS=[dop.A[s, :s, None, None] for s in range(_STAGES_EXTENDED)],
-        B_COL=dop.B[:, None, None],
-        E53=np.stack([dop.E5, dop.E3])[:, :, None, None],
-        D_ROWS=dop.D[:, :, None, None],
-        C=dop.C,
+        A_ROWS=[A[s, :s, None, None] for s in range(_STAGES_EXTENDED)],
+        B_COL=B[:, None, None],
+        E53=np.stack([E5, E3])[:, :, None, None],
+        D_ROWS=D[:, :, None, None],
+        C=C,
     )
 
 
@@ -782,6 +791,13 @@ def _dense_v(r, step):
     return y + step[3]
 
 
+def _crossing(step, r_end: float) -> float:
+    """The zero of v on one logged step (a sequence of floats) that ends at r_end."""
+    return brent_root(
+        lambda r: _dense_v(r, step), step[1], r_end, xtol=4 * _EPS, rtol=4 * _EPS
+    )
+
+
 def _dense_nodes(steps, nodes):
     """(v, dv) at sorted nodes from rows of a step table, as OdeSolution does it.
 
@@ -848,9 +864,9 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
     The lockstep's iteration for a single lane, written on Python floats:
     the same initial step (_initial_step on one-lane arrays), step
     control, stage sums in stage order, error norm, minimum-step test and
-    crossing rule v >= 0 and v_new <= 0, refined by brentq on the step's
-    dense output.  rhs is the field (r, (v, dv)) -> (dv, dv').  The table
-    holds every accepted step in _StepLog's row layout, with lane 0.
+    crossing rule v >= 0 and v_new <= 0, refined by brent_root on the
+    step's dense output.  rhs is the field (r, (v, dv)) -> (dv, dv').  The
+    table holds every accepted step in _StepLog's row layout, with lane 0.
     r_end is the crossing radius, r_max, or for a stopped run the last
     radius reached.
     """
@@ -927,11 +943,7 @@ def _scalar_dop853(rhs, start, config: ShootConfig):
             steps = np.array(rows)
             if not crossed:
                 return steps, t_bound, False, False
-            from scipy.optimize import brentq
-
-            r0 = brentq(_dense_v, steps[-1, 1], t_new, args=(steps[-1],),
-                        xtol=4 * _EPS, rtol=4 * _EPS)
-            return steps, r0, True, False
+            return steps, _crossing(rows[-1], t_new), True, False
 
 
 def sweep_shoot(
@@ -947,16 +959,13 @@ def sweep_shoot(
     end).  Accepted steps are held back; their three dense-output stages
     and interpolants are built in bulk when the hold fills or a lane
     leaves, so rejected steps never pay for them.  A lane leaves when it
-    crosses zero (refined by brentq on that step's dense output), reaches
-    r_max or fails the minimum-step test; it is then sampled on shoot's
-    node grid and classified.  A row that fails its parameter checks never
-    enters a lane and comes back as Inconclusive("rejected: ...") in its
-    place.  processes is still accepted, so existing callers keep working,
-    and is ignored.  scipy's DOP853 tableau and brentq are imported on the
-    first call.
+    crosses zero (refined by brent_root on that step's dense output),
+    reaches r_max or fails the minimum-step test; it is then sampled on
+    shoot's node grid and classified.  A row that fails its parameter
+    checks, or whose series start overflows, never enters a lane and comes
+    back as Inconclusive("rejected: ...") in its place.  processes is
+    still accepted, so existing callers keep working, and is ignored.
     """
-    from scipy.optimize import brentq
-
     rows = list(rows)
     outcomes: list = [None] * len(rows)
     starts = {}
@@ -1048,8 +1057,7 @@ def sweep_shoot(
                 steps = log_.steps(j)
                 r_end = t_bound
                 if crossed[k]:
-                    r_end = brentq(_dense_v, steps[-1, 1], t_new[k], args=(steps[-1],),
-                                   xtol=4 * _EPS, rtol=4 * _EPS)
+                    r_end = _crossing(steps[-1].tolist(), float(t_new[k]))
                 nodes = _node_grid(starts[j][0], r_end, config.nodes_per_decade)
                 v, dv = _dense_nodes(steps, nodes)
                 traj = _pinned_trajectory(

@@ -388,6 +388,40 @@ def test_sweep_rejects_a_row_with_p_at_most_1_and_finishes(capsys, tmp_path):
     assert bad.split(",")[4] == "inconclusive" and "rejected:" in bad
 
 
+def test_sweep_rejects_a_row_whose_series_start_overflows_and_finishes(capsys, tmp_path):
+    # a height whose series start leaves float range used to abort the
+    # whole sweep with a bare OverflowError
+    grid = tmp_path / "sweep_grid.csv"
+    grid.write_text("N,a,b,p\n3,0,0,3\n3,0,0,30\n")
+    code, out, _ = run(
+        capsys, "sweep", "--grid", str(grid), "--beta", "1e7", "--rmax", "1"
+    )
+    assert code == 0
+    good, bad = out.strip().splitlines()[1:]
+    assert good.split(",")[4] == "crossed_zero"
+    assert bad.split(",")[4] == "inconclusive" and "rejected: beta = " in bad
+
+
+CUBIC_ARGS = ["--N", "3", "--a", "0", "--b", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot", *CUBIC_ARGS, "--p", "3", "--beta", "1e100"],
+        ["classify", *CUBIC_ARGS, "--p", "0.5"],
+        ["bubble", *CUBIC_ARGS, "--lambda-scale", "0"],
+        ["pohozaev", *CUBIC_ARGS, "--p", "3", "--rmax", "10", "--radii", "1,0"],
+    ],
+    ids=["shoot-overflowing-beta", "classify-p-below-1", "bubble-zero-dilation",
+         "pohozaev-zero-radius"],
+)
+def test_values_out_of_range_exit_2_with_not_in_range(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("NotInRange: ")
+
+
 def test_sweep_rejects_a_non_integer_dimension_instead_of_rounding(capsys, tmp_path):
     grid = tmp_path / "sweep_grid.csv"
     grid.write_text("N,a,b,p\n3.6,0,0,3\n3,0,0,3\n")

@@ -129,6 +129,12 @@ def test_bubble_refuses_a_non_finite_dilation(lam):
         E.bubble(_critical_params(3, 0.0, 0.0), lambda_scale=lam)
 
 
+@pytest.mark.parametrize("lam", [0.0, -2.0])
+def test_bubble_names_a_nonpositive_dilation(lam):
+    with pytest.raises(E.NotInRange, match="lambda_scale"):
+        E.bubble(_critical_params(3, 0.0, 0.0), lambda_scale=lam)
+
+
 def test_singular_solution_requires_serrin_supercritical():
     with pytest.raises(E.NotInSerrinSupercriticalRange):
         E.singular_solution(E.ProblemParams(3, 0.0, 0.0, 3.0))

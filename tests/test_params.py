@@ -133,7 +133,7 @@ def test_classify_regime_table(params, kind, witness):
 
 
 def test_classify_rejects_p_below_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(E.NotInRange, match="need p >= 1"):
         E.classify(E.ProblemParams(3, 0.0, 0.0, 0.5))
 
 

@@ -106,6 +106,20 @@ def test_identity_rejects_bad_radii_and_exhausted_positivity():
         E.ball_identity(traj, float(traj.r[-1]))
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0])
+def test_weighted_node_integral_names_a_nonpositive_radius(R):
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
+    with pytest.raises(E.NotInRange, match="R = "):
+        E.weighted_node_integral(traj, 2.0, 2.0, R)
+
+
+@pytest.mark.parametrize("exponent", [-1.0, -2.5])
+def test_weighted_node_integral_names_a_weight_not_integrable_at_0(exponent):
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
+    with pytest.raises(E.NotInRange, match="not integrable"):
+        E.weighted_node_integral(traj, exponent, 2.0, 1.0)
+
+
 def test_weighted_node_integral_validation():
     traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
     with pytest.raises(ValueError):

@@ -477,6 +477,33 @@ def test_sweep_preserves_order_and_isolates_bad_rows():
     assert outcomes[3].reason.startswith("rejected:")
 
 
+# At beta = 1e7 the series start of p = 30 needs beta^58, beyond float
+# range, while p = 3's is a plain start whose shot crosses at r0 / beta.
+HUGE_BETA = E.ShootConfig(beta=1e7, r_max=1.0)
+OVERFLOWING = E.ProblemParams(3, 0.0, 0.0, 30.0)
+
+
+def test_shoot_names_a_height_whose_series_start_overflows():
+    with pytest.raises(E.NotInRange, match="beta = 10000000.0: "):
+        E.shoot(OVERFLOWING, HUGE_BETA)
+    with pytest.raises(E.NotInRange, match="beta = 1e[+]100: "):
+        E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e100))
+
+
+def test_series_truncation_estimate_names_a_height_that_overflows():
+    with pytest.raises(E.NotInRange, match="beta = 1e[+]100: "):
+        E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1e100, 1e-4)
+
+
+def test_sweep_rejects_a_row_whose_series_start_overflows_and_shoots_the_rest():
+    rows = [UNWEIGHTED_CUBIC, OVERFLOWING, UNWEIGHTED_CUBIC]
+    crossed, rejected, again = E.sweep_shoot(rows, HUGE_BETA)
+    assert isinstance(rejected, E.Inconclusive)
+    assert rejected.reason.startswith("rejected: beta = ")
+    assert crossed == again == E.sweep_shoot([UNWEIGHTED_CUBIC], HUGE_BETA)[0]
+    assert crossed.r0 == pytest.approx(FIRST_CROSSING_CUBIC / 1e7, rel=1e-6)
+
+
 @pytest.mark.parametrize("p", [math.nan, math.inf])
 def test_series_start_refuses_a_non_finite_power(p):
     with pytest.raises(E.NonFiniteParameter):
