@@ -38,19 +38,17 @@ def _value(f, x):
     return fx
 
 
-def brent_root(f, a: float, b: float, xtol: float, rtol: float = MIN_RTOL) -> float:
-    """A zero of f in [a, b] to within xtol + rtol |x|, as scipy's brentq finds it.
+def brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f in [a, b] to within xtol + 4 eps |x|, as scipy's brentq finds it.
 
+    The relative tolerance is brentq's default and smallest, MIN_RTOL.
     f(a) and f(b) must differ in sign; a zero at either end is returned as
-    it is.  A nonpositive xtol or an rtol below 4 eps raises NotInRange;
-    ends of one sign, a NaN value of f or no convergence within 100 steps
-    raise RootNotFound.
+    it is.  A nonpositive xtol raises NotInRange; ends of one sign, a NaN
+    value of f or no convergence within 100 steps raise RootNotFound.
     """
     if not xtol > 0:
         raise NotInRange(f"xtol = {xtol}, need it positive")
-    if not rtol >= MIN_RTOL:
-        raise NotInRange(f"rtol = {rtol}, need it at least {MIN_RTOL}")
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), MIN_RTOL
     fpre, fcur = _value(f, xpre), _value(f, xcur)
     if fpre == 0:
         return xpre
@@ -158,7 +156,7 @@ class Knots:
 
 
 class Spline:
-    """A not-a-knot cubic spline: values, first derivatives, integrals and roots.
+    """A not-a-knot cubic spline: values and integrals.
 
     Piece i is y_i + c2 s + c1 s^2 + c0 s^3 in s = x - z_i, with the Hermite
     coefficients of CubicHermiteSpline; a point outside the knots is
@@ -181,17 +179,13 @@ class Spline:
         i = np.searchsorted(self.knots.inner, x, side="right")
         return i, x - self.knots.z[i]
 
-    def __call__(self, x, nu: int = 0):
-        """The spline (nu = 0) or its first derivative (nu = 1) at x, a float or array."""
+    def __call__(self, x):
+        """The spline at x, a float or array."""
         if not isinstance(x, float):
             x = np.asarray(x, dtype=float)
         i, s = self._piece(x)
         c0, c1, c2, c3 = (c[i] for c in self.c)
-        if nu == 0:
-            return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-        if nu == 1:
-            return c2 + c1 * s * 2.0 + c0 * (s * s) * 3.0
-        raise NotInRange(f"nu = {nu}, need 0 or 1")
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
     def _antiderivative(self, i, s):
         """int_0^s of piece i, term by term."""
@@ -206,7 +200,3 @@ class Spline:
             self._cumulative = np.concatenate(([0.0], np.cumsum(whole[:-1])))
         i, s = self._piece(float(x))
         return float(self._cumulative[i] + self._antiderivative(i, s))
-
-    def root(self, lo: float, hi: float, xtol: float) -> float:
-        """A zero of the spline in [lo, hi] by brent_root; the ends must differ in sign."""
-        return brent_root(self, lo, hi, xtol)

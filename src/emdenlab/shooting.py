@@ -302,14 +302,14 @@ def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
                 break
             eps *= 0.5
         v, dv = _series_values(params, sigma, config.beta, eps)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "series hand-off at eps=%g, truncation estimate %g",
+                eps,
+                _truncation(params, sigma, config.beta, eps),
+            )
     except OverflowError:
         raise _start_overflows(params, config.beta) from None
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "series hand-off at eps=%g, truncation estimate %g",
-            eps,
-            _truncation(params, sigma, config.beta, eps),
-        )
     return eps, float(v), float(dv)
 
 
@@ -393,7 +393,7 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
         if v[i] == 0.0:
             return CrossedZero(float(r[i]))
         sv, _ = traj._node_splines()
-        z0 = sv.root(math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
+        z0 = brent_root(sv, math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
         return CrossedZero(float(math.exp(z0)))
 
     r_end = float(r[-1])
@@ -793,9 +793,7 @@ def _dense_v(r, step):
 
 def _crossing(step, r_end: float) -> float:
     """The zero of v on one logged step (a sequence of floats) that ends at r_end."""
-    return brent_root(
-        lambda r: _dense_v(r, step), step[1], r_end, xtol=4 * _EPS, rtol=4 * _EPS
-    )
+    return brent_root(lambda r: _dense_v(r, step), step[1], r_end, xtol=4 * _EPS)
 
 
 def _dense_nodes(steps, nodes):
@@ -824,27 +822,22 @@ def _stopped_at(r: float) -> Inconclusive:
 
 @functools.cache
 def _scalar_tableau():
-    """_tableau() as Python floats for one lane: (A, B, E5, E3, D, C).
+    """The DOP853 tableau as Python floats for one lane: (A, B, E5, E3, D, C).
 
     Each weight list holds (j, weight) pairs in stage order.  A[s], B and
-    D[i] keep the nonzero weights only: for finite stages a zero term
-    changes no bit of a sum.  E5 and E3 keep all 13, so a non-finite
-    field at a step's end (weight 0) still fails the error test, as it
-    does in the lockstep.
+    D[i] are _dop853's sparse rows, the nonzero weights only: for finite
+    stages a zero term changes no bit of a sum.  E5 and E3 keep all 13,
+    so a non-finite field at a step's end (weight 0) still fails the error
+    test, as it does in the lockstep.
     """
-    tab = _tableau()
-
-    def weights(row, keep_zeros=False):
-        return [(j, w) for j, w in enumerate(np.ravel(row).tolist()) if w or keep_zeros]
-
-    E5, E3 = (weights(row, keep_zeros=True) for row in tab.E53)
+    _, _, C, E3, E5, _ = _dop853.coefficients()
     return (
-        [weights(row) for row in tab.A_ROWS],
-        weights(tab.B_COL),
-        E5,
-        E3,
-        [weights(row) for row in tab.D_ROWS],
-        tab.C.tolist(),
+        [sorted(_dop853.A_ROWS.get(s, {}).items()) for s in range(_STAGES_EXTENDED)],
+        sorted(_dop853.A_ROWS[_STAGES].items()),
+        list(enumerate(E5.tolist())),
+        list(enumerate(E3.tolist())),
+        [sorted(row.items()) for row in _dop853.D_ROWS],
+        C.tolist(),
     )
 
 

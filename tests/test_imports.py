@@ -65,7 +65,7 @@ def test_import_and_ckn_path_load_no_scipy_solver_and_shots_agree():
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD], capture_output=True, text=True, timeout=120, env=env
+        [sys.executable, "-c", CHILD], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)

@@ -15,7 +15,7 @@ from scipy.optimize import brentq
 
 import emdenlab as E
 from emdenlab import _dop853, shooting
-from emdenlab._numerics import MIN_RTOL, Knots, brent_root
+from emdenlab._numerics import Knots, brent_root
 
 SPLINE_RTOL = 1e-13
 
@@ -47,9 +47,9 @@ def _criterion_5_rows():
 def test_brent_root_is_brentq_on_the_criterion_5_crossings(monkeypatch):
     calls = []
 
-    def recording(f, a, b, xtol, rtol=MIN_RTOL):
-        root = brent_root(f, a, b, xtol, rtol)
-        calls.append((brentq(f, a, b, xtol=xtol, rtol=rtol), root))
+    def recording(f, a, b, xtol):
+        root = brent_root(f, a, b, xtol)
+        calls.append((brentq(f, a, b, xtol=xtol), root))
         return root
 
     monkeypatch.setattr(shooting, "brent_root", recording)
@@ -88,9 +88,8 @@ def test_brent_root_takes_brentqs_steps(f, a, b, xtol):
         # a triple root: brentq too stops after 100 steps
         (lambda x: (x - 1.0) ** 3, 0.0, 3.0, {}, E.RootNotFound),
         (lambda x: x, -1.0, 1.0, {"xtol": 0.0}, E.NotInRange),
-        (lambda x: x, -1.0, 1.0, {"rtol": 1e-16}, E.NotInRange),
     ],
-    ids=["one-sign", "nan", "no-convergence", "zero-xtol", "small-rtol"],
+    ids=["one-sign", "nan", "no-convergence", "zero-xtol"],
 )
 def test_brent_root_raises_named_errors(f, a, b, kwargs, error):
     with pytest.raises(error):
@@ -98,13 +97,18 @@ def test_brent_root_raises_named_errors(f, a, b, kwargs, error):
 
 
 def _largest_spline_difference(z, y, lo=None, hi=None):
-    """Largest difference from CubicSpline, over each quantity's scale; a root's relative."""
-    ours, oracle = Knots(z).spline(y), CubicSpline(z, y)
+    """Largest difference from CubicSpline, over each quantity's scale; a root's relative.
+
+    The quantities are values, the first derivatives at the knots and
+    integrals from the first knot.
+    """
+    knots = Knots(z)
+    ours, oracle = knots.spline(y), CubicSpline(z, y)
     x = np.concatenate([z, np.linspace(z[0], z[-1], 997)])
     worst = 0.0
     pairs = [
         (ours(x), oracle(x)),
-        (ours(x, 1), oracle(x, 1)),
+        (knots.slopes(np.diff(y) / np.diff(z)), oracle(z, 1)),
         ([ours.integral(t) for t in x], [oracle.integrate(z[0], t) for t in x]),
     ]
     for mine, scipys in pairs:
@@ -112,7 +116,7 @@ def _largest_spline_difference(z, y, lo=None, hi=None):
         scale = np.max(np.abs(scipys))
         worst = max(worst, float(np.max(np.abs(mine - scipys))) / scale)
     if lo is not None:
-        root = ours.root(lo, hi, xtol=1e-15)
+        root = brent_root(ours, lo, hi, xtol=1e-15)
         oracle_root = brentq(oracle, lo, hi, xtol=1e-15)
         worst = max(worst, abs(root - oracle_root) / abs(oracle_root))
     return worst
@@ -172,9 +176,6 @@ def test_knots_must_be_at_least_two_and_strictly_increasing(z):
         Knots(z)
 
 
-def test_spline_refuses_values_of_another_length_and_higher_derivatives():
-    knots = Knots([0.0, 1.0, 2.0, 3.0])
+def test_spline_refuses_values_of_another_length():
     with pytest.raises(E.NotInRange):
-        knots.spline([1.0, 2.0])
-    with pytest.raises(E.NotInRange):
-        knots.spline([1.0, 2.0, 0.0, 1.0])(0.5, nu=2)
+        Knots([0.0, 1.0, 2.0, 3.0]).spline([1.0, 2.0])

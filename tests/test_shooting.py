@@ -495,6 +495,15 @@ def test_series_truncation_estimate_names_a_height_that_overflows():
         E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1e100, 1e-4)
 
 
+def test_series_start_below_the_eps_floor_names_an_overflowing_debug_estimate(caplog):
+    # epsilon0 under the 1e-12 floor skips the halving loop, so only the
+    # DEBUG log computes the truncation estimate with its beta^58
+    config = E.ShootConfig(beta=1e7, epsilon0=1e-13)
+    with caplog.at_level("DEBUG", logger="emdenlab.shooting"):
+        with pytest.raises(E.NotInRange, match="beta = 10000000.0: "):
+            E.series_start(OVERFLOWING, config)
+
+
 def test_sweep_rejects_a_row_whose_series_start_overflows_and_shoots_the_rest():
     rows = [UNWEIGHTED_CUBIC, OVERFLOWING, UNWEIGHTED_CUBIC]
     crossed, rejected, again = E.sweep_shoot(rows, HUGE_BETA)
