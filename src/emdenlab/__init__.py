@@ -46,11 +46,14 @@ from .emden_fowler import (
 from .errors import (
     BalanceViolated,
     BracketInvalid,
+    DegenerateProfile,
     DegenerateWeight,
     DerivativeUndefinedAtOrigin,
     DimensionTooSmall,
     EmdenLabError,
     InadmissibleWeights,
+    MalformedGrid,
+    MalformedOption,
     MalformedTrajectory,
     NonFiniteParameter,
     NonIntegerDimension,

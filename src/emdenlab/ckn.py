@@ -42,6 +42,8 @@ import numpy as np
 from .closed_forms import _bubble_constants, _softplus
 from .errors import (
     BalanceViolated,
+    DegenerateProfile,
+    EmdenLabError,
     NonFiniteParameter,
     NonintegrableProfile,
     NormOutOfRange,
@@ -85,6 +87,10 @@ _T_MAX_NODES = 2**20
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
 _LOG2_MAX, _LOG2_MIN = sys.float_info.max_exp, sys.float_info.min_exp - 1
+# energy rescales a norm integral below 2^-970: its quadrature summed
+# subnormal integrand values and lost digits (9e-10 relative on the bubble
+# times 1e-51, 5e-11 times 1e-50, 1e-14 from 1e-48 up)
+_MASS_MIN = sys.float_info.min / sys.float_info.epsilon
 
 RadialProfile = Callable[[float], Tuple[float, float]]
 ArrayProfile = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -373,16 +379,19 @@ def energy(triple: CknTriple, profile: RadialProfile) -> EnergyReport:
     trapezoid: a handle may be only finitely smooth (a C^2 bump, say), and
     there a global trapezoid converges only algebraically.  The quotient
     does not change with the amplitude, so a profile whose quadrature
-    fails because |v|^q leaves double range is integrated again divided
-    by a power of two (_amplitude_shift) and its norms scaled back; a norm
-    that is then not a double raises NormOutOfRange, as in best_constant.
-    A profile whose quadrature succeeds is never rescaled.
+    fails because |v|^q leaves double range, or gives a norm integral
+    so small that subnormal values went into it (_MASS_MIN), is
+    integrated again divided by a power of two (_amplitude_shift) and its
+    norms scaled back; a norm that is then not a double raises
+    NormOutOfRange, as in best_constant.  A profile whose quadrature
+    succeeds with larger norm integrals is never rescaled.  A zero q-norm or a
+    quotient that is not positive raises DegenerateProfile.
     """
     _validate_triple(triple)
     on_array = _pointwise(profile)
     try:
         return _energy(triple, on_array, 0)
-    except ValueError:
+    except EmdenLabError:
         shift = _amplitude_shift(on_array, triple.q)
         if not shift:
             raise
@@ -401,11 +410,14 @@ def _energy(triple: CknTriple, on_array: ArrayProfile, shift: int) -> EnergyRepo
         N - 1.0 + b, lambda r: np.abs(on_array(r)[0]) ** q, "decay norm"
     )
     if qmass <= 0.0:
-        raise ValueError("profile has zero weighted q-norm")
+        raise DegenerateProfile("profile has zero weighted q-norm")
+    for name, mass in (("gradient norm", grad), ("decay norm", qmass)):
+        if 0.0 < mass < _MASS_MIN:
+            raise NormOutOfRange(f"{name} integral is {mass}, too close to subnormal")
     q_norm = qmass ** (1.0 / q)
     rayleigh = grad / q_norm**2
     if not rayleigh > 0.0:
-        raise ValueError(f"quotient came out nonpositive: {rayleigh}")
+        raise DegenerateProfile(f"quotient came out nonpositive: {rayleigh}")
     if shift:
         for name, value, k in (("gradient norm", grad, 2 * shift), ("decay norm", q_norm, shift)):
             log2 = math.log2(value) + k

@@ -13,8 +13,9 @@ main() may be called many times in one process: every call parses with the
 one parser built by its first call, and dispatches to cmd_<subcommand> as
 the module holds it at that moment.
 
-Exit codes: 0 success, 2 invalid parameters, 3 inconclusive numerics,
-4 I/O failure.
+Exit codes: 0 success, 2 invalid parameters (a named EmdenLabError),
+3 inconclusive numerics, 4 I/O failure.  Any other exception is a fault
+of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ from .closed_forms import (
     residual,
 )
 from .emden_fowler import fixed_points, hamiltonian, to_cylinder
-from .errors import EmdenLabError, NonFiniteParameter
+from .errors import (
+    EmdenLabError,
+    MalformedGrid,
+    MalformedOption,
+    NonFiniteParameter,
+    NotInRange,
+)
 from .params import (
     INADMISSIBLE_WEIGHTS,
     SYMMETRY_BREAKING,
@@ -106,7 +113,11 @@ def _config_from(args) -> ShootConfig:
 
 
 def _read_grid(path: str, n_columns: int):
-    """Numeric rows from a CSV grid file; one optional header row allowed."""
+    """Numeric rows from a CSV grid file; one optional header row allowed.
+
+    A non-numeric row after the first, a row short of n_columns and a file
+    without rows raise MalformedGrid.
+    """
     rows = []
     header_seen = False
     with open(path, newline="") as fh:
@@ -119,14 +130,14 @@ def _read_grid(path: str, n_columns: int):
                 values = [float(tok) for tok in line[:n_columns]]
             except ValueError:
                 if rows or header_seen:
-                    raise ValueError(f"non-numeric row {line!r} in {path}")
+                    raise MalformedGrid(f"non-numeric row {line!r} in {path}")
                 header_seen = True
                 continue
             if len(line) < n_columns:
-                raise ValueError(f"row {line!r} has fewer than {n_columns} columns")
+                raise MalformedGrid(f"row {line!r} has fewer than {n_columns} columns")
             rows.append(values)
     if not rows:
-        raise ValueError(f"no parameter rows found in {path}")
+        raise MalformedGrid(f"no parameter rows found in {path}")
     return rows
 
 
@@ -174,11 +185,11 @@ def cmd_threshold(args) -> Output:
 
 def cmd_bubble(args) -> Output:
     if args.samples < 2:
-        raise ValueError(f"--samples = {args.samples}, need at least 2")
+        raise NotInRange(f"--samples = {args.samples}, need at least 2")
     if not (math.isfinite(args.rmin) and math.isfinite(args.rmax)):
         raise NonFiniteParameter(f"need finite --rmin, --rmax, got [{args.rmin}, {args.rmax}]")
     if not 0 < args.rmin < args.rmax:
-        raise ValueError(f"need 0 < --rmin < --rmax, got [{args.rmin}, {args.rmax}]")
+        raise NotInRange(f"need 0 < --rmin < --rmax, got [{args.rmin}, {args.rmax}]")
     N, a, b = args.N, args.a, args.b
     # N, a and b first, so the first rule broken is the one named
     validate(ProblemParams(N, a, b, math.nan))
@@ -210,9 +221,12 @@ def cmd_bubble(args) -> Output:
 
 def cmd_pohozaev(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
-    radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
+    try:
+        radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
+    except ValueError:
+        raise MalformedOption(f"--radii {args.radii!r} is not a list of numbers") from None
     if not radii:
-        raise ValueError("--radii parsed to an empty list")
+        raise MalformedOption("--radii parsed to an empty list")
     config = {"radii": radii, "traj": os.path.basename(args.traj) if args.traj else None}
     if args.traj is not None:
         traj = trajectory_from_csv(args.traj, params)
@@ -304,7 +318,7 @@ def cmd_ckn(args) -> Output:
         params = {"N": args.N, "grid": os.path.basename(args.grid)}
         return Output(files, params, {"rows": len(rows)})
     if args.a is None or args.b is None or args.q is None:
-        raise ValueError("ckn needs either --grid or all of --a, --b, --q")
+        raise MalformedOption("ckn needs either --grid or all of --a, --b, --q")
     triple = CknTriple(args.N, args.a, args.b, args.q)
     report = best_constant(triple)
     payload = {"triple": triple.to_dict(), "balance": check_balance(triple).to_dict()}
@@ -511,7 +525,9 @@ def main(argv=None) -> int:
     """Run one subcommand: print its primary payload, then write --out if given.
 
     cmd_<subcommand> is looked up on the module at call time, so a cmd_*
-    function rebound after the parser was built is the one that runs.
+    function rebound after the parser was built is the one that runs.  An
+    EmdenLabError returns 2 and an OSError 4, each named on stderr; any
+    other exception propagates.
     """
     args = _parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -521,7 +537,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             _write_out(args, output, t0)
         return output.code
-    except ValueError as exc:  # EmdenLabError included
+    except EmdenLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so callers that only care about
-"bad input vs. bug" can catch one type; the CLI maps any of these to
-exit code 2.
+Everything derives from EmdenLabError, a ValueError, so callers that only
+care about "bad input vs. bug" can catch one type.  The CLI maps these,
+and no other ValueError, to exit code 2.
 """
 
 
@@ -54,6 +54,14 @@ class NonpositiveNode(EmdenLabError):
     """Trajectory node with r <= 0 or v <= 0 where positivity is required."""
 
 
+class MalformedGrid(EmdenLabError):
+    """A parameter grid CSV has a non-numeric or short row, or no rows at all."""
+
+
+class MalformedOption(EmdenLabError):
+    """A command-line option is missing, empty, or not the numbers it must hold."""
+
+
 class MalformedTrajectory(EmdenLabError):
     """A trajectory CSV row is not three numbers, or its radii do not increase."""
 
@@ -92,6 +100,10 @@ class NonintegrableProfile(EmdenLabError):
 
 class QuadratureMismatch(EmdenLabError):
     """Quadrature and closed form of the same constant disagree."""
+
+
+class DegenerateProfile(EmdenLabError):
+    """A profile's weighted q-norm is zero, or its Rayleigh quotient is not positive."""
 
 
 class NormOutOfRange(EmdenLabError):

@@ -30,7 +30,10 @@ error control, crossing refinement and node sampling.  An iteration
 evaluates the field 12 times (the step's stages and the field at its
 end); the three dense-output stages of accepted steps are built later in
 bulk, for a bounded buffer of held steps at a time, so rejected steps
-never pay for them.  Both sum stages in stage order; the powers in the
+never pay for them.  A lane that leaves the lockstep is sampled and
+classified only after the next such flush (or the last, when the loop
+ends), together with every other lane that left since, from one pass over
+the step table.  Both sum stages in stage order; the powers in the
 field round differently (the C library's against numpy's), so a shot and
 a lane agree to round-off, amplified only where the answer is below the
 absolute tolerance.
@@ -609,9 +612,13 @@ def _tableau() -> _Tableau:
 
 
 # Accepted steps held back before their dense-output stages are built in one
-# pass.  More rows mean fewer passes; the buffer also grows to a batch's
-# width, so one iteration's steps always fit.
+# pass, after which the lanes that left are finished: room for
+# _PENDING_ITERATIONS iterations of the whole batch, and at least
+# _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger hold
+# costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
+# hold, and threshold_search's 24 no faster than with 256 rows.
 _PENDING_ROWS = 256
+_PENDING_ITERATIONS = 16
 
 
 class _Field(NamedTuple):
@@ -700,41 +707,64 @@ class _StepLog:
     dense-output coefficients of the step, flattened row by row.  Steps
     reach the table in bulk: the lockstep loop holds each accepted step's
     state and first 13 stages in a _Pending buffer, and its flush builds
-    the other three stages and F for every held row at once.  Rows of
-    lanes that have left are dropped when the table fills, before it grows.
+    the other three stages and F for every held row at once, in place in
+    the table.  A lane that leaves the lockstep keeps its rows until its
+    outcome is built (live stays set for it); take hands out the rows of
+    many lanes in one pass.  Rows of lanes that are no longer live are
+    dropped when the table fills, before it grows.
     """
 
     WIDTH = 5 + 2 * _INTERPOLATOR_POWER
+    CAPACITY = 1024
 
     def __init__(self):
-        self.rows = np.empty((1024, self.WIDTH))
+        self.rows = np.empty((self.CAPACITY, self.WIDTH))
         self.n = 0
 
-    def append(self, block, live):
-        n, m = self.n, len(block)
+    def extend(self, m, live):
+        """The next m rows of the table, to be filled by the caller.
+
+        A full table first drops the rows of lanes that are not live, and
+        grows by half only if that leaves fewer than m rows free.  Doubling
+        ahead of need took dichotomy_sweep's table to 32768 rows (5 MB).
+        """
+        n = self.n
         if n + m > len(self.rows):
             table = self.rows[:n]
-            kept = table[live[table[:, 0].astype(int)]]
-            n = len(kept)
+            keep = live[table[:, 0].astype(int)]
+            kept = int(np.count_nonzero(keep))
             size = len(self.rows)
-            while 2 * (n + m) > size:
-                size *= 2
-            if size > len(self.rows):
-                self.rows = np.empty((size, self.WIDTH))
-            self.rows[:n] = kept
-        self.rows[n : n + m] = block
+            while kept + m > size:
+                size += size // 2 + 1
+            rows = self.rows if size == len(self.rows) else np.empty((size, self.WIDTH))
+            rows[:kept] = table[keep]
+            self.rows, n = rows, kept
         self.n = n + m
+        return self.rows[n : n + m]
 
-    def steps(self, lane):
-        table = self.rows[: self.n]
-        return table[table[:, 0] == lane]
+    def take(self, lanes):
+        """(lane, its rows in step order) for every lane set in the mask lanes.
+
+        One pass over the table selects the rows, and a stable sort by
+        lane keeps each lane's rows in step order.  Every lane must have a
+        row.
+        """
+        lane = self.rows[: self.n, 0]
+        at = np.flatnonzero(lanes[lane.astype(int)])
+        at = at[np.argsort(lane[at], kind="stable")]
+        ids = np.flatnonzero(lanes)
+        starts = np.searchsorted(lane[at], ids[1:])
+        return zip(ids.tolist(), np.split(self.rows[at], starts))
 
 
 class _Pending:
     """Accepted steps waiting for their dense output: (lane, t, h, y, K[0..12]).
 
     K holds the step's 12 stages and the field at its end; room for the
-    three dense-output stages is kept behind them.
+    three dense-output stages is kept behind them.  The lockstep flushes
+    when the hold cannot take an iteration's accepted steps and once when
+    its loop ends, and samples the lanes that have left right after each
+    flush, when all their rows are in the table.
     """
 
     def __init__(self, size):
@@ -751,15 +781,19 @@ class _Pending:
     def push(self, k, lane, t, h, y, K):
         """Hold the steps of lanes k (indices into this iteration's arrays)."""
         rows = slice(self.n, self.n + len(k))
-        self.lane[rows] = lane[k]
-        self.t[rows] = t[k]
-        self.h[rows] = h[k]
-        self.y[rows] = y[k]
-        self.K[: _STAGES + 1, rows] = K[:, k]
+        self.lane[rows] = lane.take(k)
+        self.t[rows] = t.take(k)
+        self.h[rows] = h.take(k)
+        self.y[rows] = y.take(k, axis=0)
+        self.K[: _STAGES + 1, rows] = K.take(k, axis=1)  # K[:, k] gathers far slower
         self.n = rows.stop
 
     def flush(self, prm, log_, live, tab):
-        """Build every held step's dense output in one pass into log_."""
+        """Build every held step's dense output in one pass into log_.
+
+        The four D-weighted rows of F are summed one at a time, so the
+        largest temporary is one (16, rows, 2) stage product.
+        """
         n = self.n
         if not n:
             return
@@ -771,13 +805,14 @@ class _Pending:
             _stage(s, t + tab.C[s] * h, y, hc, K, fld, tab)
         y_new = y + hc * _stage_sum(tab.B_COL, K)  # as the step summed it
         delta = y_new - y
-        F = np.empty((_INTERPOLATOR_POWER, n, 2))
-        F[0] = delta
-        F[1] = hc * K[0] - delta
-        F[2] = 2 * delta - hc * (K[_STAGES] + K[0])
-        F[3:] = hc * _stage_sum(tab.D_ROWS, K)
-        F = F.transpose(1, 0, 2).reshape(n, -1)
-        log_.append(np.column_stack([lane, t, h, y, F]), live)
+        block = log_.extend(n, live)
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3:5] = lane, t, h, y
+        F = block[:, 5:].reshape(n, _INTERPOLATOR_POWER, 2)
+        F[:, 0] = delta
+        F[:, 1] = hc * K[0] - delta
+        F[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
+        for i, row in enumerate(tab.D_ROWS):
+            np.multiply(hc, _stage_sum(row, K), out=F[:, 3 + i])
         self.n = 0
 
 
@@ -800,19 +835,30 @@ def _dense_nodes(steps, nodes):
     """(v, dv) at sorted nodes from rows of a step table, as OdeSolution does it.
 
     Rows are (lane, t_old, h, v_old, dv_old, F) as _StepLog holds them;
-    a node on a step boundary is read from the earlier step.  Each node's
-    row is gathered once, and the arithmetic is Dop853DenseOutput's.
+    a node on a step boundary is read from the earlier step.  Each
+    coefficient column is gathered at the nodes' step indices and the two
+    components are summed apart, in Dop853DenseOutput's Horner order, so
+    every operation is one on arrays of the nodes' shape.  A shot samples
+    its nodes once its run ends; a lockstep lane, once its rows are taken
+    from the table after it has left.
     """
     seg = np.searchsorted(steps[:, 1], nodes, side="left") - 1
-    rows = steps[np.clip(seg, 0, len(steps) - 1)]
-    F = rows[:, 5:].reshape(len(nodes), -1, 2)
-    x = ((nodes - rows[:, 1]) / rows[:, 2])[:, None]
-    y = np.zeros((len(nodes), 2))
-    for i in range(F.shape[1]):
-        y += F[:, -1 - i]
-        y *= x if i % 2 == 0 else 1 - x
-    y += rows[:, 3:5]
-    return y[:, 0], y[:, 1]
+    np.clip(seg, 0, len(steps) - 1, out=seg)
+    x = nodes - steps[:, 1][seg]
+    x /= steps[:, 2][seg]
+    u = 1 - x
+    last = steps.shape[1] - 2  # the column of F[-1]'s v
+    out = []
+    for c in (0, 1):
+        y = steps[:, last + c][seg]
+        y += 0.0  # as Horner's sum from zero: -0.0 reads +0.0
+        y *= x
+        for i in range(1, _INTERPOLATOR_POWER):
+            y += steps[:, last + c - 2 * i][seg]
+            y *= x if i % 2 == 0 else u
+        y += steps[:, 3 + c][seg]
+        out.append(y)
+    return out[0], out[1]
 
 
 def _stopped_at(r: float) -> Inconclusive:
@@ -950,14 +996,17 @@ def sweep_shoot(
     accept/reject decision, and one iteration tries one step on every
     lane with 12 field evaluations (11 stages and the field at the step's
     end).  Accepted steps are held back; their three dense-output stages
-    and interpolants are built in bulk when the hold fills or a lane
-    leaves, so rejected steps never pay for them.  A lane leaves when it
-    crosses zero (refined by brent_root on that step's dense output),
-    reaches r_max or fails the minimum-step test; it is then sampled on
-    shoot's node grid and classified.  A row that fails its parameter
-    checks, or whose series start overflows, never enters a lane and comes
-    back as Inconclusive("rejected: ...") in its place.  processes is
-    still accepted, so existing callers keep working, and is ignored.
+    and interpolants are built in bulk when the hold fills and when the
+    loop ends, so rejected steps never pay for them.  A lane leaves when
+    it crosses zero or reaches r_max; it is then owed its outcome, and
+    after the next flush every owed lane is taken from the step table in
+    one pass, its crossing refined by brent_root on its last step's dense
+    output, sampled on shoot's node grid and classified.  A lane that
+    fails the minimum-step test is Inconclusive at once.  A row that
+    fails its parameter checks, or whose series start overflows, never
+    enters a lane and comes back as Inconclusive("rejected: ...") in its
+    place.  processes is still accepted, so existing callers keep
+    working, and is ignored.
     """
     rows = list(rows)
     outcomes: list = [None] * len(rows)
@@ -984,8 +1033,24 @@ def sweep_shoot(
     f = np.empty_like(y)
     live = np.zeros(len(rows), dtype=bool)
     live[lane] = True
+    # lanes that left by crossing or at r_max and wait for their outcome,
+    # with the end radius of a crossing's last step (nan at r_max)
+    owed = np.zeros(len(rows), dtype=bool)
+    crossed_at = np.full(len(rows), np.nan)
     log_ = _StepLog()
-    pending = _Pending(max(_PENDING_ROWS, len(lane)))
+    pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * len(lane)))
+
+    def settle():
+        """Sample and classify every owed lane; all its rows are in the log."""
+        for j, steps in log_.take(owed):
+            crossed = not math.isnan(crossed_at[j])
+            r_end = _crossing(steps[-1].tolist(), float(crossed_at[j])) if crossed else t_bound
+            nodes = _node_grid(starts[j][0], r_end, config.nodes_per_decade)
+            v, dv = _dense_nodes(steps, nodes)
+            traj = _pinned_trajectory(rows[j], config, nodes, v, dv, starts[j], crossed)
+            outcomes[j] = classify_trajectory(traj)
+        live[owed] = False
+        owed[:] = False
 
     with np.errstate(all="ignore"):
         _lane_rhs(t, y, fld, f)
@@ -1000,7 +1065,7 @@ def sweep_shoot(
             failed = ~(h_abs >= min_step)  # a NaN step fails too
             t_new = np.minimum(t + h_abs, t_bound)
             h = t_new - t
-            hc = h[:, None]
+            hc = np.column_stack((h, h))
 
             K = np.empty((_STAGES + 1, L, 2))
             K[0] = f
@@ -1031,6 +1096,7 @@ def sweep_shoot(
             acc = np.flatnonzero(accept)
             if not pending.room(len(acc)):
                 pending.flush(prm, log_, live, tab)
+                settle()
             pending.push(acc, lane, t, h, y, K)
 
             crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
@@ -1040,28 +1106,19 @@ def sweep_shoot(
             f[acc] = f_new[acc]
             if not gone.any():
                 continue
-            pending.flush(prm, log_, live, tab)
-            for k in np.flatnonzero(gone):
+            for k in np.flatnonzero(failed):
                 j = int(lane[k])
                 live[j] = False
-                if failed[k]:
-                    outcomes[j] = _stopped_at(float(t[k]))
-                    continue
-                steps = log_.steps(j)
-                r_end = t_bound
-                if crossed[k]:
-                    r_end = _crossing(steps[-1].tolist(), float(t_new[k]))
-                nodes = _node_grid(starts[j][0], r_end, config.nodes_per_decade)
-                v, dv = _dense_nodes(steps, nodes)
-                traj = _pinned_trajectory(
-                    rows[j], config, nodes, v, dv, starts[j], crossed[k]
-                )
-                outcomes[j] = classify_trajectory(traj)
+                outcomes[j] = _stopped_at(float(t[k]))
+            owed[lane[gone & ~failed]] = True
+            crossed_at[lane[crossed]] = t_new[crossed]
             keep = ~gone
             lane, t, y, f, h_abs, retry = (
                 a[keep] for a in (lane, t, y, f, h_abs, retry)
             )
             fld = _field(prm, lane)
+        pending.flush(prm, log_, live, tab)
+        settle()
     return outcomes
 
 

@@ -120,9 +120,11 @@ def test_energy_is_dilation_and_amplitude_invariant():
     assert max(values) - min(values) <= 1e-10 * max(values)
 
 
-@pytest.mark.parametrize("c", [1e-60, 1e-30, 1e30, 1e60])
+@pytest.mark.parametrize("c", [1e-60, 1e-52, 1e-50, 1e-30, 1e30, 1e60])
 def test_energy_keeps_amplitudes_far_from_one(c):
-    # |v|^q under- or overflows at the origin stub unless energy rescales
+    # |v|^q under- or overflows at the origin stub unless energy rescales;
+    # at 1e-52 and 1e-50 the plain quadrature succeeds, but sums subnormal
+    # values of |v|^q (its q-mass is 1e-311 and 1e-299)
     triple = E.CknTriple(3, 0.0, 0.0, 6.0)
     base = _bubble_profile(3, 0.0, 0.0)
     ref = E.energy(triple, base)
@@ -165,6 +167,37 @@ def test_energy_rescales_profiles_that_vanish_at_the_origin(c):
     for profile, rayleigh, _, _ in _vanishing_profiles():
         rep = E.energy(triple, lambda r: tuple(c * x for x in profile(r)))
         assert rep.rayleigh == pytest.approx(float.fromhex(rayleigh), rel=1e-10)
+
+
+def test_energy_probes_the_amplitude_only_for_a_mass_near_subnormal(monkeypatch):
+    # a profile whose plain pass gives larger norm integrals makes no
+    # handle call beyond that pass
+    from emdenlab import ckn
+
+    probes = []
+    shift = ckn._amplitude_shift
+    monkeypatch.setattr(ckn, "_amplitude_shift", lambda *args: probes.append(1) or shift(*args))
+    triple = E.CknTriple(3, 0.0, 0.0, 6.0)
+    base = _bubble_profile(3, 0.0, 0.0)
+    profiles = [profile for profile, *_ in _vanishing_profiles()]
+    for c in (1.0, 1e-47):  # q-mass 1.3 and 1.3e-281
+        profiles.append(lambda r, c=c: tuple(c * x for x in base(r)))
+    for profile in profiles:
+        E.energy(triple, profile)
+    assert probes == []
+    E.energy(triple, lambda r: tuple(1e-52 * x for x in base(r)))
+    assert probes == [1]
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [lambda r: (0.0, math.exp(-r)), lambda r: (math.exp(-r), 0.0)],
+    ids=["zero-q-norm", "zero-gradient"],
+)
+def test_energy_names_a_degenerate_profile(profile):
+    # each used to raise a bare ValueError
+    with pytest.raises(E.DegenerateProfile):
+        E.energy(E.CknTriple(3, 0.0, 0.0, 6.0), profile)
 
 
 @pytest.mark.parametrize("c", [1e-200, 1e200])

@@ -547,6 +547,52 @@ def test_main_calls_share_one_parser_and_dispatch_at_call_time(capsys, monkeypat
     assert run(capsys, *argv) == first
 
 
+# one id per refusal site: (grid file text or None, argv, error name)
+NAMED_REFUSALS = {
+    "grid-non-numeric-row": ("N,a,b,p\n3,0,0,3\nthree,0,0,3\n", ["sweep"], "MalformedGrid"),
+    "grid-short-row": ("N,a,b,p\n3,0,0\n", ["sweep"], "MalformedGrid"),
+    "grid-without-rows": ("N,a,b,p\n# nothing\n", ["sweep"], "MalformedGrid"),
+    "bubble-one-sample": (None, ["bubble", *CUBIC_ARGS, "--samples", "1"], "NotInRange"),
+    "bubble-rmin-above-rmax": (
+        None, ["bubble", *CUBIC_ARGS, "--rmin", "2", "--rmax", "1"], "NotInRange"
+    ),
+    "pohozaev-empty-radii": (
+        None, ["pohozaev", *CUBIC_ARGS, "--p", "3", "--radii", " , "], "MalformedOption"
+    ),
+    "pohozaev-non-numeric-radii": (
+        None, ["pohozaev", *CUBIC_ARGS, "--p", "3", "--radii", "1,two"], "MalformedOption"
+    ),
+    "ckn-without-grid-or-triple": (
+        None, ["ckn", "--N", "3", "--a", "0", "--b", "0"], "MalformedOption"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(NAMED_REFUSALS))
+def test_cli_refusals_exit_2_with_a_named_error(capsys, tmp_path, site):
+    # each used to raise a bare ValueError
+    text, argv, name = NAMED_REFUSALS[site]
+    if text is not None:
+        grid = tmp_path / "grid.csv"
+        grid.write_text(text)
+        argv = [*argv, "--grid", str(grid), "--rmax", "10"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"{name}: ")
+
+
+def test_a_bare_value_error_is_an_internal_error_not_exit_2(capsys, monkeypatch):
+    # exit 2 means bad input; a fault inside the program must not read as one
+    from emdenlab import cli
+
+    def broken(args):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["classify", *CUBIC_ARGS, "--p", "3"])
+
+
 def test_io_failure_exits_4(capsys):
     code, _, err = run(
         capsys,

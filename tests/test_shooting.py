@@ -536,15 +536,47 @@ def test_lockstep_lane_with_a_nan_state_fails_instead_of_spinning(monkeypatch):
     assert isinstance(crossed, E.CrossedZero)
 
 
-def test_batched_sweep_matches_single_shots():
-    # the criterion-5 grid plus the cubic row, each row also shot alone
+def _criterion5_rows():
     rows = []
     for N, a, b in [(3, 0.0, 0.0), (3, 0.0, 1.0), (3, 0.5, 1.0),
                     (4, 0.0, 0.0), (4, -0.5, 0.0), (5, 1.0, 2.0)]:
         d = E.derive(E.ProblemParams(N, a, b, 2.0))
         for p in np.linspace(d.p_serrin, d.p_critical + 1.0, 22)[1:-1]:
             rows.append(E.ProblemParams(N, a, b, float(p)))
-    rows.append(UNWEIGHTED_CUBIC)
+    return rows
+
+
+def test_owed_lanes_keep_their_rows_through_flushes_and_compaction(monkeypatch):
+    # A lane that crosses or reaches r_max is finished at a later flush.
+    # With a tiny hold and table, flushes and compactions fall between
+    # lanes' exits and their outcomes; a NaN-state lane stops among them.
+    from emdenlab import shooting
+
+    series_start = shooting.series_start
+    nan_row = E.ProblemParams(6, 0.0, 0.0, 2.0)
+
+    def nan_start(params, config):
+        eps, v, dv = series_start(params, config)
+        return (eps, math.nan, math.nan) if params == nan_row else (eps, v, dv)
+
+    monkeypatch.setattr(shooting, "series_start", nan_start)
+    rows = _criterion5_rows()
+    rows.insert(50, nan_row)
+    config = E.ShootConfig(beta=100.0, r_max=1e4)
+    ref = E.sweep_shoot(rows, config)
+    monkeypatch.setattr(shooting, "_PENDING_ROWS", 1)
+    monkeypatch.setattr(shooting, "_PENDING_ITERATIONS", 1)
+    monkeypatch.setattr(shooting._StepLog, "CAPACITY", 4)
+    got = E.sweep_shoot(rows, config)
+    assert ref[50].reason.startswith("integrator stopped at r = ")
+    assert {o.kind for o in ref} == {"crossed_zero", "positive_global",
+                                     "converged_to_singular", "inconclusive"}
+    assert [o.to_dict() for o in got] == [o.to_dict() for o in ref]
+
+
+def test_batched_sweep_matches_single_shots():
+    # the criterion-5 grid plus the cubic row, each row also shot alone
+    rows = _criterion5_rows() + [UNWEIGHTED_CUBIC]
     config = E.ShootConfig(beta=100.0, r_max=1e4)
     atol = config.abs_tol * config.beta
 
