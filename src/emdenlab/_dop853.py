@@ -1,14 +1,36 @@
-"""DOP853's coefficients (Hairer, Norsett and Wanner, Solving ODEs I, section II.5).
+"""DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, sections II.5 and
+II.10), step for step as scipy's solve_ivp drives it: the one integrator.
+
+A run integrates y' = field(t, y), y = (y0, y1), from a start (t, y0, y1)
+up to t_bound.  It stops at the first accepted step that starts at
+y0 >= 0 and ends at y0 <= 0, and refines that crossing by brent_root on
+the step's dense output.  The field is passed in; nothing here knows the
+equation.  Two drivers share the tableau, initial step, step control,
+crossing rule and step-table layout (_StepLog, sampled by dense_nodes):
+scalar_run is a step loop on Python floats, so one lane pays no numpy
+call overhead; lockstep advances many lanes as numpy arrays, one step per
+lane per iteration, each with its own step size.  An iteration evaluates
+the field 12 times; the three dense-output stages of accepted steps are
+built later in bulk, a bounded buffer at a time, so rejected steps never
+pay for them, and a lane that left is handed back after the next such
+flush.  Both sum stages in stage order, so the two agree to round-off
+beyond the rounding of the field itself, and match solve_ivp's to
+round-off, not bit for bit.
 
 The decimal literals are those of scipy/integrate/_ivp/dop853_coefficients.py
 (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
 Developers), copied digit for digit, so every double equals scipy's.  E3 is
 built from B by the same three subtractions.  The sparse tables hold the
-nonzero entries only, as {column: weight}; the scalar step loop reads them
-as they are, and coefficients() expands them into scipy's dense arrays.
+nonzero entries only, as {column: weight}; coefficients() expands them
+into scipy's dense arrays, and each driver's tableau is shaped once, at
+import.
 """
 
+import math
+
 import numpy as np
+
+from ._numerics import brent_root
 
 N_STAGES = 12  # stages of a step
 N_STAGES_EXTENDED = 16  # with the field at the step's end and 3 dense-output stages
@@ -210,3 +232,440 @@ def coefficients():
     E5 = _matrix([(0, E5_WEIGHTS)], (1, N_STAGES + 1))[0]
     D = _matrix(enumerate(D_ROWS), (INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED))
     return A, B, np.array(C), E3, E5, D
+
+
+# The tableau for many lanes, shaped to broadcast over K's (stage, lane,
+# component) axes: _A_LANES[s] weighs stage s's predecessors, and _E53_LANES
+# stacks the fifth- and third-order error weights.
+_A, _B, _C_LANES, _E3, _E5, _D = coefficients()
+_A_LANES = [_A[s, :s, None, None] for s in range(N_STAGES_EXTENDED)]
+_B_LANES = _B[:, None, None]
+_E53_LANES = np.stack([_E5, _E3])[:, :, None, None]
+_D_LANES = _D[:, :, None, None]
+
+# The tableau for one lane, as (j, weight) pairs in stage order.  A's rows,
+# B and D's rows hold the nonzero weights only: for finite stages a zero
+# term changes no bit of a sum.  E5 and E3 keep all 13, so a non-finite
+# field at a step's end (weight 0) still fails the error test, as it does
+# in the lockstep.
+_A_PAIRS = [sorted(A_ROWS.get(s, {}).items()) for s in range(N_STAGES_EXTENDED)]
+_B_PAIRS = _A_PAIRS[N_STAGES]
+_E5_PAIRS = list(enumerate(_E5.tolist()))
+_E3_PAIRS = list(enumerate(_E3.tolist()))
+_D_PAIRS = [sorted(row.items()) for row in D_ROWS]
+
+# step control, as scipy's DOP853 has it
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+EPS = np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# Accepted steps held back before their dense-output stages are built in one
+# pass, after which the lanes that left are handed back: room for
+# _PENDING_ITERATIONS iterations of the whole batch, and at least
+# _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger hold
+# costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
+# hold, and threshold_search's 24 no faster than with 256 rows.
+_PENDING_ROWS = 256
+_PENDING_ITERATIONS = 16
+
+
+def _stage_sum(coeffs, K):
+    """sum_j coeffs[..., j, :, :] K[j], added in stage order.
+
+    Each lane's sum is rounded the same whatever the batch around it, so a
+    lane's run does not depend on the other lanes (a matrix product would
+    block its sums by the batch width).
+    """
+    return np.add.reduce(coeffs * K[: coeffs.shape[-3]], axis=-3)
+
+
+def _stage(s, t, y, hc, K, rhs):
+    """Stage s of every lane into K[s]: the field at t, y + h sum_j A[s, j] K[j]."""
+    ys = _stage_sum(_A_LANES[s], K)
+    ys *= hc
+    ys += y
+    rhs(t, ys, K[s])
+
+
+def _rms(x):
+    return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
+
+
+def _initial_step(t0, y0, f0, t_bound, rhs, rtol, atol):
+    """scipy's select_initial_step for every lane (error estimator order 7).
+
+    rhs(t, y, out) writes the lanes' field at times t and states y into out.
+    """
+    interval = t_bound - t0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, interval)
+    f1 = np.empty_like(y0)
+    rhs(t0 + h0, y0 + h0[:, None] * f0, f1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0),
+    )
+    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+
+
+class _StepLog:
+    """Accepted steps of all lanes in one table, each lane's rows in step order.
+
+    A row is (lane, t_old, h, y0_old, y1_old, F) with F the 7 x 2
+    dense-output coefficients of the step, flattened row by row.  Steps
+    reach the table in bulk: the lockstep holds each accepted step's state
+    and first 13 stages in a _Pending buffer, and its flush builds the
+    other three stages and F for every held row at once, in place in the
+    table.  A lane that leaves the lockstep keeps its rows until they are
+    handed back (live stays set for it); take hands out the rows of many
+    lanes in one pass.  Rows of lanes that are no longer live are dropped
+    when the table fills, before it grows.
+    """
+
+    WIDTH = 5 + 2 * INTERPOLATOR_POWER
+    CAPACITY = 1024
+
+    def __init__(self):
+        self.rows = np.empty((self.CAPACITY, self.WIDTH))
+        self.n = 0
+
+    def extend(self, m, live):
+        """The next m rows of the table, to be filled by the caller.
+
+        A full table first drops the rows of lanes that are not live, and
+        grows by half only if that leaves fewer than m rows free.  Doubling
+        ahead of need took dichotomy_sweep's table to 32768 rows (5 MB).
+        """
+        n = self.n
+        if n + m > len(self.rows):
+            table = self.rows[:n]
+            keep = live[table[:, 0].astype(int)]
+            kept = int(np.count_nonzero(keep))
+            size = len(self.rows)
+            while kept + m > size:
+                size += size // 2 + 1
+            rows = self.rows if size == len(self.rows) else np.empty((size, self.WIDTH))
+            rows[:kept] = table[keep]
+            self.rows, n = rows, kept
+        self.n = n + m
+        return self.rows[n : n + m]
+
+    def take(self, lanes):
+        """(lane, its rows in step order) for every lane set in the mask lanes.
+
+        One pass over the table selects the rows, and a stable sort by
+        lane keeps each lane's rows in step order.  Every lane must have a
+        row.
+        """
+        lane = self.rows[: self.n, 0]
+        at = np.flatnonzero(lanes[lane.astype(int)])
+        at = at[np.argsort(lane[at], kind="stable")]
+        ids = np.flatnonzero(lanes)
+        starts = np.searchsorted(lane[at], ids[1:])
+        return zip(ids.tolist(), np.split(self.rows[at], starts))
+
+
+class _Pending:
+    """Accepted steps waiting for their dense output: (lane, t, h, y, K[0..12]).
+
+    K holds the step's 12 stages and the field at its end; room for the
+    three dense-output stages is kept behind them.  The lockstep flushes
+    when the hold cannot take an iteration's accepted steps and once when
+    its loop ends, and hands back the lanes that have left right after each
+    flush, when all their rows are in the table.
+    """
+
+    def __init__(self, size):
+        self.lane = np.empty(size, dtype=int)
+        self.t = np.empty(size)
+        self.h = np.empty(size)
+        self.y = np.empty((size, 2))
+        self.K = np.empty((N_STAGES_EXTENDED, size, 2))
+        self.n = 0
+
+    def room(self, m):
+        return self.n + m <= len(self.t)
+
+    def push(self, k, lane, t, h, y, K):
+        """Hold the steps of lanes k (indices into this iteration's arrays)."""
+        rows = slice(self.n, self.n + len(k))
+        self.lane[rows] = lane.take(k)
+        self.t[rows] = t.take(k)
+        self.h[rows] = h.take(k)
+        self.y[rows] = y.take(k, axis=0)
+        self.K[: N_STAGES + 1, rows] = K.take(k, axis=1)  # K[:, k] gathers far slower
+        self.n = rows.stop
+
+    @np.errstate(all="ignore")
+    def flush(self, lane_field, log_, live):
+        """Build every held step's dense output in one pass into log_.
+
+        The four D-weighted rows of F are summed one at a time, so the
+        largest temporary is one (16, rows, 2) stage product.
+        """
+        n = self.n
+        if not n:
+            return
+        lane, t, h, y = self.lane[:n], self.t[:n], self.h[:n], self.y[:n]
+        K = self.K[:, :n]
+        rhs = lane_field(lane)
+        hc = h[:, None]
+        for s in range(N_STAGES + 1, len(K)):
+            _stage(s, t + _C_LANES[s] * h, y, hc, K, rhs)
+        y_new = y + hc * _stage_sum(_B_LANES, K)  # as the step summed it
+        delta = y_new - y
+        block = log_.extend(n, live)
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3:5] = lane, t, h, y
+        F = block[:, 5:].reshape(n, INTERPOLATOR_POWER, 2)
+        F[:, 0] = delta
+        F[:, 1] = hc * K[0] - delta
+        F[:, 2] = 2 * delta - hc * (K[N_STAGES] + K[0])
+        for i, row in enumerate(_D_LANES):
+            np.multiply(hc, _stage_sum(row, K), out=F[:, 3 + i])
+        self.n = 0
+
+
+def _dense_v(t, step):
+    """y0 at t on one logged step's dense output, as Dop853DenseOutput does it."""
+    x = (t - step[1]) / step[2]
+    y = 0.0
+    for i, f in enumerate(reversed(step[5::2])):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + step[3]
+
+
+def _crossing(step, t_end: float) -> float:
+    """The zero of y0 on one logged step (a sequence of floats) that ends at t_end."""
+    return brent_root(lambda t: _dense_v(t, step), step[1], t_end, xtol=4 * EPS)
+
+
+def dense_nodes(steps, nodes):
+    """(y0, y1) at sorted nodes from rows of a step table, as OdeSolution does it.
+
+    Rows are (lane, t_old, h, y0_old, y1_old, F) as _StepLog holds them;
+    a node on a step boundary is read from the earlier step.  Each
+    coefficient column is gathered at the nodes' step indices and the two
+    components are summed apart, in Dop853DenseOutput's Horner order, so
+    every operation is one on arrays of the nodes' shape.  steps needs at
+    least one row.
+    """
+    seg = np.searchsorted(steps[:, 1], nodes, side="left") - 1
+    np.clip(seg, 0, len(steps) - 1, out=seg)
+    x = nodes - steps[:, 1][seg]
+    x /= steps[:, 2][seg]
+    u = 1 - x
+    last = steps.shape[1] - 2  # the column of F[-1]'s y0
+    out = []
+    for c in (0, 1):
+        y = steps[:, last + c][seg]
+        y += 0.0  # as Horner's sum from zero: -0.0 reads +0.0
+        y *= x
+        for i in range(1, INTERPOLATOR_POWER):
+            y += steps[:, last + c - 2 * i][seg]
+            y *= x if i % 2 == 0 else u
+        y += steps[:, 3 + c][seg]
+        out.append(y)
+    return out[0], out[1]
+
+
+def _combine(weights, K):
+    """sum_j w_j K_j of the pairs K over weights' (j, w_j), in stage order."""
+    s0 = s1 = 0.0
+    for j, w in weights:
+        k0, k1 = K[j]
+        s0 += w * k0
+        s1 += w * k1
+    return s0, s1
+
+
+def scalar_run(field, start, t_bound, rtol, atol):
+    """One run on Python floats: (steps, t_end, crossed, stopped).
+
+    The lockstep's iteration for a single lane: the same initial step
+    (_initial_step on one-lane arrays), step control, stage sums in stage
+    order, error norm, minimum-step test and crossing rule.  field(t, (y0,
+    y1)) returns (y0', y1'), and start is (t, y0, y1).  steps holds every
+    accepted step in _StepLog's row layout, with lane 0; it has no rows
+    when the run stops before its first step.  t_end is the refined
+    crossing, t_bound, or, for a run that failed the minimum-step test
+    (stopped), the last t it reached.
+    """
+    A, B, E5, E3, D = _A_PAIRS, _B_PAIRS, _E5_PAIRS, _E3_PAIRS, _D_PAIRS
+    t, v, dv = start
+
+    def one_lane(r, y, out):
+        out[0] = field(float(r[0]), (float(y[0, 0]), float(y[0, 1])))
+
+    f = field(t, (v, dv))
+    with np.errstate(all="ignore"):
+        h_abs = _initial_step(
+            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane,
+            rtol, atol,
+        )
+    h_abs = float(h_abs[0])
+    rows = []
+    retry = False
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if not retry:
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:  # a NaN step fails too
+            return np.reshape(rows, (-1, _StepLog.WIDTH)), t, False, True
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+
+        K = [f]
+        for s in range(1, N_STAGES):
+            sv, sdv = _combine(A[s], K)
+            K.append(field(t + C[s] * h, (v + h * sv, dv + h * sdv)))
+        sv, sdv = _combine(B, K)
+        v_new, dv_new = v + h * sv, dv + h * sdv
+        f_new = field(t + h, (v_new, dv_new))
+        K.append(f_new)
+
+        scale_v = atol + max(abs(v), abs(v_new)) * rtol
+        scale_dv = atol + max(abs(dv), abs(dv_new)) * rtol
+        (e5v, e5dv), (e3v, e3dv) = _combine(E5, K), _combine(E3, K)
+        e5v, e5dv, e3v, e3dv = e5v / scale_v, e5dv / scale_dv, e3v / scale_v, e3dv / scale_dv
+        err5 = e5v * e5v + e5dv * e5dv
+        err3 = e3v * e3v + e3dv * e3dv
+        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
+        ratio = _SAFETY * error_norm**_ERROR_EXPONENT if error_norm else math.inf
+        if not error_norm < 1:
+            h_abs = h * max(_MIN_FACTOR, ratio)
+            retry = True
+            continue
+        grow = min(_MAX_FACTOR, ratio)
+        h_abs = h * (min(1.0, grow) if retry else grow)
+        retry = False
+
+        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
+            sv, sdv = _combine(A[s], K)
+            K.append(field(t + C[s] * h, (v + h * sv, dv + h * sdv)))
+        delta_v, delta_dv = v_new - v, dv_new - dv
+        (k0v, k0dv), (k12v, k12dv) = f, f_new
+        F = [
+            delta_v, delta_dv,
+            h * k0v - delta_v, h * k0dv - delta_dv,
+            2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
+        ]
+        for weights in D:
+            sv, sdv = _combine(weights, K)
+            F += (h * sv, h * sdv)
+        rows.append((0.0, t, h, v, dv, *F))
+
+        crossed = v >= 0 and v_new <= 0
+        t, v, dv, f = t_new, v_new, dv_new, f_new
+        if crossed or t >= t_bound:
+            t_end = _crossing(rows[-1], t) if crossed else t_bound
+            return np.array(rows), t_end, crossed, False
+
+
+def _handed_back(log_, owed, crossed_at, live, t_bound):
+    """(lane, steps, t_end, crossed) of every owed lane, whose rows are all in log_.
+
+    The lanes are no longer live once every one has been handed back.
+    """
+    for j, steps in log_.take(owed):
+        crossed = not math.isnan(crossed_at[j])
+        t_end = _crossing(steps[-1].tolist(), float(crossed_at[j])) if crossed else t_bound
+        yield j, steps, t_end, crossed
+    live[owed] = False
+    owed[:] = False
+
+
+def lockstep(lane_field, starts, t_bound, rtol, atol):
+    """Run every start as a lane of one lockstep: a generator of finished lanes.
+
+    starts holds one (t, y0, y1) per lane, and a lane is its index into
+    starts.  lane_field(lanes) returns the field rhs(t, y, out) of the
+    given lanes, which writes (y0', y1') of each row of y into out.  One
+    iteration tries one step on every lane in the lockstep.  A lane leaves
+    when it crosses or reaches t_bound; after the next flush of the held
+    steps it is yielded as (lane, steps, t_end, crossed), with its rows of
+    the step table in step order and t_end the refined crossing or
+    t_bound, before the loop resumes.  A lane that fails the minimum-step
+    test is yielded at once, as (lane, a table with no rows, the last t it
+    reached, False).
+    """
+    starts = np.reshape(starts, (-1, 3))
+    lane = np.arange(len(starts))
+    t, y = starts[:, 0].copy(), starts[:, 1:].copy()
+    rhs = lane_field(lane)
+    f = np.empty_like(y)
+    live = np.ones(len(lane), dtype=bool)
+    # lanes that left by crossing or at t_bound and wait for their rows,
+    # with the end of a crossing's last step (nan at t_bound)
+    owed = np.zeros(len(lane), dtype=bool)
+    crossed_at = np.full(len(lane), np.nan)
+    log_ = _StepLog()
+    pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * len(lane)))
+
+    with np.errstate(all="ignore"):
+        rhs(t, y, f)
+        h_abs = _initial_step(t, y, f, t_bound, rhs, rtol, atol)
+    retry = np.zeros(len(lane), dtype=bool)
+    while len(lane):
+        with np.errstate(all="ignore"):  # not across a yield: the caller runs there
+            min_step = 10.0 * (np.nextafter(t, np.inf) - t)
+            h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
+            failed = ~(h_abs >= min_step)  # a NaN step fails too
+            t_new = np.minimum(t + h_abs, t_bound)
+            h = t_new - t
+            hc = np.column_stack((h, h))
+
+            K = np.empty((N_STAGES + 1, len(lane), 2))
+            K[0] = f
+            t_stage = t + _C_LANES[1:N_STAGES, None] * h
+            for s in range(1, N_STAGES):
+                _stage(s, t_stage[s - 1], y, hc, K, rhs)
+            y_new = y + hc * _stage_sum(_B_LANES, K)
+            f_new = K[N_STAGES]
+            rhs(t + h, y_new, f_new)
+
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _stage_sum(_E53_LANES, K)
+            err /= scale
+            err *= err
+            err5, err3 = np.add.reduce(err, axis=-1)
+            error_norm = np.where(
+                (err5 == 0) & (err3 == 0),
+                0.0,
+                h * err5 / np.sqrt((err5 + 0.01 * err3) * 2),
+            )
+            accept = (error_norm < 1) & ~failed
+            ratio = _SAFETY * error_norm**_ERROR_EXPONENT
+            grow = np.minimum(_MAX_FACTOR, ratio)  # inf at error_norm = 0
+            grow = np.where(retry, np.minimum(1.0, grow), grow)
+            h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, ratio))
+            retry = ~accept
+
+        acc = np.flatnonzero(accept)
+        if not pending.room(len(acc)):
+            pending.flush(lane_field, log_, live)
+            yield from _handed_back(log_, owed, crossed_at, live, t_bound)
+        pending.push(acc, lane, t, h, y, K)
+
+        crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
+        gone = failed | crossed | (accept & (t_new >= t_bound))
+        t = np.where(accept, t_new, t)
+        y[acc] = y_new[acc]
+        f[acc] = f_new[acc]
+        if not gone.any():
+            continue
+        for k in np.flatnonzero(failed):
+            live[lane[k]] = False
+            yield int(lane[k]), np.empty((0, _StepLog.WIDTH)), float(t[k]), False
+        owed[lane[gone & ~failed]] = True
+        crossed_at[lane[crossed]] = t_new[crossed]
+        keep = ~gone
+        lane, t, y, f, h_abs, retry = (a[keep] for a in (lane, t, y, f, h_abs, retry))
+        rhs = lane_field(lane)
+    pending.flush(lane_field, log_, live)
+    yield from _handed_back(log_, owed, crossed_at, live, t_bound)

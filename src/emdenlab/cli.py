@@ -112,11 +112,19 @@ def _config_from(args) -> ShootConfig:
     )
 
 
+def _number(tok: str) -> float | None:
+    try:
+        return float(tok)
+    except ValueError:
+        return None
+
+
 def _read_grid(path: str, n_columns: int):
     """Numeric rows from a CSV grid file; one optional header row allowed.
 
-    A non-numeric row after the first, a row short of n_columns and a file
-    without rows raise MalformedGrid.
+    The first row is a header if none of its first n_columns cells is a
+    number.  Any other row with a non-numeric cell, a row short of
+    n_columns and a file without rows raise MalformedGrid.
     """
     rows = []
     header_seen = False
@@ -126,10 +134,9 @@ def _read_grid(path: str, n_columns: int):
                 continue
             if line[0].lstrip().startswith("#"):
                 continue
-            try:
-                values = [float(tok) for tok in line[:n_columns]]
-            except ValueError:
-                if rows or header_seen:
+            values = [_number(tok) for tok in line[:n_columns]]
+            if None in values:
+                if rows or header_seen or values.count(None) < len(values):
                     raise MalformedGrid(f"non-numeric row {line!r} in {path}")
                 header_seen = True
                 continue

@@ -20,26 +20,15 @@ beta = 1 crossing radii into a modest window, so a fixed horizon loses
 almost no resolution near the critical exponent.
 
 Single shots (shoot) and batches (sweep_shoot, and through it
-threshold_bisect) run one method, DOP853 as scipy's solve_ivp drives it,
-with one tableau (_tableau), initial step, step control, crossing rule and
-node sampler.  Only the array layout differs.  A shot is a scalar step
-loop on Python floats (_scalar_dop853): one lane pays no numpy call
-overhead.  A batch is a lockstep that advances every row at once as numpy
-arrays, one step per row per iteration, with each row's own step size,
-error control, crossing refinement and node sampling.  An iteration
-evaluates the field 12 times (the step's stages and the field at its
-end); the three dense-output stages of accepted steps are built later in
-bulk, for a bounded buffer of held steps at a time, so rejected steps
-never pay for them.  A lane that leaves the lockstep is sampled and
-classified only after the next such flush (or the last, when the loop
-ends), together with every other lane that left since, from one pass over
-the step table.  Both sum stages in stage order; the powers in the
-field round differently (the C library's against numpy's), so a shot and
-a lane agree to round-off, amplified only where the answer is below the
-absolute tolerance.
-
-Both sample their stored nodes with one routine (_dense_nodes) from a
-table of accepted DOP853 steps in one row layout (_StepLog).
+threshold_bisect) run the one DOP853 engine of _dop853: a shot as its
+scalar step loop on Python floats, a batch as the lanes of its lockstep.
+This module passes it the radial field (_make_rhs for a shot, _lane_rhs
+for lanes), the series start and the tolerances (_tolerances), and
+finishes every run the same way (_finish): nodes on a log-uniform grid
+(_node_grid), sampled from the run's step table, then classified.  The
+powers in the two fields round differently (the C library's against
+numpy's), so a shot and a lane agree to round-off, amplified only where
+the answer is below the absolute tolerance.
 
 threshold_bisect shoots its probes in lockstep rounds.  The first round
 holds the bracket's ends, the next four bisection levels and the path the
@@ -48,7 +37,7 @@ serial walk would take if the threshold sat where the first-zero law
 whole walk reads its decisions from that one round.  Later rounds, needed
 only where the path runs out, shoot four levels each.
 
-No shot needs scipy: the tableau is a table of constants (_dop853),
+No shot needs scipy: the engine's tableau is a table of constants,
 crossings are refined by brent_root and node splines are _numerics'
 not-a-knot splines.  The module still names scipy's solve_ivp, imported
 on its first lookup, for callers that read it.
@@ -57,7 +46,6 @@ on its first lookup, for callers that read it.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import logging
@@ -345,35 +333,56 @@ def _node_grid(eps: float, r_end: float, nodes_per_decade: int) -> np.ndarray:
     return nodes
 
 
-def _pinned_trajectory(params, config, nodes, v, dv, start, crossed):
-    """Nodes with the series start pinned first and, at a crossing, v = 0 last."""
-    v, dv = np.array(v), np.array(dv)
+def _tolerances(config: ShootConfig) -> tuple[float, float]:
+    """(rtol, atol) of a run: rel_tol floored at 100 ulps as solve_ivp does, abs_tol times beta."""
+    return max(config.rel_tol, 100 * _dop853.EPS), config.abs_tol * max(1.0, config.beta)
+
+
+def _stopped_at(r: float) -> Inconclusive:
+    """The outcome of a run that failed the minimum-step test at radius r."""
+    return Inconclusive(f"integrator stopped at r = {r}: {_dop853.TOO_SMALL_STEP}")
+
+
+def _finish(params, config, start, steps, r_end, crossed, stopped) -> RadialTrajectory:
+    """The classified trajectory of one DOP853 run from the series start.
+
+    The nodes (_node_grid up to r_end) are sampled from the run's step
+    table, with the series start pinned first and, at a crossing, v = 0
+    last.  A stopped run is Inconclusive; one stopped before its first
+    step has no table to sample and holds the start node alone.
+    """
+    if len(steps):
+        nodes = _node_grid(start[0], r_end, config.nodes_per_decade)
+        v, dv = _dop853.dense_nodes(steps, nodes)
+    else:
+        nodes, v, dv = (np.array([x]) for x in start)
     v[0], dv[0] = start[1], start[2]
     if crossed:
         v[-1] = 0.0
-    return RadialTrajectory(params=params, r=nodes, v=v, dv=dv, config=config)
+    traj = RadialTrajectory(params=params, r=nodes, v=v, dv=dv, config=config)
+    traj.outcome = _stopped_at(r_end) if stopped else classify_trajectory(traj)
+    return traj
 
 
 def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialTrajectory:
     """Integrate one trajectory and classify it.
 
-    DOP853 as a scalar step loop on Python floats (_scalar_dop853), which
-    shares the lockstep's tableau, initial step, step control, crossing
-    rule and node sampler; the field is _make_rhs(params), looked up at
-    call time.  The run stops at the first step that starts at v >= 0 and
-    ends at v <= 0; the crossing radius is refined by brent_root on that
-    step's dense output, accurate to far better than the 1e-8 relative
-    contract.  The nodes are sampled by _dense_nodes from the run's table
-    of accepted steps.  A run that fails the minimum-step test keeps the
-    nodes it reached and is Inconclusive.
+    DOP853 as a scalar step loop on Python floats (_dop853.scalar_run),
+    which shares the lockstep's tableau, initial step, step control,
+    crossing rule and node sampler; the field is _make_rhs(params), looked
+    up at call time.  The run stops at the first step that starts at
+    v >= 0 and ends at v <= 0.  brent_root refines the crossing on that
+    step's dense output to a few ulps of r, far below the 1e-8 relative
+    contract, but r0 still carries the run's global error.  Near p_c that
+    error grows roughly like rel_tol/(p_c - p): at (4, 0, 0, 3 - 1e-8) and
+    the default rel_tol, r0 was measured 3.5e-4 off.  The nodes are
+    sampled from the run's table of accepted steps (_finish).  A run that
+    fails the minimum-step test keeps the nodes it reached and is
+    Inconclusive.
     """
     start = series_start(params, config)
-    steps, r_end, crossed, stopped = _scalar_dop853(_make_rhs(params), start, config)
-    nodes = _node_grid(start[0], r_end, config.nodes_per_decade)
-    v, dv = _dense_nodes(steps, nodes)
-    traj = _pinned_trajectory(params, config, nodes, v, dv, start, crossed)
-    traj.outcome = _stopped_at(r_end) if stopped else classify_trajectory(traj)
-    return traj
+    run = _dop853.scalar_run(_make_rhs(params), start, config.r_max, *_tolerances(config))
+    return _finish(params, config, start, *run)
 
 
 def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
@@ -569,58 +578,6 @@ def threshold_bisect(
     return 0.5 * (p_lo + p_hi)
 
 
-# DOP853 step for step as scipy's solve_ivp drives it (Hairer, Norsett and
-# Wanner, Solving ODEs I, sections II.5 and II.10), for one lane on Python
-# floats (_scalar_dop853) or many lanes at once (sweep_shoot).  Sums and
-# powers round differently from scipy's, so results match solve_ivp's to
-# round-off, not bit for bit.  The coefficients are _dop853's constants.
-_STAGES = _dop853.N_STAGES
-_STAGES_EXTENDED = _dop853.N_STAGES_EXTENDED
-_INTERPOLATOR_POWER = _dop853.INTERPOLATOR_POWER
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
-_EPS = np.finfo(float).eps
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-
-
-class _Tableau(NamedTuple):
-    """DOP853's coefficients, shaped to broadcast over K's (stage, lane, component) axes.
-
-    A_ROWS[s] weighs stage s's predecessors, E53 stacks the fifth- and
-    third-order error weights, D_ROWS holds the dense-output weights and C
-    the stage nodes.
-    """
-
-    A_ROWS: list
-    B_COL: np.ndarray
-    E53: np.ndarray
-    D_ROWS: np.ndarray
-    C: np.ndarray
-
-
-@functools.cache
-def _tableau() -> _Tableau:
-    """The DOP853 tableau (_dop853.coefficients), shaped once."""
-    A, B, C, E3, E5, D = _dop853.coefficients()
-    return _Tableau(
-        A_ROWS=[A[s, :s, None, None] for s in range(_STAGES_EXTENDED)],
-        B_COL=B[:, None, None],
-        E53=np.stack([E5, E3])[:, :, None, None],
-        D_ROWS=D[:, :, None, None],
-        C=C,
-    )
-
-
-# Accepted steps held back before their dense-output stages are built in one
-# pass, after which the lanes that left are finished: room for
-# _PENDING_ITERATIONS iterations of the whole batch, and at least
-# _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger hold
-# costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
-# hold, and threshold_search's 24 no faster than with 256 rows.
-_PENDING_ROWS = 256
-_PENDING_ITERATIONS = 16
-
-
 class _Field(NamedTuple):
     """The vector field's parameters of some lanes, one contiguous column each."""
 
@@ -630,7 +587,7 @@ class _Field(NamedTuple):
 
 
 def _field(prm, lanes) -> _Field:
-    """The _Field of the given rows; prm's rows are -(N-1+a), b-a and p by row."""
+    """The _Field of the given lanes; prm's rows are -(N-1+a), b-a and p, a column per lane."""
     neg_c, w, p = prm[:, lanes]
     return _Field(neg_c, w if w.any() else None, p)
 
@@ -657,355 +614,18 @@ def _lane_rhs(r, y, fld, out):
     ddv -= s
 
 
-def _stage_sum(coeffs, K):
-    """sum_j coeffs[..., j, :, :] K[j], added in stage order.
-
-    Each lane's sum is rounded the same whatever the batch around it, so a
-    row's outcome does not depend on the other rows (a matrix product
-    would block its sums by the batch width).
-    """
-    return np.add.reduce(coeffs * K[: coeffs.shape[-3]], axis=-3)
-
-
-def _stage(s, r, y, hc, K, fld, tab):
-    """Stage s of every lane into K[s]: the field at r, y + h sum_j A[s, j] K[j]."""
-    ys = _stage_sum(tab.A_ROWS[s], K)
-    ys *= hc
-    ys += y
-    _lane_rhs(r, ys, fld, K[s])
-
-
-def _rms(x):
-    return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
-
-
-def _initial_step(t0, y0, f0, t_bound, rhs, rtol, atol):
-    """scipy's select_initial_step for every lane (error estimator order 7).
-
-    rhs(r, y, out) writes the lanes' field at radii r and states y into out.
-    """
-    interval = t_bound - t0
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, interval)
-    f1 = np.empty_like(y0)
-    rhs(t0 + h0, y0 + h0[:, None] * f0, f1)
-    d2 = _rms((f1 - f0) / scale) / h0
-    h1 = np.where(
-        (d1 <= 1e-15) & (d2 <= 1e-15),
-        np.maximum(1e-6, h0 * 1e-3),
-        (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0),
-    )
-    return np.minimum(np.minimum(100.0 * h0, h1), interval)
-
-
-class _StepLog:
-    """Accepted steps of all lanes in one table, each lane's rows in step order.
-
-    A row is (lane, t_old, h, v_old, dv_old, F) with F the 7 x 2
-    dense-output coefficients of the step, flattened row by row.  Steps
-    reach the table in bulk: the lockstep loop holds each accepted step's
-    state and first 13 stages in a _Pending buffer, and its flush builds
-    the other three stages and F for every held row at once, in place in
-    the table.  A lane that leaves the lockstep keeps its rows until its
-    outcome is built (live stays set for it); take hands out the rows of
-    many lanes in one pass.  Rows of lanes that are no longer live are
-    dropped when the table fills, before it grows.
-    """
-
-    WIDTH = 5 + 2 * _INTERPOLATOR_POWER
-    CAPACITY = 1024
-
-    def __init__(self):
-        self.rows = np.empty((self.CAPACITY, self.WIDTH))
-        self.n = 0
-
-    def extend(self, m, live):
-        """The next m rows of the table, to be filled by the caller.
-
-        A full table first drops the rows of lanes that are not live, and
-        grows by half only if that leaves fewer than m rows free.  Doubling
-        ahead of need took dichotomy_sweep's table to 32768 rows (5 MB).
-        """
-        n = self.n
-        if n + m > len(self.rows):
-            table = self.rows[:n]
-            keep = live[table[:, 0].astype(int)]
-            kept = int(np.count_nonzero(keep))
-            size = len(self.rows)
-            while kept + m > size:
-                size += size // 2 + 1
-            rows = self.rows if size == len(self.rows) else np.empty((size, self.WIDTH))
-            rows[:kept] = table[keep]
-            self.rows, n = rows, kept
-        self.n = n + m
-        return self.rows[n : n + m]
-
-    def take(self, lanes):
-        """(lane, its rows in step order) for every lane set in the mask lanes.
-
-        One pass over the table selects the rows, and a stable sort by
-        lane keeps each lane's rows in step order.  Every lane must have a
-        row.
-        """
-        lane = self.rows[: self.n, 0]
-        at = np.flatnonzero(lanes[lane.astype(int)])
-        at = at[np.argsort(lane[at], kind="stable")]
-        ids = np.flatnonzero(lanes)
-        starts = np.searchsorted(lane[at], ids[1:])
-        return zip(ids.tolist(), np.split(self.rows[at], starts))
-
-
-class _Pending:
-    """Accepted steps waiting for their dense output: (lane, t, h, y, K[0..12]).
-
-    K holds the step's 12 stages and the field at its end; room for the
-    three dense-output stages is kept behind them.  The lockstep flushes
-    when the hold cannot take an iteration's accepted steps and once when
-    its loop ends, and samples the lanes that have left right after each
-    flush, when all their rows are in the table.
-    """
-
-    def __init__(self, size):
-        self.lane = np.empty(size, dtype=int)
-        self.t = np.empty(size)
-        self.h = np.empty(size)
-        self.y = np.empty((size, 2))
-        self.K = np.empty((_STAGES_EXTENDED, size, 2))
-        self.n = 0
-
-    def room(self, m):
-        return self.n + m <= len(self.t)
-
-    def push(self, k, lane, t, h, y, K):
-        """Hold the steps of lanes k (indices into this iteration's arrays)."""
-        rows = slice(self.n, self.n + len(k))
-        self.lane[rows] = lane.take(k)
-        self.t[rows] = t.take(k)
-        self.h[rows] = h.take(k)
-        self.y[rows] = y.take(k, axis=0)
-        self.K[: _STAGES + 1, rows] = K.take(k, axis=1)  # K[:, k] gathers far slower
-        self.n = rows.stop
-
-    def flush(self, prm, log_, live, tab):
-        """Build every held step's dense output in one pass into log_.
-
-        The four D-weighted rows of F are summed one at a time, so the
-        largest temporary is one (16, rows, 2) stage product.
-        """
-        n = self.n
-        if not n:
-            return
-        lane, t, h, y = self.lane[:n], self.t[:n], self.h[:n], self.y[:n]
-        K = self.K[:, :n]
-        fld = _field(prm, lane)
-        hc = h[:, None]
-        for s in range(_STAGES + 1, len(K)):
-            _stage(s, t + tab.C[s] * h, y, hc, K, fld, tab)
-        y_new = y + hc * _stage_sum(tab.B_COL, K)  # as the step summed it
-        delta = y_new - y
-        block = log_.extend(n, live)
-        block[:, 0], block[:, 1], block[:, 2], block[:, 3:5] = lane, t, h, y
-        F = block[:, 5:].reshape(n, _INTERPOLATOR_POWER, 2)
-        F[:, 0] = delta
-        F[:, 1] = hc * K[0] - delta
-        F[:, 2] = 2 * delta - hc * (K[_STAGES] + K[0])
-        for i, row in enumerate(tab.D_ROWS):
-            np.multiply(hc, _stage_sum(row, K), out=F[:, 3 + i])
-        self.n = 0
-
-
-def _dense_v(r, step):
-    """v at r on one logged step's dense output, as Dop853DenseOutput does it."""
-    x = (r - step[1]) / step[2]
-    y = 0.0
-    for i, f in enumerate(reversed(step[5::2])):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    return y + step[3]
-
-
-def _crossing(step, r_end: float) -> float:
-    """The zero of v on one logged step (a sequence of floats) that ends at r_end."""
-    return brent_root(lambda r: _dense_v(r, step), step[1], r_end, xtol=4 * _EPS)
-
-
-def _dense_nodes(steps, nodes):
-    """(v, dv) at sorted nodes from rows of a step table, as OdeSolution does it.
-
-    Rows are (lane, t_old, h, v_old, dv_old, F) as _StepLog holds them;
-    a node on a step boundary is read from the earlier step.  Each
-    coefficient column is gathered at the nodes' step indices and the two
-    components are summed apart, in Dop853DenseOutput's Horner order, so
-    every operation is one on arrays of the nodes' shape.  A shot samples
-    its nodes once its run ends; a lockstep lane, once its rows are taken
-    from the table after it has left.
-    """
-    seg = np.searchsorted(steps[:, 1], nodes, side="left") - 1
-    np.clip(seg, 0, len(steps) - 1, out=seg)
-    x = nodes - steps[:, 1][seg]
-    x /= steps[:, 2][seg]
-    u = 1 - x
-    last = steps.shape[1] - 2  # the column of F[-1]'s v
-    out = []
-    for c in (0, 1):
-        y = steps[:, last + c][seg]
-        y += 0.0  # as Horner's sum from zero: -0.0 reads +0.0
-        y *= x
-        for i in range(1, _INTERPOLATOR_POWER):
-            y += steps[:, last + c - 2 * i][seg]
-            y *= x if i % 2 == 0 else u
-        y += steps[:, 3 + c][seg]
-        out.append(y)
-    return out[0], out[1]
-
-
-def _stopped_at(r: float) -> Inconclusive:
-    """The outcome of a run that failed the minimum-step test at radius r."""
-    return Inconclusive(f"integrator stopped at r = {r}: {_TOO_SMALL_STEP}")
-
-
-@functools.cache
-def _scalar_tableau():
-    """The DOP853 tableau as Python floats for one lane: (A, B, E5, E3, D, C).
-
-    Each weight list holds (j, weight) pairs in stage order.  A[s], B and
-    D[i] are _dop853's sparse rows, the nonzero weights only: for finite
-    stages a zero term changes no bit of a sum.  E5 and E3 keep all 13,
-    so a non-finite field at a step's end (weight 0) still fails the error
-    test, as it does in the lockstep.
-    """
-    _, _, C, E3, E5, _ = _dop853.coefficients()
-    return (
-        [sorted(_dop853.A_ROWS.get(s, {}).items()) for s in range(_STAGES_EXTENDED)],
-        sorted(_dop853.A_ROWS[_STAGES].items()),
-        list(enumerate(E5.tolist())),
-        list(enumerate(E3.tolist())),
-        [sorted(row.items()) for row in _dop853.D_ROWS],
-        C.tolist(),
-    )
-
-
-def _combine(weights, K):
-    """sum_j w_j K_j of the (v, dv) pairs K over weights' (j, w_j), in stage order."""
-    sv = sdv = 0.0
-    for j, w in weights:
-        kv, kdv = K[j]
-        sv += w * kv
-        sdv += w * kdv
-    return sv, sdv
-
-
-def _scalar_dop853(rhs, start, config: ShootConfig):
-    """One shot's DOP853 run: (step table, r_end, crossed, stopped).
-
-    The lockstep's iteration for a single lane, written on Python floats:
-    the same initial step (_initial_step on one-lane arrays), step
-    control, stage sums in stage order, error norm, minimum-step test and
-    crossing rule v >= 0 and v_new <= 0, refined by brent_root on the
-    step's dense output.  rhs is the field (r, (v, dv)) -> (dv, dv').  The
-    table holds every accepted step in _StepLog's row layout, with lane 0.
-    r_end is the crossing radius, r_max, or for a stopped run the last
-    radius reached.
-    """
-    A, B, E5, E3, D, C = _scalar_tableau()
-    t, v, dv = start
-    t_bound = config.r_max
-    rtol = max(config.rel_tol, 100 * _EPS)
-    atol = config.abs_tol * max(1.0, config.beta)
-
-    def one_lane(r, y, out):
-        out[0] = rhs(float(r[0]), (float(y[0, 0]), float(y[0, 1])))
-
-    f = rhs(t, (v, dv))
-    with np.errstate(all="ignore"):
-        h_abs = _initial_step(
-            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane,
-            rtol, atol,
-        )
-    h_abs = float(h_abs[0])
-    rows = []
-    retry = False
-    while True:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        if not retry:
-            h_abs = max(h_abs, min_step)
-        if not h_abs >= min_step:  # a NaN step fails too
-            return np.array(rows), t, False, True
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-
-        K = [f]
-        for s in range(1, _STAGES):
-            sv, sdv = _combine(A[s], K)
-            K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
-        sv, sdv = _combine(B, K)
-        v_new, dv_new = v + h * sv, dv + h * sdv
-        f_new = rhs(t + h, (v_new, dv_new))
-        K.append(f_new)
-
-        scale_v = atol + max(abs(v), abs(v_new)) * rtol
-        scale_dv = atol + max(abs(dv), abs(dv_new)) * rtol
-        (e5v, e5dv), (e3v, e3dv) = _combine(E5, K), _combine(E3, K)
-        e5v, e5dv, e3v, e3dv = e5v / scale_v, e5dv / scale_dv, e3v / scale_v, e3dv / scale_dv
-        err5 = e5v * e5v + e5dv * e5dv
-        err3 = e3v * e3v + e3dv * e3dv
-        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
-        ratio = _SAFETY * error_norm**_ERROR_EXPONENT if error_norm else math.inf
-        if not error_norm < 1:
-            h_abs = h * max(_MIN_FACTOR, ratio)
-            retry = True
-            continue
-        grow = min(_MAX_FACTOR, ratio)
-        h_abs = h * (min(1.0, grow) if retry else grow)
-        retry = False
-
-        for s in range(_STAGES + 1, _STAGES_EXTENDED):
-            sv, sdv = _combine(A[s], K)
-            K.append(rhs(t + C[s] * h, (v + h * sv, dv + h * sdv)))
-        delta_v, delta_dv = v_new - v, dv_new - dv
-        (k0v, k0dv), (k12v, k12dv) = f, f_new
-        F = [
-            delta_v, delta_dv,
-            h * k0v - delta_v, h * k0dv - delta_dv,
-            2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
-        ]
-        for weights in D:
-            sv, sdv = _combine(weights, K)
-            F += (h * sv, h * sdv)
-        rows.append((0.0, t, h, v, dv, *F))
-
-        crossed = v >= 0 and v_new <= 0
-        t, v, dv, f = t_new, v_new, dv_new, f_new
-        if crossed or t_new >= t_bound:
-            steps = np.array(rows)
-            if not crossed:
-                return steps, t_bound, False, False
-            return steps, _crossing(rows[-1], t_new), True, False
-
-
 def sweep_shoot(
     rows, config: ShootConfig = ShootConfig(), processes: int | None = None
 ):
     """Shoot a batch of parameter points, preserving input order.
 
     rows is an iterable of ProblemParams; returns the list of outcomes.
-    All rows run together in one process, each as a lane of a lockstep
-    port of shoot's DOP853 run: every lane keeps its own step size and
-    accept/reject decision, and one iteration tries one step on every
-    lane with 12 field evaluations (11 stages and the field at the step's
-    end).  Accepted steps are held back; their three dense-output stages
-    and interpolants are built in bulk when the hold fills and when the
-    loop ends, so rejected steps never pay for them.  A lane leaves when
-    it crosses zero or reaches r_max; it is then owed its outcome, and
-    after the next flush every owed lane is taken from the step table in
-    one pass, its crossing refined by brent_root on its last step's dense
-    output, sampled on shoot's node grid and classified.  A lane that
-    fails the minimum-step test is Inconclusive at once.  A row that
-    fails its parameter checks, or whose series start overflows, never
-    enters a lane and comes back as Inconclusive("rejected: ...") in its
-    place.  processes is still accepted, so existing callers keep
+    All rows run together in one process, as the lanes of one
+    _dop853.lockstep whose field is _lane_rhs, looked up at call time.
+    Each lane it hands back is finished as a shot is (_finish).  A row
+    that fails its parameter checks, or whose series start overflows,
+    never enters a lane and comes back as Inconclusive("rejected: ...")
+    in its place.  processes is still accepted, so existing callers keep
     working, and is ignored.
     """
     rows = list(rows)
@@ -1018,107 +638,19 @@ def sweep_shoot(
             outcomes[i] = Inconclusive(f"rejected: {exc}")
     if not starts:
         return outcomes
+    ids = list(starts)
+    lanes = [rows[i] for i in ids]
+    prm = np.array([(-(q.N - 1.0 + q.a), q.b - q.a, q.p) for q in lanes]).T.copy()
 
-    tab = _tableau()
-    t_bound = config.r_max
-    rtol = max(config.rel_tol, 100 * _EPS)
-    atol = config.abs_tol * max(1.0, config.beta)
-    lane = np.fromiter(starts, dtype=int)
-    prm = np.zeros((3, len(rows)))
-    for i in lane:
-        prm[:, i] = (-(rows[i].N - 1.0 + rows[i].a), rows[i].b - rows[i].a, rows[i].p)
-    fld = _field(prm, lane)
-    t = np.array([starts[i][0] for i in lane])
-    y = np.array([starts[i][1:] for i in lane])
-    f = np.empty_like(y)
-    live = np.zeros(len(rows), dtype=bool)
-    live[lane] = True
-    # lanes that left by crossing or at r_max and wait for their outcome,
-    # with the end radius of a crossing's last step (nan at r_max)
-    owed = np.zeros(len(rows), dtype=bool)
-    crossed_at = np.full(len(rows), np.nan)
-    log_ = _StepLog()
-    pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * len(lane)))
+    def lane_field(lanes):
+        fld = _field(prm, lanes)
+        return lambda r, y, out: _lane_rhs(r, y, fld, out)
 
-    def settle():
-        """Sample and classify every owed lane; all its rows are in the log."""
-        for j, steps in log_.take(owed):
-            crossed = not math.isnan(crossed_at[j])
-            r_end = _crossing(steps[-1].tolist(), float(crossed_at[j])) if crossed else t_bound
-            nodes = _node_grid(starts[j][0], r_end, config.nodes_per_decade)
-            v, dv = _dense_nodes(steps, nodes)
-            traj = _pinned_trajectory(rows[j], config, nodes, v, dv, starts[j], crossed)
-            outcomes[j] = classify_trajectory(traj)
-        live[owed] = False
-        owed[:] = False
-
-    with np.errstate(all="ignore"):
-        _lane_rhs(t, y, fld, f)
-        h_abs = _initial_step(
-            t, y, f, t_bound, lambda r, y, out: _lane_rhs(r, y, fld, out), rtol, atol
-        )
-        retry = np.zeros(len(lane), dtype=bool)
-        while len(lane):
-            L = len(lane)
-            min_step = 10.0 * (np.nextafter(t, np.inf) - t)
-            h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
-            failed = ~(h_abs >= min_step)  # a NaN step fails too
-            t_new = np.minimum(t + h_abs, t_bound)
-            h = t_new - t
-            hc = np.column_stack((h, h))
-
-            K = np.empty((_STAGES + 1, L, 2))
-            K[0] = f
-            r_stage = t + tab.C[1:_STAGES, None] * h
-            for s in range(1, _STAGES):
-                _stage(s, r_stage[s - 1], y, hc, K, fld, tab)
-            y_new = y + hc * _stage_sum(tab.B_COL, K)
-            f_new = K[_STAGES]
-            _lane_rhs(t + h, y_new, fld, f_new)
-
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _stage_sum(tab.E53, K)
-            err /= scale
-            err *= err
-            err5, err3 = np.add.reduce(err, axis=-1)
-            error_norm = np.where(
-                (err5 == 0) & (err3 == 0),
-                0.0,
-                h * err5 / np.sqrt((err5 + 0.01 * err3) * 2),
-            )
-            accept = (error_norm < 1) & ~failed
-            ratio = _SAFETY * error_norm**_ERROR_EXPONENT
-            grow = np.minimum(_MAX_FACTOR, ratio)  # inf at error_norm = 0
-            grow = np.where(retry, np.minimum(1.0, grow), grow)
-            h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, ratio))
-            retry = ~accept
-
-            acc = np.flatnonzero(accept)
-            if not pending.room(len(acc)):
-                pending.flush(prm, log_, live, tab)
-                settle()
-            pending.push(acc, lane, t, h, y, K)
-
-            crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
-            gone = failed | crossed | (accept & (t_new >= t_bound))
-            t = np.where(accept, t_new, t)
-            y[acc] = y_new[acc]
-            f[acc] = f_new[acc]
-            if not gone.any():
-                continue
-            for k in np.flatnonzero(failed):
-                j = int(lane[k])
-                live[j] = False
-                outcomes[j] = _stopped_at(float(t[k]))
-            owed[lane[gone & ~failed]] = True
-            crossed_at[lane[crossed]] = t_new[crossed]
-            keep = ~gone
-            lane, t, y, f, h_abs, retry = (
-                a[keep] for a in (lane, t, y, f, h_abs, retry)
-            )
-            fld = _field(prm, lane)
-        pending.flush(prm, log_, live, tab)
-        settle()
+    runs = _dop853.lockstep(lane_field, list(starts.values()), config.r_max, *_tolerances(config))
+    for k, steps, r_end, crossed in runs:
+        # a lane that failed the minimum-step test comes back with no steps
+        run = (starts[ids[k]], steps, r_end, crossed, not len(steps))
+        outcomes[ids[k]] = _finish(lanes[k], config, *run).outcome
     return outcomes
 
 

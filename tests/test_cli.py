@@ -1,5 +1,6 @@
 """Command-line contract: payloads, exit codes, files, determinism."""
 
+import argparse
 import json
 import math
 import os
@@ -174,6 +175,51 @@ def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
     assert code == 2 and out == ""
     assert "NaN" not in out and "Infinity" not in out
     assert err.startswith("NonFiniteParameter: ")
+
+
+def _float_flags():
+    """(subcommand, flag) for every option of the parser that takes a float."""
+    from emdenlab.cli import build_parser
+
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0])
+        for name, sp in sub.choices.items()
+        for action in sp._actions
+        if action.type is float
+    ]
+
+
+# valid flags of each subcommand; the flag under test is appended, and wins
+_VALID_FLAGS = {
+    "classify": ["--p", "3"],
+    "shoot": ["--p", "3", "--rmax", "10"],
+    "threshold": ["--p-lo", "4", "--p-hi", "6"],
+    "bubble": [],
+    "pohozaev": ["--p", "3", "--rmax", "10", "--radii", "1"],
+    "phase": ["--p", "3", "--rmax", "10"],
+    "ckn": ["--q", "6"],
+    "sweep": [],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_every_float_flag_refuses_non_finite_values(capsys, tmp_path, command, flag, value):
+    # written as --flag=value: as two tokens argparse reads -inf as an option
+    from emdenlab import errors
+
+    if command == "sweep":
+        grid = tmp_path / "grid.csv"
+        grid.write_text("N,a,b,p\n3,0,0,3\n")
+        argv = ["--grid", str(grid)]
+    else:
+        argv = ["--N", "3", "--a", "0", "--b", "0", *_VALID_FLAGS[command]]
+    code, out, err = run(capsys, command, *argv, f"{flag}={value}")
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out
+    name = err.split(":", 1)[0]
+    assert issubclass(getattr(errors, name), errors.EmdenLabError), err
 
 
 def test_bubble_with_a_degenerate_weight_exits_2_with_a_named_error(capsys):
@@ -461,6 +507,42 @@ def test_grid_allows_at_most_one_header_row(capsys, tmp_path, argv, text):
     assert code == 2
     assert out == ""
     assert "non-numeric row" in err
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "--rmax", "100"], "3,0,0,x\n3,0,0,3\n"),
+        (["ckn", "--N", "3"], "0,x\n0,0\n"),
+    ],
+    ids=["sweep", "ckn"],
+)
+def test_grid_refuses_a_first_row_that_holds_a_number(capsys, tmp_path, argv, text):
+    # such a row is data, not a header; it used to be dropped without a word
+    grid = tmp_path / "grid.csv"
+    grid.write_text(text)
+    code, out, err = run(capsys, *argv, "--grid", str(grid))
+    assert code == 2 and out == ""
+    assert err.startswith("MalformedGrid: non-numeric row ")
+
+
+# the start's dv is -9.1e179, and the first step fails the minimum-step test
+_STOPPED_AT_ONCE = ["--N", "3", "--a", "0", "--b", "-1.9", "--p", "1.15", "--eps0", "1e-200"]
+
+
+@pytest.mark.parametrize("command", ["shoot", "phase"])
+def test_a_shot_stopped_before_its_first_step_exits_3(capsys, command):
+    # it used to end in an IndexError traceback from the node sampler
+    code, out, _ = run(capsys, command, *_STOPPED_AT_ONCE)
+    assert code == 3
+    reason = json.loads(out)["outcome"]["reason"]
+    assert reason.startswith("integrator stopped at r = 1e-200: ")
+
+
+def test_pohozaev_on_a_shot_stopped_before_its_first_step_names_its_error(capsys):
+    code, out, err = run(capsys, "pohozaev", *_STOPPED_AT_ONCE, "--radii", "1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("RangeExceeded: ")
 
 
 _UNWEIGHTED = ["--N", "3", "--a", "0", "--b", "0"]

@@ -1,0 +1,110 @@
+"""The DOP853 engine on its own, against exact solutions.
+
+Lanes of v'' = -omega^2 v from (t, v, v') = (0, 1, 0) are cos(omega t),
+which first crosses zero at pi / (2 omega).
+"""
+
+import ast
+import math
+
+import numpy as np
+import pytest
+
+from emdenlab import _dop853
+
+OMEGAS = [0.5, 1.0, 3.0, 10.0]
+START = (0.0, 1.0, 0.0)
+RTOL, ATOL = 1e-10, 1e-12
+
+
+def _oscillator(omega):
+    w2 = omega * omega
+    return lambda t, y: (y[1], -w2 * y[0])
+
+
+def _oscillator_lanes(omegas):
+    omegas = np.asarray(omegas)
+
+    def lane_field(lanes):
+        w2 = omegas[lanes] ** 2
+
+        def rhs(t, y, out):
+            out[:, 0] = y[:, 1]
+            np.multiply(-w2, y[:, 0], out=out[:, 1])
+
+        return rhs
+
+    return lane_field
+
+
+def _lockstep(omegas, t_bound):
+    """{lane: (steps, t_end, crossed)} of one lockstep over the omegas."""
+    runs = _dop853.lockstep(
+        _oscillator_lanes(omegas), [START] * len(omegas), t_bound, RTOL, ATOL
+    )
+    return {lane: run for lane, *run in runs}
+
+
+def test_both_drivers_find_the_exact_crossings():
+    lanes = _lockstep(OMEGAS, 10.0)
+    assert sorted(lanes) == list(range(len(OMEGAS)))
+    for k, omega in enumerate(OMEGAS):
+        exact = math.pi / (2 * omega)
+        steps, t_end, crossed, stopped = _dop853.scalar_run(
+            _oscillator(omega), START, 10.0, RTOL, ATOL
+        )
+        assert crossed and not stopped
+        assert t_end == pytest.approx(exact, rel=1e-9, abs=0)
+        lane_steps, lane_end, lane_crossed = lanes[k]
+        # the first steps agree bit for bit; later step sizes may part at
+        # round-off, and the crossings agree to round-off
+        assert lane_crossed
+        assert lane_end == pytest.approx(t_end, rel=1e-13, abs=0)
+        assert (lane_steps[:, 0] == k).all() and (steps[:, 0] == 0).all()
+        assert np.array_equal(lane_steps[:2, 1:], steps[:2, 1:])
+        # the dense output between the steps is cos(omega t) on both
+        nodes = np.linspace(0.0, t_end, 50)
+        for table in (steps, lane_steps):
+            v, dv = _dop853.dense_nodes(table, nodes)
+            assert np.allclose(v, np.cos(omega * nodes), rtol=0, atol=1e-8)
+            assert np.allclose(dv, -omega * np.sin(omega * nodes), rtol=0, atol=1e-8 * omega)
+
+
+def test_a_run_that_does_not_cross_ends_at_its_bound():
+    # cos(0.5 t) stays positive up to t = 3 < pi; cos(3 t) crosses at pi / 6
+    lanes = _lockstep([0.5, 3.0], 3.0)
+    steps, t_end, crossed, stopped = _dop853.scalar_run(
+        _oscillator(0.5), START, 3.0, RTOL, ATOL
+    )
+    assert (t_end, crossed, stopped) == (3.0, False, False)
+    assert lanes[0][1:] == [3.0, False]
+    assert lanes[1][1] == pytest.approx(math.pi / 6, rel=1e-9) and lanes[1][2]
+
+
+def test_a_lane_that_fails_the_minimum_step_test_comes_back_at_once_with_no_rows():
+    # a field that turns to NaN makes every trial step fail its error test
+    def lane_field(lanes):
+        def rhs(t, y, out):
+            out[:] = y[:, ::-1]
+            out[:, 1] *= -1.0
+            out[lanes == 1] = math.nan
+
+        return rhs
+
+    runs = list(_dop853.lockstep(lane_field, [START, START], 10.0, RTOL, ATOL))
+    [(lane, steps, t_end, crossed)] = [run for run in runs if run[0] == 1]
+    assert steps.shape == (0, _dop853._StepLog.WIDTH) and not crossed
+    assert t_end == 0.0
+    assert [run[0] for run in runs] == [1, 0]
+
+
+def test_the_engine_imports_no_physics():
+    with open(_dop853.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy", "._numerics"}

@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 import emdenlab as E
-from emdenlab import _dop853, shooting
+from emdenlab import _dop853
 from emdenlab._numerics import Knots, brent_root
 
 SPLINE_RTOL = 1e-13
@@ -52,7 +52,7 @@ def test_brent_root_is_brentq_on_the_criterion_5_crossings(monkeypatch):
         calls.append((brentq(f, a, b, xtol=xtol), root))
         return root
 
-    monkeypatch.setattr(shooting, "brent_root", recording)
+    monkeypatch.setattr(_dop853, "brent_root", recording)
     outcomes = E.sweep_shoot(_criterion_5_rows(), E.ShootConfig(beta=100.0, r_max=1e4))
     crossings = [o.r0 for o in outcomes if isinstance(o, E.CrossedZero)]
     assert len(calls) == len(crossings) == 72

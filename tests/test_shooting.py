@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emdenlab as E
+from emdenlab import _dop853
 
 UNWEIGHTED_CUBIC = E.ProblemParams(3, 0.0, 0.0, 3.0)
 
@@ -564,9 +565,9 @@ def test_owed_lanes_keep_their_rows_through_flushes_and_compaction(monkeypatch):
     rows.insert(50, nan_row)
     config = E.ShootConfig(beta=100.0, r_max=1e4)
     ref = E.sweep_shoot(rows, config)
-    monkeypatch.setattr(shooting, "_PENDING_ROWS", 1)
-    monkeypatch.setattr(shooting, "_PENDING_ITERATIONS", 1)
-    monkeypatch.setattr(shooting._StepLog, "CAPACITY", 4)
+    monkeypatch.setattr(_dop853, "_PENDING_ROWS", 1)
+    monkeypatch.setattr(_dop853, "_PENDING_ITERATIONS", 1)
+    monkeypatch.setattr(_dop853._StepLog, "CAPACITY", 4)
     got = E.sweep_shoot(rows, config)
     assert ref[50].reason.startswith("integrator stopped at r = ")
     assert {o.kind for o in ref} == {"crossed_zero", "positive_global",
@@ -605,16 +606,14 @@ def test_batched_sweep_matches_single_shots():
 
 def _captured_runs(monkeypatch):
     """Keep every shot's DOP853 run (step table, r_end, crossed, stopped) in a list."""
-    from emdenlab import shooting
-
     runs = []
-    run = shooting._scalar_dop853
+    run = _dop853.scalar_run
 
     def capturing(*args):
         runs.append(run(*args))
         return runs[-1]
 
-    monkeypatch.setattr(shooting, "_scalar_dop853", capturing)
+    monkeypatch.setattr(_dop853, "scalar_run", capturing)
     return runs
 
 
@@ -627,17 +626,15 @@ SHOT_KINDS = pytest.mark.parametrize(
 
 @SHOT_KINDS
 def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
-    from emdenlab import shooting
-
     runs = _captured_runs(monkeypatch)
     config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
     traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, p), config)
     assert isinstance(traj.outcome, kind)
     [(steps, r_end, crossed, stopped)] = runs
     assert (r_end, crossed, stopped) == (traj.r[-1], kind is E.CrossedZero, False)
-    assert steps.shape[1] == shooting._StepLog.WIDTH
+    assert steps.shape[1] == _dop853._StepLog.WIDTH
     assert (steps[:, 0] == 0).all() and (np.diff(steps[:, 1]) > 0).all()
-    v, dv = shooting._dense_nodes(steps, traj.r)
+    v, dv = _dop853.dense_nodes(steps, traj.r)
     # the series start is pinned first, and a crossing's zero last
     last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
     assert np.array_equal(traj.v[1:last], v[1:last])
@@ -723,14 +720,12 @@ def _dense_nodes_per_coefficient(steps, nodes):
 
 
 def test_row_gather_sampler_matches_the_per_coefficient_loop(monkeypatch):
-    from emdenlab import shooting
-
     runs = _captured_runs(monkeypatch)
     traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
     steps = runs[0][0]
     # the shot's nodes, then every step boundary and the crossing itself
     for nodes in (traj.r, np.append(steps[:, 1], traj.r[-1])):
-        got = shooting._dense_nodes(steps, nodes)
+        got = _dop853.dense_nodes(steps, nodes)
         ref = _dense_nodes_per_coefficient(steps, nodes)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
@@ -745,6 +740,21 @@ def test_series_start_derives_once_however_often_it_halves(monkeypatch):
     eps, _, _ = shooting.series_start(UNWEIGHTED_CUBIC, config)
     assert eps < 1e-4 / 8  # several halvings
     assert len(calls) == 1
+
+
+def test_a_shot_stopped_before_its_first_step_reads_like_the_lane():
+    # the start's dv is -9.1e179: the first step already fails the
+    # minimum-step test, so the run has no step table to sample
+    params = E.ProblemParams(3, 0.0, -1.9, 1.15)
+    config = E.ShootConfig(epsilon0=1e-200)
+    traj = E.shoot(params, config)
+    [lane] = E.sweep_shoot([params], config)
+    assert isinstance(traj.outcome, E.Inconclusive)
+    assert traj.outcome == lane
+    assert traj.outcome.reason.startswith("integrator stopped at r = 1e-200: ")
+    # the trajectory holds the start node alone
+    eps, v, dv = E.series_start(params, config)
+    assert (traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()) == ([eps], [v], [dv])
 
 
 def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
