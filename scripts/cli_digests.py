@@ -49,6 +49,11 @@ CALLS = [
     ("ckn", ["ckn", "--N", "3", "--a", "0", "--b", "0", "--q", "6"]),
     ("ckn-grid", ["ckn", "--N", "3", "--grid", "{grids}/ckn.csv"]),
     ("sweep", ["sweep", "--grid", "{grids}/sweep.csv", "--rmax", "100", "--emit-plot"]),
+    # sweep.csv holds every lane's floats in repr, so these two pin the lockstep
+    ("sweep-criterion5", ["sweep", "--grid", "{grids}/criterion5.csv", "--beta", "100",
+                          "--rmax", "1e4"]),
+    ("threshold-weighted", ["threshold", "--N", "3", "--a", "0.5", "--b", "1",
+                            "--p-lo", "3.5", "--p-hi", "5"]),
 ]
 
 GRIDS = {
@@ -58,6 +63,21 @@ GRIDS = {
     "sweep.csv": "N,a,b,p\n3,0,0,3\n3,0,0,5\n3.5,0,0,3\n2,0,0,3\n3,nan,0,3\n3,0,0,1\n"
                  "4,0.5,1,4\n",
 }
+
+
+def _criterion5_grid() -> str:
+    """The N,a,b,p rows of acceptance criterion 5: 20 values of p across p_c per family."""
+    import numpy as np
+
+    from emdenlab import ProblemParams, derive
+
+    lines = ["N,a,b,p"]
+    for N, a, b in [(3, 0.0, 0.0), (3, 0.0, 1.0), (3, 0.5, 1.0),
+                    (4, 0.0, 0.0), (4, -0.5, 0.0), (5, 1.0, 2.0)]:
+        d = derive(ProblemParams(N, a, b, 2.0))
+        for p in np.linspace(d.p_serrin, d.p_critical + 1.0, 22)[1:-1]:
+            lines.append(f"{N},{a!r},{b!r},{float(p)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def _digest(path: str) -> str:
@@ -76,7 +96,7 @@ def run(root: str) -> list[str]:
 
     grids = os.path.join(root, "grids")
     os.makedirs(grids, exist_ok=True)
-    for name, text in GRIDS.items():
+    for name, text in {**GRIDS, "criterion5.csv": _criterion5_grid()}.items():
         with open(os.path.join(grids, name), "w", newline="") as fh:
             fh.write(text)
     dirs = {"grids": grids}
