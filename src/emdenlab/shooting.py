@@ -334,13 +334,8 @@ def _node_grid(eps: float, r_end: float, nodes_per_decade: int) -> np.ndarray:
 
 
 def _tolerances(config: ShootConfig) -> tuple[float, float]:
-    """(rtol, atol) of a run: rel_tol floored at 100 ulps as solve_ivp does, abs_tol times beta."""
+    """(rtol, atol) of a run: rel_tol floored at 100 eps as solve_ivp floors it, abs_tol times beta."""
     return max(config.rel_tol, 100 * _dop853.EPS), config.abs_tol * max(1.0, config.beta)
-
-
-def _stopped_at(r: float) -> Inconclusive:
-    """The outcome of a run that failed the minimum-step test at radius r."""
-    return Inconclusive(f"integrator stopped at r = {r}: {_dop853.TOO_SMALL_STEP}")
 
 
 def _finish(params, config, start, steps, r_end, crossed, stopped) -> RadialTrajectory:
@@ -360,7 +355,10 @@ def _finish(params, config, start, steps, r_end, crossed, stopped) -> RadialTraj
     if crossed:
         v[-1] = 0.0
     traj = RadialTrajectory(params=params, r=nodes, v=v, dv=dv, config=config)
-    traj.outcome = _stopped_at(r_end) if stopped else classify_trajectory(traj)
+    if stopped:
+        traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {_dop853.TOO_SMALL_STEP}")
+    else:
+        traj.outcome = classify_trajectory(traj)
     return traj
 
 
