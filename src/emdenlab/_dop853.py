@@ -499,8 +499,8 @@ def scalar_run(field, start, t_bound, rtol, atol):
     A, B, E5, E3, D = _A_PAIRS, _B_PAIRS, _E5_PAIRS, _E3_PAIRS, _D_PAIRS
     t, v, dv = start
 
-    def one_lane(r, y, out):
-        out[0] = field(float(r[0]), (float(y[0, 0]), float(y[0, 1])))
+    def one_lane(t, y, out):
+        out[0] = field(float(t[0]), (float(y[0, 0]), float(y[0, 1])))
 
     f = field(t, (v, dv))
     with np.errstate(all="ignore"):
