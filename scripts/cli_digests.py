@@ -36,6 +36,9 @@ CALLS = [
     ("shoot-positive", ["shoot", *CUBIC, "--p", "5", "--rmax", "50"]),
     ("shoot-singular", ["shoot", *CUBIC, "--p", "12", "--rmax", "1000"]),
     ("shoot-inconclusive", ["shoot", *CUBIC, "--p", "5", "--rmax", "2"]),
+    # sigma = 2 + b - a = 0.1, near the edge b -> a - 2: crosses at 15.107
+    ("shoot-small-sigma", ["shoot", "--N", "3", "--a", "0", "--b", "-1.9", "--p", "1.15",
+                           "--rmax", "1e12"]),
     ("threshold", ["threshold", *CUBIC, "--p-lo", "4.5", "--p-hi", "5.5"]),
     ("bubble", ["bubble", *CUBIC, "--emit-plot"]),
     ("bubble-scaled", ["bubble", "--N", "4", "--a", "0.5", "--b", "1",

@@ -108,7 +108,6 @@ from .shooting import (
     ShootConfig,
     classify_trajectory,
     series_start,
-    series_truncation_estimate,
     shoot,
     sweep_shoot,
     threshold_bisect,

@@ -1,21 +1,28 @@
 """DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, sections II.5 and
-II.10), step for step as scipy's solve_ivp drives it: the one integrator.
+II.10): the one integrator.
 
 A run integrates y' = field(t, y), y = (y0, y1), from a start (t, y0, y1)
 up to t_bound.  It stops at the first accepted step that starts at
 y0 >= 0 and ends at y0 <= 0, and refines that crossing by brent_root on
 the step's dense output.  The field is passed in; nothing here knows the
 equation.  Two drivers share the tableau, initial step, step control,
-crossing rule and step-table layout (_StepLog, sampled by dense_nodes):
-scalar_run is a step loop on Python floats, so one lane pays no numpy
-call overhead; lockstep advances many lanes as numpy arrays, one step per
-lane per iteration, each with its own step size.  An iteration evaluates
-the field 12 times; the three dense-output stages of accepted steps are
-built later in bulk, a bounded buffer at a time, so rejected steps never
-pay for them, and a lane that left is handed back after the next such
-flush.  Both sum stages in stage order, so the two agree to round-off
-beyond the rounding of the field itself, and match solve_ivp's to
-round-off, not bit for bit.
+error norm, crossing rule and step-table layout (_StepLog, sampled by
+dense_nodes): scalar_run is a step loop on Python floats, so one lane pays
+no numpy call overhead; lockstep advances many lanes as numpy arrays, one
+step per lane per iteration, each with its own step size.  An iteration
+evaluates the field 12 times; the three dense-output stages of accepted
+steps are built later in bulk, a bounded buffer at a time, so rejected
+steps never pay for them, and a lane that left is handed back after the
+next such flush.  Both sum stages in stage order, so the two agree to
+round-off beyond the rounding of the field itself.
+
+The error norm is relative to the size of the state (section II.4): a
+step's error is scaled by rtol times the largest of |y0|, |y1|, |y0_new|
+and |y1_new|, with no absolute tolerance, so a component that tends to
+zero while the other does not cannot stall the run, and a state that
+starts tiny keeps its relative accuracy.  A state that is zero in both
+components has no scale.  With this norm a run is no longer solve_ivp's
+step for step; the tableau still equals scipy's.
 
 The decimal literals are those of scipy/integrate/_ivp/dop853_coefficients.py
 (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
@@ -292,13 +299,14 @@ def _rms(x):
     return np.sqrt(np.sum(x * x, axis=1)) / 2.0**0.5
 
 
-def _initial_step(t0, y0, f0, t_bound, rhs, rtol, atol):
-    """scipy's select_initial_step for every lane (error estimator order 7).
+def _initial_step(t0, y0, f0, t_bound, rhs, rtol):
+    """scipy's select_initial_step for every lane (error estimator order 7), in this norm.
 
-    rhs(t, y, out) writes the lanes' field at times t and states y into out.
+    rhs(t, y, out) writes the lanes' field at times t and states y into out;
+    a lane's scale is rtol times its state's larger component.
     """
     interval = t_bound - t0
-    scale = atol + np.abs(y0) * rtol
+    scale = rtol * np.abs(y0).max(axis=1, keepdims=True)
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, interval)
@@ -484,7 +492,7 @@ def _combine(weights, K):
     return s0, s1
 
 
-def scalar_run(field, start, t_bound, rtol, atol):
+def scalar_run(field, start, t_bound, rtol):
     """One run on Python floats: (steps, t_end, crossed, stopped).
 
     The lockstep's iteration for a single lane: the same initial step
@@ -505,8 +513,7 @@ def scalar_run(field, start, t_bound, rtol, atol):
     f = field(t, (v, dv))
     with np.errstate(all="ignore"):
         h_abs = _initial_step(
-            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane,
-            rtol, atol,
+            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane, rtol
         )
     h_abs = float(h_abs[0])
     rows = []
@@ -529,10 +536,9 @@ def scalar_run(field, start, t_bound, rtol, atol):
         f_new = field(t + h, (v_new, dv_new))
         K.append(f_new)
 
-        scale_v = atol + max(abs(v), abs(v_new)) * rtol
-        scale_dv = atol + max(abs(dv), abs(dv_new)) * rtol
+        scale = rtol * max(abs(v), abs(dv), abs(v_new), abs(dv_new))
         (e5v, e5dv), (e3v, e3dv) = _combine(E5, K), _combine(E3, K)
-        e5v, e5dv, e3v, e3dv = e5v / scale_v, e5dv / scale_dv, e3v / scale_v, e3dv / scale_dv
+        e5v, e5dv, e3v, e3dv = e5v / scale, e5dv / scale, e3v / scale, e3dv / scale
         err5 = e5v * e5v + e5dv * e5dv
         err3 = e3v * e3v + e3dv * e3dv
         error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
@@ -580,7 +586,7 @@ def _handed_back(log_, owed, crossed_at, live, t_bound):
     owed[:] = False
 
 
-def lockstep(lane_field, starts, t_bound, rtol, atol):
+def lockstep(lane_field, starts, t_bound, rtol):
     """Run every start as a lane of one lockstep: a generator of finished lanes.
 
     starts holds one (t, y0, y1) per lane, and a lane is its index into
@@ -609,7 +615,7 @@ def lockstep(lane_field, starts, t_bound, rtol, atol):
 
     with np.errstate(all="ignore"):
         rhs(t, y, f)
-        h_abs = _initial_step(t, y, f, t_bound, rhs, rtol, atol)
+        h_abs = _initial_step(t, y, f, t_bound, rhs, rtol)
     retry = np.zeros(len(lane), dtype=bool)
     while len(lane):
         with np.errstate(all="ignore"):  # not across a yield: the caller runs there
@@ -629,7 +635,8 @@ def lockstep(lane_field, starts, t_bound, rtol, atol):
             f_new = K[N_STAGES]
             rhs(t + h, y_new, f_new)
 
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = np.maximum(np.abs(y), np.abs(y_new)).max(axis=1, keepdims=True)
+            scale *= rtol
             err = _stage_sum(_E53_LANES, K)
             err /= scale
             err *= err

@@ -106,8 +106,6 @@ def _config_from(args) -> ShootConfig:
         beta=args.beta,
         r_max=args.rmax,
         rel_tol=args.rtol,
-        abs_tol=args.atol,
-        epsilon0=args.eps0,
         nodes_per_decade=args.nodes_per_decade,
     )
 
@@ -260,7 +258,7 @@ def cmd_pohozaev(args) -> Output:
     }
     if args.traj is None:
         files["trajectory.csv"] = trajectory_csv(traj)
-    return Output(files, payload["params"], config)
+    return Output(files, payload["params"], config, _shot_code(traj))
 
 
 def cmd_phase(args) -> Output:
@@ -440,9 +438,8 @@ def _add_problem_flags(sp, with_p=True) -> None:
 def _add_shoot_flags(sp, beta=1.0, rmax=1e4) -> None:
     sp.add_argument("--beta", type=float, default=beta, help="starting height v(0)")
     sp.add_argument("--rmax", type=float, default=rmax, help="integration horizon")
-    sp.add_argument("--rtol", type=float, default=1e-10, help="integrator rel tolerance")
-    sp.add_argument("--atol", type=float, default=1e-12, help="integrator abs tolerance")
-    sp.add_argument("--eps0", type=float, default=None, help="series hand-off radius")
+    sp.add_argument("--rtol", type=float, default=1e-12,
+                    help="integrator tolerance, relative to the cylinder state")
     sp.add_argument(
         "--nodes-per-decade", type=int, default=160, help="stored node density"
     )

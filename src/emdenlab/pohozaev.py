@@ -64,8 +64,8 @@ def weighted_node_integral(
     integrated exactly, built once per trajectory and (exponent, power)
     and kept on the trajectory for its other radii; [0, first node] is
     closed in the leading power approximation v ~ v(r1), which costs
-    O(r1^(exponent+1)) relative and is negligible for any sane hand-off
-    radius.  Needs 0 < R <= the last node and exponent > -1 (else
+    O(r1^(exponent+1)) relative and is negligible for any sane series
+    start radius.  Needs 0 < R <= the last node and exponent > -1 (else
     NotInRange or RangeExceeded) and a positive trajectory up to R.
     """
     r, v = traj.r, traj.v

@@ -5,8 +5,10 @@ The trajectory of height beta solves
     v'' + (N - 1 + a)/r v' + r^(b-a) v^p = 0,   v(0) = beta, v'(0) = 0,
 
 integrated outward until it either crosses zero or reaches the horizon
-r_max.  The origin is a singular point of the ODE, so integration starts
-from a short power-series hand-off at epsilon0 instead of r = 0.
+r_max.  Shots run in the cylinder variables of emden_fowler, w = r^gamma v
+and t = log r, where the equation is autonomous:
+
+    w'' = -lambda1 w' + lambda2 w - |w|^(p-1) w.
 
 Outcomes are the data of the existence dichotomy: subcritical trajectories
 cross zero at a finite radius, critical and supercritical ones stay
@@ -15,20 +17,22 @@ power profile).  A scaling symmetry ties all heights together,
 
     v_beta(r) = beta * v_1(beta^((p-1)/sigma) r),
 
-which the threshold search exploits: probing at large beta compresses huge
-beta = 1 crossing radii into a modest window, so a fixed horizon loses
-almost no resolution near the critical exponent.
+and in t it is a shift, w_beta(t) = w_1(t + log(beta)/gamma): every shot
+runs the beta = 1 orbit from the same series start (series_start), and
+only its start time depends on beta.  The threshold search exploits the
+symmetry: probing at large beta compresses huge beta = 1 crossing radii
+into a modest window, so a fixed horizon loses almost no resolution near
+the critical exponent.
 
 Single shots (shoot) and batches (sweep_shoot, and through it
 threshold_bisect) run the one DOP853 engine of _dop853: a shot as its
 scalar step loop on Python floats, a batch as the lanes of its lockstep.
-This module passes it the radial field (_make_rhs for a shot, _lane_rhs
-for lanes), the series start and the tolerances (_tolerances), and
-finishes every run the same way (_finish): nodes on a log-uniform grid
-(_node_grid), sampled from the run's step table, then classified.  The
-powers in the two fields round differently (the C library's against
-numpy's), so a shot and a lane agree to round-off, amplified only where
-the answer is below the absolute tolerance.
+This module passes it the cylinder field (_make_rhs for a shot, _lane_rhs
+for lanes), the series start and rel_tol, and finishes every run the same
+way (_finish): nodes uniform in t (_node_grid), sampled from the run's
+step table and written back as (r, v, dv), then classified.  The powers
+in the two fields round differently (the C library's against numpy's), so
+a shot and a lane agree to round-off.
 
 threshold_bisect shoots its probes in lockstep rounds.  The first round
 holds the bracket's ends, the next four bisection levels and the path the
@@ -50,6 +54,7 @@ import io
 import itertools
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple, Union
 
@@ -82,47 +87,43 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# The series hand-off never shrinks below this radius.
-_EPS_FLOOR = 1e-12
+# the smallest normal float, and its log: the lowest start radius a shot takes
+_TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass(frozen=True)
 class ShootConfig(Record):
     """Knobs of a single shot.
 
-    epsilon0 = None means "1e-4 * min(1, sigma), then auto-shrunk until the
-    next-order series term is below rel_tol".  nodes_per_decade controls the
-    stored log-uniform grid; everything downstream that must be reproducible
-    from a CSV (the integral identities in particular) uses only these nodes.
+    rel_tol bounds every step's error relative to the size of the cylinder
+    state (w, w'), with no absolute tolerance (_dop853), and places the
+    series start (series_start).  nodes_per_decade sets the stored grid,
+    uniform in log r; everything downstream that must be reproducible from
+    a CSV (the integral identities in particular) uses only these nodes.
     A NaN or infinite knob raises NonFiniteParameter, a finite one out of
     its range NotInRange.
     """
 
     beta: float = 1.0
     r_max: float = 1e4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    epsilon0: float | None = None
+    rel_tol: float = 1e-12
     nodes_per_decade: int = 160
     delta_fp: float = 0.05
     min_fit_radius: float = 10.0
 
     def __post_init__(self):
-        for name in ("beta", "r_max", "rel_tol", "abs_tol", "epsilon0", "nodes_per_decade",
-                     "delta_fp", "min_fit_radius"):
+        for name in ("beta", "r_max", "rel_tol", "nodes_per_decade", "delta_fp",
+                     "min_fit_radius"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise NonFiniteParameter(f"{name} = {value}, need it finite")
         if not self.beta > 0:
             raise NotInRange(f"beta = {self.beta}, need it positive")
         if not self.r_max >= 1.0:
             raise NotInRange(f"r_max = {self.r_max}, need r_max >= 1")
-        for name in ("rel_tol", "abs_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol <= 1e-3:
-                raise NotInRange(f"{name} = {tol}, need it in (0, 1e-3]")
-        if self.epsilon0 is not None and not 0.0 < self.epsilon0 < 1.0:
-            raise NotInRange(f"epsilon0 = {self.epsilon0}, need it in (0, 1)")
+        if not 0.0 < self.rel_tol <= 1e-3:
+            raise NotInRange(f"rel_tol = {self.rel_tol}, need it in (0, 1e-3]")
         n = self.nodes_per_decade
         if not (n >= 4 and n == int(n)):
             raise NotInRange(
@@ -239,124 +240,112 @@ def _series_values(params: ProblemParams, sigma: float, beta: float, r):
     return v, dv
 
 
-def series_truncation_estimate(params: ProblemParams, beta: float, eps: float) -> float:
-    """Relative size of the dropped next-order term, O(eps^(2 sigma)).
-
-    The maximum of the v-correction (against beta) and the dv-correction
-    (against the leading dv term); used to auto-shrink the hand-off radius.
-    A beta whose powers leave float range raises NotInRange.
-    """
-    try:
-        return _truncation(params, derive(params).sigma, beta, eps)
-    except OverflowError:
-        raise _start_overflows(params, beta) from None
-
-
-def _start_overflows(params: ProblemParams, beta: float) -> NotInRange:
-    """The refusal of a beta whose powers in the series start leave float range."""
-    return NotInRange(f"beta = {beta}: the series start overflows at p = {params.p}")
-
-
-def _truncation(params: ProblemParams, sigma: float, beta: float, eps: float) -> float:
-    """series_truncation_estimate with sigma = 2 + b - a already derived."""
-    N, b, p = params.N, params.b, params.p
-    corr_v = (
-        p
-        * beta ** (2.0 * (p - 1.0))
-        * eps ** (2.0 * sigma)
-        / (2.0 * sigma**2 * (N + b) * (N + b + sigma))
-    )
-    corr_dv = p * beta ** (p - 1.0) * eps**sigma / (sigma * (N + b + sigma))
-    return max(corr_v, corr_dv)
-
-
 def series_start(params: ProblemParams, config: ShootConfig = ShootConfig()):
-    """Hand-off state (r, v, dv) at the series radius.
+    """Cylinder start (t0, w, w') of the shot of height config.beta.
 
-    Starts from config.epsilon0 (default 1e-4 * min(1, sigma)) and halves it
-    until the next-order correction drops below rel_tol, never going under
-    1e-12.  Refuses inadmissible weights (require_admissible), a NaN or
-    infinite p (NonFiniteParameter), p <= 1 (derive's NotInRange) and a
-    beta whose powers in the series leave float range (NotInRange).
-    derive runs once per call, however many halvings it takes.
+    Every shot starts on the beta = 1 orbit, on its two-term series
+    v = 1 - z in z = r^sigma/(sigma(N+b)), at z0 = 0.1 sqrt(rel_tol): the
+    dropped term, p(N+b)/(2(N+b+sigma)) z0^2, is about a hundredth of
+    rel_tol relative to (w, w').  There the beta = 1 orbit is at
+    r_s = (z0 sigma(N+b))^(1/sigma), and since beta only shifts time the
+    shot starts at t0 = log r_s - log(beta)/gamma.  Refuses inadmissible
+    weights (require_admissible), a NaN or infinite p (NonFiniteParameter),
+    p <= 1 (derive's NotInRange), and with NotInRange a start radius at or
+    beyond r_max or below the smallest normal float, and a start w that
+    underflows (p close to 1).
     """
     require_admissible(params)
     if not math.isfinite(params.p):
         raise NonFiniteParameter(f"p = {params.p}, need it finite")
-    sigma = derive(params).sigma
-    eps = config.epsilon0
-    if eps is None:
-        eps = 1e-4 * min(1.0, sigma)
-    try:
-        while eps > _EPS_FLOOR:
-            if _truncation(params, sigma, config.beta, eps) <= config.rel_tol:
-                break
-            eps *= 0.5
-        v, dv = _series_values(params, sigma, config.beta, eps)
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug(
-                "series hand-off at eps=%g, truncation estimate %g",
-                eps,
-                _truncation(params, sigma, config.beta, eps),
-            )
-    except OverflowError:
-        raise _start_overflows(params, config.beta) from None
-    return eps, float(v), float(dv)
+    d = derive(params)
+    z0 = 0.1 * math.sqrt(config.rel_tol)
+    log_rs = math.log(z0 * d.sigma * (params.N + params.b)) / d.sigma
+    t0 = log_rs - math.log(config.beta) / d.gamma
+    where = f"beta = {config.beta}: the shot starts at r = exp({t0!r})"
+    if not t0 < math.log(config.r_max):
+        raise NotInRange(f"{where}, at or beyond r_max = {config.r_max}")
+    if t0 < _LOG_TINY:
+        raise NotInRange(f"{where}, below the smallest normal float")
+    rg = math.exp(d.gamma * log_rs)
+    if rg < _TINY:
+        raise NotInRange(f"p = {params.p}: the start's w = r^gamma v underflows")
+    return t0, rg * (1.0 - z0), rg * (d.gamma * (1.0 - z0) - d.sigma * z0)
+
+
+def _lane_params(params: ProblemParams) -> tuple[float, float, float]:
+    """(-lambda1, lambda2, p - 1): all the cylinder field needs of a row."""
+    d = derive(params)
+    return -d.lambda1, d.lambda2, params.p - 1.0
 
 
 def _make_rhs(params: ProblemParams):
-    """The radial field (r, (v, dv)) -> (dv, dv') of one shot, on Python floats.
+    """The cylinder field (t, (w, w')) -> (w', w'') of one shot, on Python floats.
 
-    A power that overflows reads inf, as numpy's does, instead of raising.
+    |w|^(p-1) w is the odd extension, smooth through w = 0.  A power that
+    overflows reads inf, as numpy's does, instead of raising.
     """
-    N, a, b, p = params.N, params.a, params.b, params.p
-    coeff = N - 1.0 + a
-    w = b - a
+    neg_l1, l2, q = _lane_params(params)
 
-    def rhs(r, y):
-        v, dv = y
+    def rhs(t, y):
+        w, dw = y
         try:
-            source = r**w * abs(v) ** p
+            source = abs(w) ** q * w
         except OverflowError:
-            source = math.inf
-        # odd extension keeps the vector field smooth through v = 0
-        return (dv, -coeff / r * dv - (source if v >= 0.0 else -source))
+            source = math.copysign(math.inf, w)
+        return (dw, neg_l1 * dw + l2 * w - source)
 
     return rhs
 
 
-def _node_grid(eps: float, r_end: float, nodes_per_decade: int) -> np.ndarray:
-    """The stored radii of a shot: log-uniform on [eps, r_end], ends exact."""
-    n = max(2, math.ceil(nodes_per_decade * math.log10(r_end / eps)) + 1)
-    nodes = np.geomspace(eps, r_end, n)
-    nodes[0], nodes[-1] = eps, r_end
-    return nodes
+def _node_grid(t0: float, t_end: float, nodes_per_decade: int) -> np.ndarray:
+    """The stored times of a shot: uniform on [t0, t_end], nodes_per_decade per ln 10, ends exact."""
+    n = max(2, math.ceil(nodes_per_decade * (t_end - t0) / math.log(10.0)) + 1)
+    return np.linspace(t0, t_end, n)
 
 
-def _tolerances(config: ShootConfig) -> tuple[float, float]:
-    """(rtol, atol) of a run: rel_tol floored at 100 eps as solve_ivp floors it, abs_tol times beta."""
-    return max(config.rel_tol, 100 * _dop853.EPS), config.abs_tol * max(1.0, config.beta)
+def _rtol(config: ShootConfig) -> float:
+    """The run's rtol: rel_tol floored at 100 eps, as solve_ivp floors it."""
+    return max(config.rel_tol, 100 * _dop853.EPS)
 
 
-def _finish(params, config, start, steps, r_end, crossed, stopped) -> RadialTrajectory:
+def _finish(params, config, start, steps, t_end, crossed, stopped) -> RadialTrajectory:
     """The classified trajectory of one DOP853 run from the series start.
 
-    The nodes (_node_grid up to r_end) are sampled from the run's step
-    table, with the series start pinned first and, at a crossing, v = 0
-    last.  A stopped run is Inconclusive; one stopped before its first
-    step has no table to sample and holds the start node alone.
+    The nodes (_node_grid up to t_end) are sampled from the run's step
+    table, with w = 0 last at a crossing, and written as r = e^t,
+    v = r^-gamma w and dv = r^(-gamma-1) (w' - gamma w); a run that
+    reaches the horizon ends on r_max exactly.  A node radius or value
+    that overflows, or a v that underflows where w does not (it would read
+    as a crossing), raises NotInRange; dv, which falls fastest, may
+    underflow.  A stopped run is Inconclusive and keeps the nodes it
+    reached; one stopped before its first step has no table to sample and
+    holds the start node alone.
     """
     if len(steps):
-        nodes = _node_grid(start[0], r_end, config.nodes_per_decade)
-        v, dv = _dop853.dense_nodes(steps, nodes)
+        t = _node_grid(start[0], t_end, config.nodes_per_decade)
+        w, dw = _dop853.dense_nodes(steps, t)
     else:
-        nodes, v, dv = (np.array([x]) for x in start)
-    v[0], dv[0] = start[1], start[2]
+        t, w, dw = (np.array([x]) for x in start)
     if crossed:
-        v[-1] = 0.0
-    traj = RadialTrajectory(params=params, r=nodes, v=v, dv=dv, config=config)
+        w[-1] = 0.0
+    gamma = derive(params).gamma
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.exp(t)
+        v = w * np.exp(-gamma * t)
+        dv = (dw - gamma * w) * np.exp(-(gamma + 1.0) * t)
+    if not (crossed or stopped):
+        r[-1] = config.r_max
+    if not stopped:
+        lost = ~np.isfinite(r) | ~np.isfinite(v) | ~np.isfinite(dv)
+        lost |= (np.abs(v) < _TINY) & (w != 0.0)
+        if lost.any():
+            i = int(np.argmax(lost))
+            raise NotInRange(f"the node at r = exp({float(t[i])!r}) leaves float range")
+    traj = RadialTrajectory(params=params, r=r, v=v, dv=dv, config=config)
     if stopped:
-        traj.outcome = Inconclusive(f"integrator stopped at r = {r_end}: {_dop853.TOO_SMALL_STEP}")
+        traj.outcome = Inconclusive(
+            f"integrator stopped at r = {math.exp(t_end)}: {_dop853.TOO_SMALL_STEP}"
+        )
     else:
         traj.outcome = classify_trajectory(traj)
     return traj
@@ -365,21 +354,21 @@ def _finish(params, config, start, steps, r_end, crossed, stopped) -> RadialTraj
 def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialTrajectory:
     """Integrate one trajectory and classify it.
 
-    DOP853 as a scalar step loop on Python floats (_dop853.scalar_run),
-    which shares the lockstep's tableau, initial step, step control,
-    crossing rule and node sampler; the field is _make_rhs(params), looked
-    up at call time.  The run stops at the first step that starts at
-    v >= 0 and ends at v <= 0.  brent_root refines the crossing on that
-    step's dense output to a few ulps of r, far below the 1e-8 relative
-    contract, but r0 still carries the run's global error.  Near p_c that
-    error grows roughly like rel_tol/(p_c - p): at (4, 0, 0, 3 - 1e-8) and
-    the default rel_tol, r0 was measured 3.5e-4 off.  The nodes are
-    sampled from the run's table of accepted steps (_finish).  A run that
-    fails the minimum-step test keeps the nodes it reached and is
-    Inconclusive.
+    DOP853 in the cylinder variables (t, w, w') as a scalar step loop on
+    Python floats (_dop853.scalar_run), which shares the lockstep's
+    tableau, initial step, step control, error norm, crossing rule and
+    node sampler; the field is _make_rhs(params), looked up at call time.
+    The run goes from the series start to t = log r_max and stops at the
+    first step that starts at w >= 0 and ends at w <= 0.  brent_root
+    refines the crossing on that step's dense output to a few ulps of t,
+    far below the 1e-8 relative contract, but r0 still carries the run's
+    global error.  Near p_c that error grows roughly like rel_tol/(p_c - p).
+    The nodes are sampled from the run's table of accepted steps
+    (_finish).  A run that fails the minimum-step test keeps the nodes it
+    reached and is Inconclusive.
     """
     start = series_start(params, config)
-    run = _dop853.scalar_run(_make_rhs(params), start, config.r_max, *_tolerances(config))
+    run = _dop853.scalar_run(_make_rhs(params), start, math.log(config.r_max), _rtol(config))
     return _finish(params, config, start, *run)
 
 
@@ -577,39 +566,29 @@ def threshold_bisect(
 
 
 class _Field(NamedTuple):
-    """The vector field's parameters of some lanes, one contiguous column each."""
+    """The cylinder field's parameters of some lanes, one contiguous column each."""
 
-    neg_c: np.ndarray  # -(N - 1 + a)
-    w: np.ndarray | None  # b - a, or None when every lane has b == a
-    p: np.ndarray
-
-
-def _field(prm, lanes) -> _Field:
-    """The _Field of the given lanes; prm's rows are -(N-1+a), b-a and p, a column per lane."""
-    neg_c, w, p = prm[:, lanes]
-    return _Field(neg_c, w if w.any() else None, p)
+    neg_l1: np.ndarray  # -lambda1
+    l2: np.ndarray  # lambda2
+    q: np.ndarray  # p - 1
 
 
-def _lane_rhs(r, y, fld, out):
-    """The radial vector field of every lane, written into out.
+def _lane_rhs(t, y, fld, out):
+    """The cylinder field of every lane, written into out.
 
-    r^(b-a) is left out when every lane has b == a: r**0 is exactly 1.0,
-    so the bits are the same.  The powers are never taken in place:
-    numpy's vectorized pow, which can differ from the C library's in the
-    last bit, skips a one-element call whose output is its input, and a
-    lone lane would then round differently from the same lane in a batch.
+    The power is never taken in place: numpy's vectorized pow, which can
+    differ from the C library's in the last bit, skips a one-element call
+    whose output is its input, and a lone lane would then round
+    differently from the same lane in a batch.
     """
-    v, dv = y[:, 0], y[:, 1]
-    s = np.abs(v) ** fld.p
-    # odd extension, signed as where(v >= 0, s, -s), so v = -0.0 gives +s
-    np.negative(s, out=s, where=v < 0.0)
-    if fld.w is not None:
-        s *= r**fld.w
-    out[:, 0] = dv
-    ddv = out[:, 1]
-    np.divide(fld.neg_c, r, out=ddv)
-    ddv *= dv
-    ddv -= s
+    w, dw = y[:, 0], y[:, 1]
+    s = np.abs(w) ** fld.q
+    s *= w
+    out[:, 0] = dw
+    ddw = out[:, 1]
+    np.multiply(fld.neg_l1, dw, out=ddw)
+    ddw += fld.l2 * w
+    ddw -= s
 
 
 def sweep_shoot(
@@ -621,10 +600,10 @@ def sweep_shoot(
     All rows run together in one process, as the lanes of one
     _dop853.lockstep whose field is _lane_rhs, looked up at call time.
     Each lane it hands back is finished as a shot is (_finish).  A row
-    that fails its parameter checks, or whose series start overflows,
-    never enters a lane and comes back as Inconclusive("rejected: ...")
-    in its place.  processes is still accepted, so existing callers keep
-    working, and is ignored.
+    that fails its parameter or start checks never enters a lane, and a
+    lane whose nodes leave float range is not classified; either comes
+    back as Inconclusive("rejected: ...") in its place.  processes is
+    still accepted, so existing callers keep working, and is ignored.
     """
     rows = list(rows)
     outcomes: list = [None] * len(rows)
@@ -638,17 +617,22 @@ def sweep_shoot(
         return outcomes
     ids = list(starts)
     lanes = [rows[i] for i in ids]
-    prm = np.array([(-(q.N - 1.0 + q.a), q.b - q.a, q.p) for q in lanes]).T.copy()
+    prm = np.array([_lane_params(q) for q in lanes]).T.copy()
 
     def lane_field(lanes):
-        fld = _field(prm, lanes)
-        return lambda r, y, out: _lane_rhs(r, y, fld, out)
+        fld = _Field(*prm[:, lanes])
+        return lambda t, y, out: _lane_rhs(t, y, fld, out)
 
-    runs = _dop853.lockstep(lane_field, list(starts.values()), config.r_max, *_tolerances(config))
-    for k, steps, r_end, crossed in runs:
+    runs = _dop853.lockstep(
+        lane_field, list(starts.values()), math.log(config.r_max), _rtol(config)
+    )
+    for k, steps, t_end, crossed in runs:
         # a lane that failed the minimum-step test comes back with no steps
-        run = (starts[ids[k]], steps, r_end, crossed, not len(steps))
-        outcomes[ids[k]] = _finish(lanes[k], config, *run).outcome
+        run = (starts[ids[k]], steps, t_end, crossed, not len(steps))
+        try:
+            outcomes[ids[k]] = _finish(lanes[k], config, *run).outcome
+        except EmdenLabError as exc:
+            outcomes[ids[k]] = Inconclusive(f"rejected: {exc}")
     return outcomes
 
 

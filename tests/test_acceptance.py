@@ -120,9 +120,7 @@ def test_criterion_05_dichotomy_sweep_matches_the_critical_split():
 
 
 def test_criterion_06_energy_is_flat_along_the_critical_orbit():
-    config = E.ShootConfig(
-        rel_tol=1e-12, abs_tol=1e-14, epsilon0=1e-5, r_max=3e4
-    )
+    config = E.ShootConfig(rel_tol=1e-12, r_max=3e4)
     params = E.ProblemParams(3, 0.0, 0.0, 5.0)
     traj = E.shoot(params, config)
     cyl = E.to_cylinder(traj)

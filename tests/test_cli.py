@@ -164,7 +164,7 @@ def test_bubble_rejects_noncritical_p(capsys):
         ["ckn", "--q", "inf"],
         ["ckn", "--a", "nan", "--q", "6"],
         ["shoot", "--p", "3", "--rtol", "nan"],
-        ["shoot", "--p", "3", "--eps0", "inf"],
+        ["shoot", "--p", "3", "--rmax", "nan"],
     ],
 )
 def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
@@ -434,18 +434,19 @@ def test_sweep_rejects_a_row_with_p_at_most_1_and_finishes(capsys, tmp_path):
     assert bad.split(",")[4] == "inconclusive" and "rejected:" in bad
 
 
-def test_sweep_rejects_a_row_whose_series_start_overflows_and_finishes(capsys, tmp_path):
-    # a height whose series start leaves float range used to abort the
-    # whole sweep with a bare OverflowError
+def test_sweep_at_a_huge_height_shoots_every_row(capsys, tmp_path):
+    # the height is a shift in time: p = 30 at beta = 1e7, once refused
+    # for a series start beyond float range, reaches its fixed point
     grid = tmp_path / "sweep_grid.csv"
     grid.write_text("N,a,b,p\n3,0,0,3\n3,0,0,30\n")
     code, out, _ = run(
-        capsys, "sweep", "--grid", str(grid), "--beta", "1e7", "--rmax", "1"
+        capsys, "sweep", "--grid", str(grid), "--beta", "1e7", "--rmax", "1e4"
     )
     assert code == 0
-    good, bad = out.strip().splitlines()[1:]
-    assert good.split(",")[4] == "crossed_zero"
-    assert bad.split(",")[4] == "inconclusive" and "rejected: beta = " in bad
+    cubic, steep = (line.split(",") for line in out.strip().splitlines()[1:])
+    assert cubic[4] == "crossed_zero"
+    assert float(cubic[5]) == pytest.approx(6.896848619376960e-7, rel=1e-9)
+    assert steep[4] == "converged_to_singular"
 
 
 CUBIC_ARGS = ["--N", "3", "--a", "0", "--b", "0"]
@@ -454,12 +455,12 @@ CUBIC_ARGS = ["--N", "3", "--a", "0", "--b", "0"]
 @pytest.mark.parametrize(
     "argv",
     [
-        ["shoot", *CUBIC_ARGS, "--p", "3", "--beta", "1e100"],
+        ["shoot", *CUBIC_ARGS, "--p", "3", "--beta", "1e-100"],
         ["classify", *CUBIC_ARGS, "--p", "0.5"],
         ["bubble", *CUBIC_ARGS, "--lambda-scale", "0"],
         ["pohozaev", *CUBIC_ARGS, "--p", "3", "--rmax", "10", "--radii", "1,0"],
     ],
-    ids=["shoot-overflowing-beta", "classify-p-below-1", "bubble-zero-dilation",
+    ids=["shoot-start-beyond-horizon", "classify-p-below-1", "bubble-zero-dilation",
          "pohozaev-zero-radius"],
 )
 def test_values_out_of_range_exit_2_with_not_in_range(capsys, argv):
@@ -526,23 +527,45 @@ def test_grid_refuses_a_first_row_that_holds_a_number(capsys, tmp_path, argv, te
     assert err.startswith("MalformedGrid: non-numeric row ")
 
 
-# the start's dv is -9.1e179, and the first step fails the minimum-step test
-_STOPPED_AT_ONCE = ["--N", "3", "--a", "0", "--b", "-1.9", "--p", "1.15", "--eps0", "1e-200"]
+_STOPPED_AT_ONCE = ["--N", "3", "--a", "0", "--b", "-1.9", "--p", "1.15"]
 
 
 @pytest.mark.parametrize("command", ["shoot", "phase"])
-def test_a_shot_stopped_before_its_first_step_exits_3(capsys, command):
-    # it used to end in an IndexError traceback from the node sampler
+def test_a_shot_stopped_before_its_first_step_exits_3(capsys, monkeypatch, command):
+    # a field that is NaN from the start fails the first step's minimum-step
+    # test; it used to end in an IndexError traceback from the node sampler
+    from test_shooting import nan_at_start
+
+    t0, _, _ = E.series_start(E.ProblemParams(3, 0.0, -1.9, 1.15))
+    nan_at_start(monkeypatch)
     code, out, _ = run(capsys, command, *_STOPPED_AT_ONCE)
     assert code == 3
     reason = json.loads(out)["outcome"]["reason"]
-    assert reason.startswith("integrator stopped at r = 1e-200: ")
+    assert reason.startswith(f"integrator stopped at r = {math.exp(t0)}: ")
 
 
-def test_pohozaev_on_a_shot_stopped_before_its_first_step_names_its_error(capsys):
+def test_pohozaev_on_a_shot_stopped_before_its_first_step_names_its_error(capsys, monkeypatch):
+    from test_shooting import nan_at_start
+
+    nan_at_start(monkeypatch)
     code, out, err = run(capsys, "pohozaev", *_STOPPED_AT_ONCE, "--radii", "1,2")
     assert code == 2 and out == ""
     assert err.startswith("RangeExceeded: ")
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["shot", "traj"])
+def test_pohozaev_on_an_inconclusive_shot_exits_3(capsys, tmp_path, reuse):
+    # the critical shot to r_max = 2 is too short for a decay fit; shoot
+    # exits 3 on it, and pohozaev used to exit 0
+    argv = ["pohozaev", *CUBIC_ARGS, "--p", "5", "--rmax", "2", "--radii", "1"]
+    code, out, _ = run(capsys, "shoot", *CUBIC_ARGS, "--p", "5", "--rmax", "2",
+                       "--out", str(tmp_path / "shot"))
+    assert code == 3
+    if reuse:
+        argv += ["--traj", str(tmp_path / "shot" / "trajectory.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and err == ""
+    assert json.loads(out)["reports"][0]["R"] == 1.0
 
 
 _UNWEIGHTED = ["--N", "3", "--a", "0", "--b", "0"]

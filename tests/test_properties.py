@@ -4,7 +4,7 @@ hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import emdenlab as E
@@ -35,7 +35,7 @@ def test_a_row_shoots_the_same_alone_shuffled_and_beside_any_neighbour(rows, dat
     shuffled = E.sweep_shoot([rows[i] for i in order], SMALL)
     assert [shuffled[order.index(i)].to_dict() for i in range(len(rows))] == alone
 
-    # a neighbour with b != a turns the r^(b-a) factor on for the whole batch
+    # a neighbour with other weights and p beside every row
     neighbour = E.ProblemParams(3, 0.0, 0.5, 3.0)
     beside = E.sweep_shoot([neighbour, *rows], SMALL)[1:]
     assert [outcome.to_dict() for outcome in beside] == alone
@@ -56,3 +56,47 @@ def test_a_single_shot_and_a_one_lane_sweep_agree(row, beta, r_max):
     assert lane.kind == shot.kind
     if isinstance(shot, E.CrossedZero):
         assert abs(lane.r0 - shot.r0) <= 1e-8 * shot.r0
+
+
+@st.composite
+def crossing_rows(draw):
+    """(N, a, b, p) with sigma = 2 + b - a >= 0.05 and p a fraction f of the way to p_c.
+
+    p_c - 1 = 2 sigma / (N - 2 + a), so gamma = (N - 2 + a) / (2 f); the
+    height-1 shot crosses within r_max = 1e12.
+    """
+    N = draw(st.sampled_from([3, 4, 5]))
+    M = draw(st.floats(0.5, 3.0))  # N - 2 + a
+    sigma = draw(st.floats(0.05, 2.0))
+    f = draw(st.floats(0.2, 0.8))
+    p = 1.0 + 2.0 * f * sigma / M
+    # below p - 1 = 0.05 the start's r^gamma leaves float range at small sigma
+    assume(p - 1.0 >= 0.05)
+    a = M + 2.0 - N
+    return E.ProblemParams(N, a, a - 2.0 + sigma, p)
+
+
+FAR = E.ShootConfig(r_max=1e12)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(row=crossing_rows(), beta=st.floats(1.0, 1e4))
+def test_the_height_is_a_shift_in_time(row, beta):
+    # r0(beta) = r0(1) beta^(-(p-1)/sigma): the cylinder start is the same
+    # for every height, and only its time moves
+    sigma = E.derive(row).sigma
+    [one, tall] = [E.shoot(row, E.ShootConfig(beta=b, r_max=1e12)).outcome
+                   for b in (1.0, beta)]
+    assert isinstance(one, E.CrossedZero), (row, one)
+    law = one.r0 * beta ** (-(row.p - 1.0) / sigma)
+    assert abs(tall.r0 - law) <= 1e-9 * law
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(row=crossing_rows(), shift=st.sampled_from([1, 2]))
+def test_the_shot_depends_on_n_plus_a_b_minus_a_and_p_alone(row, shift):
+    # (N, a, b) and (N + k, a - k, b - k) give one radial equation
+    N, a, b, p = row.N + shift, row.a - shift, row.b - shift, row.p
+    [one, other] = [E.shoot(q, FAR).outcome for q in (row, E.ProblemParams(N, a, b, p))]
+    assert isinstance(one, E.CrossedZero), (row, one)
+    assert abs(other.r0 - one.r0) <= 1e-12 * one.r0

@@ -67,26 +67,39 @@ def rk4_first_crossing(N, a, b, p, beta=1.0, eps=1e-3, h=5e-4):
     raise AssertionError("oracle never crossed")
 
 
-def test_series_start_frozen_values_without_shrinking():
-    config = E.ShootConfig(rel_tol=1e-3, epsilon0=1e-3)
-    eps, v, dv = E.series_start(UNWEIGHTED_CUBIC, config)
-    assert eps == 1e-3
-    assert v == 1.0 - 1e-6 / 6.0
-    assert dv == -1e-3 / 3.0
+def test_series_start_frozen_cylinder_values():
+    # the cubic has sigma = 2, gamma = 1 and N + b = 3; rel_tol = 1e-6 puts
+    # the start at z0 = 1e-4, r_s = sqrt(6e-4), on v = 1 - z
+    t0, w, dw = E.series_start(UNWEIGHTED_CUBIC, E.ShootConfig(rel_tol=1e-6))
+    r_s = 6e-4**0.5
+    assert t0 == pytest.approx(math.log(r_s), rel=1e-15)
+    assert w == pytest.approx(r_s * (1.0 - 1e-4), rel=1e-15)
+    # w' = r^gamma (gamma v + r v') = r_s (1 - z0 - 2 z0)
+    assert dw == pytest.approx(r_s * (1.0 - 3e-4), rel=1e-15)
+    # the height only shifts the start in time, by log(beta)/gamma
+    t4, w4, dw4 = E.series_start(UNWEIGHTED_CUBIC, E.ShootConfig(rel_tol=1e-6, beta=4.0))
+    assert (w4, dw4) == (w, dw)
+    assert t4 == pytest.approx(t0 - math.log(4.0), rel=1e-15)
 
 
-def test_series_start_shrinks_until_truncation_is_resolved():
-    config = E.ShootConfig(rel_tol=1e-10, epsilon0=1e-2)
-    eps, _, _ = E.series_start(UNWEIGHTED_CUBIC, config)
-    assert eps == pytest.approx(9.765625e-06, rel=1e-15)  # 1e-2 / 2**10
-    assert E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1.0, eps) <= 1e-10
-
-
-def test_series_truncation_estimate_scales_like_sigma_power():
-    est1 = E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1.0, 1e-2)
-    est2 = E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1.0, 1e-3)
-    # dv correction dominates at small eps: scales like eps^sigma
-    assert est1 / est2 == pytest.approx(100.0, rel=1e-6)
+@pytest.mark.parametrize(
+    "params",
+    [UNWEIGHTED_CUBIC, E.ProblemParams(3, 0.0, 0.0, 30.0), E.ProblemParams(3, 0.0, -1.9, 1.15),
+     E.ProblemParams(5, 1.0, 2.0, 1.5)],
+)
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-6])
+def test_series_start_drops_a_term_below_rel_tol(params, rel_tol):
+    # the next series term, v = 1 - z + c z^2 with c = p(N+b)/(2(N+b+sigma)),
+    # against the start's (w, w') in the max-norm the integrator uses
+    N, b, p = params.N, params.b, params.p
+    d = E.derive(params)
+    t0, w, dw = E.series_start(params, E.ShootConfig(rel_tol=rel_tol))
+    z0 = 0.1 * rel_tol**0.5
+    c = p * (N + b) / (2.0 * (N + b + d.sigma))
+    rg = math.exp(d.gamma * t0)
+    dropped = rg * c * z0**2 * max(1.0, d.gamma + 2.0 * d.sigma)
+    assert dropped <= rel_tol * max(abs(w), abs(dw))
+    assert math.exp(t0) ** d.sigma / (d.sigma * (N + b)) == pytest.approx(z0, rel=1e-12)
 
 
 def test_first_crossing_matches_independent_rk4_oracle():
@@ -435,8 +448,7 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
 
 @pytest.mark.parametrize(
     "name",
-    ["beta", "r_max", "rel_tol", "abs_tol", "epsilon0", "nodes_per_decade", "delta_fp",
-     "min_fit_radius"],
+    ["beta", "r_max", "rel_tol", "nodes_per_decade", "delta_fp", "min_fit_radius"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_config_refuses_a_non_finite_height_or_horizon(name, value):
@@ -447,8 +459,7 @@ def test_config_refuses_a_non_finite_height_or_horizon(name, value):
 @pytest.mark.parametrize(
     "name, value",
     [("beta", 0.0), ("beta", -1.0), ("r_max", 0.5), ("rel_tol", 0.0), ("rel_tol", 1e-2),
-     ("abs_tol", -1e-12), ("epsilon0", 0.0), ("epsilon0", 2.0), ("nodes_per_decade", 2),
-     ("nodes_per_decade", 10.5)],
+     ("nodes_per_decade", 2), ("nodes_per_decade", 10.5)],
 )
 def test_config_names_a_value_out_of_range(name, value):
     with pytest.raises(E.NotInRange, match=name):
@@ -478,38 +489,64 @@ def test_sweep_preserves_order_and_isolates_bad_rows():
     assert outcomes[3].reason.startswith("rejected:")
 
 
-# At beta = 1e7 the series start of p = 30 needs beta^58, beyond float
-# range, while p = 3's is a plain start whose shot crosses at r0 / beta.
+# A height is a shift in time: p = 30 at beta = 1e7 starts at t = -241,
+# and the cubic crosses at r0 / beta.
 HUGE_BETA = E.ShootConfig(beta=1e7, r_max=1.0)
-OVERFLOWING = E.ProblemParams(3, 0.0, 0.0, 30.0)
+STEEP = E.ProblemParams(3, 0.0, 0.0, 30.0)
 
 
-def test_shoot_names_a_height_whose_series_start_overflows():
-    with pytest.raises(E.NotInRange, match="beta = 10000000.0: "):
-        E.shoot(OVERFLOWING, HUGE_BETA)
-    with pytest.raises(E.NotInRange, match="beta = 1e[+]100: "):
-        E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e100))
+def test_a_huge_height_is_a_shift_in_time_and_does_not_stall(monkeypatch):
+    # a componentwise relative norm stalled here once w' -> 0 at the fixed
+    # point: 2e6 field calls and still at t = -199 of [-241, 0]
+    runs = _captured_runs(monkeypatch)
+    traj = E.shoot(STEEP, HUGE_BETA)
+    [(steps, t_end, crossed, stopped)] = runs
+    assert len(steps) < 1000 and t_end == 0.0 and not (crossed or stopped)
+    assert traj.outcome == E.Inconclusive("horizon too small for a decay fit")
+    far = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e100))
+    assert far.outcome.r0 == pytest.approx(FIRST_CROSSING_CUBIC / 1e100, rel=1e-9)
 
 
-def test_series_truncation_estimate_names_a_height_that_overflows():
-    with pytest.raises(E.NotInRange, match="beta = 1e[+]100: "):
-        E.series_truncation_estimate(UNWEIGHTED_CUBIC, 1e100, 1e-4)
+def test_a_supercritical_shot_reaches_a_horizon_of_1e300(monkeypatch):
+    # in r the run read a NaN dense output near r = 1e97 and raised RootNotFound
+    runs = _captured_runs(monkeypatch)
+    params = E.ProblemParams(3, 0.0, 0.0, 12.0)
+    traj = E.shoot(params, E.ShootConfig(r_max=1e300))
+    assert len(runs[0][0]) < 1000
+    assert traj.outcome.r_reached == 1e300 == traj.r[-1]
+    # the orbit sits on the fixed point: r^gamma v is the singular amplitude
+    d = E.derive(params)
+    w_star = d.lambda2 ** (1.0 / (params.p - 1.0))
+    assert traj.r[-1] ** d.gamma * traj.v[-1] == pytest.approx(w_star, rel=1e-9)
 
 
-def test_series_start_below_the_eps_floor_names_an_overflowing_debug_estimate(caplog):
-    # epsilon0 under the 1e-12 floor skips the halving loop, so only the
-    # DEBUG log computes the truncation estimate with its beta^58
-    config = E.ShootConfig(beta=1e7, epsilon0=1e-13)
-    with caplog.at_level("DEBUG", logger="emdenlab.shooting"):
-        with pytest.raises(E.NotInRange, match="beta = 10000000.0: "):
-            E.series_start(OVERFLOWING, config)
+def test_a_node_value_that_underflows_is_named_not_read_as_a_crossing():
+    # the critical (5, 1, 2) shot decays like r^-4: far out v leaves float
+    # range where w = r^gamma v does not, and a zero v would read as a crossing
+    row = E.ProblemParams(5, 1.0, 2.0, 2.5)
+    config = E.ShootConfig(r_max=1e300)
+    with pytest.raises(E.NotInRange, match="leaves float range"):
+        E.shoot(row, config)
+    lane, cubic = E.sweep_shoot([row, UNWEIGHTED_CUBIC], config)
+    assert lane.reason.startswith("rejected: the node at r = exp(")
+    assert isinstance(cubic, E.CrossedZero)
 
 
-def test_sweep_rejects_a_row_whose_series_start_overflows_and_shoots_the_rest():
-    rows = [UNWEIGHTED_CUBIC, OVERFLOWING, UNWEIGHTED_CUBIC]
-    crossed, rejected, again = E.sweep_shoot(rows, HUGE_BETA)
-    assert isinstance(rejected, E.Inconclusive)
-    assert rejected.reason.startswith("rejected: beta = ")
+def test_series_start_names_a_start_outside_float_range():
+    with pytest.raises(E.NotInRange, match="at or beyond r_max = 10000.0"):
+        E.series_start(UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e-100))
+    # sigma = 0.01 puts the beta = 1 start near r = 1e-900
+    with pytest.raises(E.NotInRange, match="below the smallest normal float"):
+        E.series_start(E.ProblemParams(3, 0.0, -1.99, 1.005))
+    # r_s^gamma = (z0 sigma (N+b))^(1/(p-1)) underflows as p -> 1
+    with pytest.raises(E.NotInRange, match="underflows"):
+        E.series_start(E.ProblemParams(3, 0.0, 0.0, 1.001))
+
+
+def test_sweep_shoots_every_row_at_a_huge_height():
+    rows = [UNWEIGHTED_CUBIC, STEEP, UNWEIGHTED_CUBIC]
+    crossed, steep, again = E.sweep_shoot(rows, HUGE_BETA)
+    assert steep == E.shoot(STEEP, HUGE_BETA).outcome
     assert crossed == again == E.sweep_shoot([UNWEIGHTED_CUBIC], HUGE_BETA)[0]
     assert crossed.r0 == pytest.approx(FIRST_CROSSING_CUBIC / 1e7, rel=1e-6)
 
@@ -579,7 +616,6 @@ def test_batched_sweep_matches_single_shots():
     # the criterion-5 grid plus the cubic row, each row also shot alone
     rows = _criterion5_rows() + [UNWEIGHTED_CUBIC]
     config = E.ShootConfig(beta=100.0, r_max=1e4)
-    atol = config.abs_tol * config.beta
 
     batched = E.sweep_shoot(rows, config)
     assert len(batched) == len(rows)
@@ -592,13 +628,16 @@ def test_batched_sweep_matches_single_shots():
         if isinstance(ref, (E.PositiveGlobal, E.ConvergedToSingular)):
             assert got.r_reached == pytest.approx(ref.r_reached, rel=1e-8, abs=0)
         if isinstance(ref, E.PositiveGlobal):
-            # The integrator holds v only to atol, so the slope of log v
-            # over the one-decade fit window is known to about atol/v there;
-            # at p = p_c the far field is that small and both paths read
-            # round-off.
+            # The integrator holds w = r^gamma v to rel_tol of its size.  At
+            # p = p_c the orbit is homoclinic in the cylinder: an error near
+            # its peak grows along the unstable direction as fast as the
+            # orbit decays along the stable one, so its share of the fit
+            # window is rel_tol (w_peak / w_far)^2, and both paths read
+            # round-off there.
             window = ref_traj.r >= ref_traj.r[-1] / 10.0
+            w = ref_traj.r ** E.derive(params).gamma * ref_traj.v
             d_ref = ref.decay_exponent_estimate
-            tol = 1e-8 * abs(d_ref) + atol / ref_traj.v[window].min()
+            tol = 1e-8 * abs(d_ref) + config.rel_tol * (w.max() / w[window].min()) ** 2
             assert abs(got.decay_exponent_estimate - d_ref) <= tol
         if isinstance(ref, E.ConvergedToSingular):
             assert got.oscillation_count == ref.oscillation_count
@@ -626,51 +665,141 @@ SHOT_KINDS = pytest.mark.parametrize(
 
 @SHOT_KINDS
 def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
+    params = E.ProblemParams(3, 0.0, 0.0, p)
     runs = _captured_runs(monkeypatch)
     config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
-    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, p), config)
+    traj = E.shoot(params, config)
     assert isinstance(traj.outcome, kind)
-    [(steps, r_end, crossed, stopped)] = runs
-    assert (r_end, crossed, stopped) == (traj.r[-1], kind is E.CrossedZero, False)
+    [(steps, t_end, crossed, stopped)] = runs
+    assert (crossed, stopped) == (kind is E.CrossedZero, False)
+    assert traj.r[-1] == (math.exp(t_end) if crossed else config.r_max)
     assert steps.shape[1] == _dop853._StepLog.WIDTH
     assert (steps[:, 0] == 0).all() and (np.diff(steps[:, 1]) > 0).all()
-    v, dv = _dop853.dense_nodes(steps, traj.r)
-    # the series start is pinned first, and a crossing's zero last
-    last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
-    assert np.array_equal(traj.v[1:last], v[1:last])
-    assert np.array_equal(traj.dv[1:], dv[1:])
+    # nodes uniform in t = log r from the start, 160 per decade
+    t = np.linspace(steps[0, 1], t_end, len(traj.r))
+    assert t[1] - t[0] <= math.log(10.0) / 160
+    assert np.array_equal(traj.r[:-1], np.exp(t[:-1]))
+    w, dw = _dop853.dense_nodes(steps, t)
+    # written back as v = r^-gamma w and dv = r^(-gamma-1) (w' - gamma w),
+    # with a crossing's zero last
+    gamma = E.derive(params).gamma
+    last = len(traj.r) - 1 if crossed else len(traj.r)
+    assert np.array_equal(traj.v[:last], (w * np.exp(-gamma * t))[:last])
+    assert np.array_equal(traj.dv, (dw - gamma * w) * np.exp(-(gamma + 1.0) * t))
 
 
-@SHOT_KINDS
-def test_shot_agrees_with_scipy_dop853(p, kind):
-    # scipy's solve_ivp runs the same method step for step; only the order
-    # of its sums differs, so the two runs agree to round-off.
+# scipy floors rtol at 100 eps
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _scipy_oracle(params, config):
+    """scipy's DOP853 on the shot's cylinder field, from its start, at scipy's smallest rtol."""
     from scipy.integrate import solve_ivp
 
     from emdenlab import shooting
 
+    def crossing(t, y):
+        return y[0]
+
+    crossing.terminal, crossing.direction = True, -1
+    t0, w0, dw0 = E.series_start(params, config)
+    return solve_ivp(
+        shooting._make_rhs(params), (t0, math.log(config.r_max)), (w0, dw0),
+        method="DOP853", rtol=RTOL_FLOOR, atol=RTOL_FLOOR * max(abs(w0), abs(dw0)),
+        events=crossing, dense_output=True,
+    )
+
+
+@SHOT_KINDS
+def test_shot_agrees_with_scipy_dop853(p, kind):
+    # the same tableau with this engine's norm at rel_tol 1e-12, against
+    # scipy's driver at rtol 2.2e-14
     params = E.ProblemParams(3, 0.0, 0.0, p)
     config = E.ShootConfig(r_max=10.0 if p == 3.0 else 1000.0)
     traj = E.shoot(params, config)
     assert isinstance(traj.outcome, kind)
+    sol = _scipy_oracle(params, config)
+    assert traj.r[-1] == pytest.approx(math.exp(sol.t[-1]), rel=1e-10, abs=0)
+    if kind is E.CrossedZero:
+        assert traj.outcome.r0 == pytest.approx(math.exp(sol.t_events[0][0]), rel=1e-10, abs=0)
+    # in the cylinder, within 1e-10 of the orbit's size
+    gamma = E.derive(params).gamma
+    t = np.log(traj.r)
+    w, dw = sol.sol(t)
+    last = len(t) - 1 if kind is E.CrossedZero else len(t)
+    size = np.abs(w).max()
+    assert np.abs(traj.r**gamma * traj.v - w)[:last].max() <= 1e-10 * size
+    assert np.abs(traj.r ** (gamma + 1.0) * traj.dv - (dw - gamma * w)).max() <= 1e-10 * size
 
-    def crossing(r, y):
+
+# mpmath's first zero of the cubic shot from height 1 (50 digits)
+R_CUBIC_MPMATH = 6.896848619376960
+
+
+def test_lanes_cross_where_scipy_does_on_the_criterion_5_grid():
+    # in r, with an absolute tolerance, the worst of these 72 was 3.1e-10
+    rows = _criterion5_rows()
+    config = E.ShootConfig(beta=100.0, r_max=1e4)
+    outcomes = E.sweep_shoot(rows + [UNWEIGHTED_CUBIC], config)
+    worst = 0.0
+    for row, outcome in zip(rows, outcomes):
+        if isinstance(outcome, E.CrossedZero):
+            r0 = math.exp(_scipy_oracle(row, config).t_events[0][0])
+            worst = max(worst, abs(outcome.r0 - r0) / r0)
+    assert sum(isinstance(o, E.CrossedZero) for o in outcomes[:-1]) == 72
+    print(f"worst relative gap to scipy on 72 crossings: {worst:.2e}")
+    assert worst <= 1e-10
+    for beta, r0 in ((1.0, E.shoot(UNWEIGHTED_CUBIC).outcome.r0), (100.0, outcomes[-1].r0)):
+        assert abs(beta * r0 - R_CUBIC_MPMATH) <= 5e-12
+
+
+def _z_oracle(params):
+    """First zero of the height-1 shot, integrated by scipy in z = r^sigma/(sigma(N+b)).
+
+    There the equation reads sigma z v'' + (N+b)(v' + v^p) = 0, with no
+    power of r to leave float range; it starts at z = 1e-8 from three
+    series terms, whose truncation is below 1e-15.
+    """
+    from scipy.integrate import solve_ivp
+
+    N, b, p = params.N, params.b, params.p
+    sigma = E.derive(params).sigma
+    c = p * (N + b) / (2.0 * (N + b + sigma))
+    z = 1e-8
+
+    def field(z, y):
+        v, dv = y
+        return (dv, -(N + b) * (dv + math.copysign(abs(v) ** p, v)) / (sigma * z))
+
+    def crossing(z, y):
         return y[0]
 
     crossing.terminal, crossing.direction = True, -1
-    eps, v0, dv0 = E.series_start(params, config)
-    sol = solve_ivp(
-        shooting._make_rhs(params), (eps, config.r_max), (v0, dv0), method="DOP853",
-        rtol=config.rel_tol, atol=config.abs_tol, events=crossing, dense_output=True,
-    )
-    assert traj.r[-1] == pytest.approx(sol.t[-1], rel=1e-12, abs=0)
-    if kind is E.CrossedZero:
-        assert traj.outcome.r0 == pytest.approx(sol.t_events[0][0], rel=1e-12, abs=0)
-    v, dv = sol.sol(traj.r)
-    last = len(traj.r) - 1 if kind is E.CrossedZero else len(traj.r)
-    # the runs hold v and dv to rel_tol per step; round-off stays far below
-    assert np.allclose(traj.v[:last], v[:last], rtol=1e-11, atol=1e-13)
-    assert np.allclose(traj.dv, dv, rtol=1e-11, atol=1e-13)
+    sol = solve_ivp(field, (z, 1e6), (1.0 - z + c * z * z, -1.0 + 2.0 * c * z),
+                    method="DOP853", rtol=RTOL_FLOOR, atol=1e-16, events=crossing)
+    return (sigma * (N + b) * sol.t_events[0][0]) ** (1.0 / sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.5, 0.8])
+def test_shots_near_the_edge_b_to_a_minus_2(sigma):
+    # b = a - 2 + sigma; a series hand-off floored at r = 1e-12 made
+    # sigma = 0.1 cross at 25.93 instead of 15.107, and sigma = 0.05 read
+    # "no positive segment"
+    b = sigma - 2.0
+    d = E.derive(E.ProblemParams(3, 0.0, b, 2.0))
+    sub = E.ProblemParams(3, 0.0, b, 0.5 * (d.p_serrin + d.p_critical))
+    sup = E.ProblemParams(3, 0.0, b, 1.5 * d.p_critical - 0.5 * d.p_serrin)
+    oracle = _z_oracle(sub)
+    for beta in (1.0, 4.0, 100.0):
+        config = E.ShootConfig(beta=beta, r_max=1e12)
+        crossed = E.shoot(sub, config).outcome
+        scale = beta ** (-(sub.p - 1.0) / sigma)
+        assert isinstance(crossed, E.CrossedZero), (beta, crossed)
+        assert abs(crossed.r0 - oracle * scale) <= 1e-8 * oracle * scale
+        if beta == 1.0:
+            r0 = crossed.r0
+        assert crossed.r0 == pytest.approx(r0 * scale, rel=1e-9, abs=0)
+        assert isinstance(E.shoot(sup, config).outcome, E.ConvergedToSingular)
 
 
 def test_a_field_that_overflows_on_a_trial_step_is_rejected_not_raised():
@@ -730,31 +859,42 @@ def test_row_gather_sampler_matches_the_per_coefficient_loop(monkeypatch):
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_series_start_derives_once_however_often_it_halves(monkeypatch):
+def nan_at_start(monkeypatch, q=None):
+    """Make the field NaN for shots and for the lanes whose p - 1 is q (every lane if None).
+
+    The first step then fails the minimum-step test, and the run has no
+    step table to sample.
+    """
     from emdenlab import shooting
 
-    calls = []
-    derive = shooting.derive
-    monkeypatch.setattr(shooting, "derive", lambda params: calls.append(1) or derive(params))
-    config = E.ShootConfig(beta=100.0)
-    eps, _, _ = shooting.series_start(UNWEIGHTED_CUBIC, config)
-    assert eps < 1e-4 / 8  # several halvings
-    assert len(calls) == 1
+    lane_rhs = shooting._lane_rhs
+    monkeypatch.setattr(shooting, "_make_rhs", lambda params: lambda t, y: (math.nan, math.nan))
+
+    def nan_lane_rhs(t, y, fld, out):
+        lane_rhs(t, y, fld, out)
+        out[slice(None) if q is None else fld.q == q] = math.nan
+
+    monkeypatch.setattr(shooting, "_lane_rhs", nan_lane_rhs)
 
 
-def test_a_shot_stopped_before_its_first_step_reads_like_the_lane():
-    # the start's dv is -9.1e179: the first step already fails the
-    # minimum-step test, so the run has no step table to sample
+def test_a_shot_stopped_before_its_first_step_reads_like_the_lane(monkeypatch):
     params = E.ProblemParams(3, 0.0, -1.9, 1.15)
-    config = E.ShootConfig(epsilon0=1e-200)
+    config = E.ShootConfig()
+    t0, w0, dw0 = E.series_start(params, config)
+    nan_at_start(monkeypatch, q=params.p - 1.0)
     traj = E.shoot(params, config)
-    [lane] = E.sweep_shoot([params], config)
+    lane, other = E.sweep_shoot([params, UNWEIGHTED_CUBIC], config)
     assert isinstance(traj.outcome, E.Inconclusive)
     assert traj.outcome == lane
-    assert traj.outcome.reason.startswith("integrator stopped at r = 1e-200: ")
-    # the trajectory holds the start node alone
-    eps, v, dv = E.series_start(params, config)
-    assert (traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()) == ([eps], [v], [dv])
+    assert traj.outcome.reason == (
+        f"integrator stopped at r = {math.exp(t0)}: {_dop853.TOO_SMALL_STEP}"
+    )
+    assert isinstance(other, E.CrossedZero)
+    # the trajectory holds the start node alone, written as (r, v, dv)
+    gamma = E.derive(params).gamma
+    assert traj.r.tolist() == [math.exp(t0)]
+    assert traj.v[0] == pytest.approx(1.0 - 1e-7, rel=1e-12)  # 1 - z0
+    assert traj.dv[0] == pytest.approx(math.exp(-(gamma + 1.0) * t0) * (dw0 - gamma * w0))
 
 
 def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
@@ -766,11 +906,11 @@ def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
 
     def nan_make_rhs(params):
         rhs = make_rhs(params)
-        return lambda r, y: rhs(r, y) if r < 2.0 else (math.nan, math.nan)
+        return lambda t, y: rhs(t, y) if t < math.log(2.0) else (math.nan, math.nan)
 
-    def nan_lane_rhs(r, y, prm, out):
-        lane_rhs(r, y, prm, out)
-        out[r >= 2.0] = math.nan
+    def nan_lane_rhs(t, y, fld, out):
+        lane_rhs(t, y, fld, out)
+        out[t >= math.log(2.0)] = math.nan
 
     monkeypatch.setattr(shooting, "_make_rhs", nan_make_rhs)
     monkeypatch.setattr(shooting, "_lane_rhs", nan_lane_rhs)
@@ -882,8 +1022,6 @@ def test_config_validation():
         E.ShootConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         E.ShootConfig(rel_tol=1e-2)
-    with pytest.raises(ValueError):
-        E.ShootConfig(epsilon0=2.0)
     with pytest.raises(ValueError):
         E.ShootConfig(nodes_per_decade=2)
 
