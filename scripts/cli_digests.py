@@ -2,9 +2,10 @@
 
 Runs every subcommand in-process on fixed inputs, each with its own --out
 directory, and prints one line per data file, "<sha256>  <call>/<file>",
-plus "exit <code>  <call>" per call.  manifest.json is digested without
-its wall_time_s, the one field meant to differ between runs.  Two trees
-write byte-identical files exactly when their listings are equal:
+plus "exit <code>  <call>" per call (argparse's exit code for a call it
+refuses).  manifest.json is digested without its wall_time_s, the one
+field meant to differ between runs.  Two trees write byte-identical files
+exactly when their listings are equal:
 
     python scripts/cli_digests.py > after.txt
     python scripts/cli_digests.py --src ../other-checkout/src > before.txt
@@ -57,6 +58,9 @@ CALLS = [
                           "--rmax", "1e4"]),
     ("threshold-weighted", ["threshold", "--N", "3", "--a", "0.5", "--b", "1",
                             "--p-lo", "3.5", "--p-hi", "5"]),
+    # negative values in exponent notation, each a separate token
+    ("classify-negative-exponent", ["classify", "--N", "3", "--a", "-5e-1", "--b", "-1e-1",
+                                    "--p", "3"]),
 ]
 
 GRIDS = {
@@ -109,7 +113,10 @@ def run(root: str) -> list[str]:
         argv = [arg.format(**dirs) for arg in argv]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*argv, "--out", out])
+            try:
+                code = cli.main([*argv, "--out", out])
+            except SystemExit as exc:  # argparse refused the call
+                code = exc.code
         lines.append(f"exit {code}  {name}")
         if os.path.isdir(out):
             lines += [f"{_digest(os.path.join(out, f))}  {name}/{f}"

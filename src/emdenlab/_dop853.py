@@ -9,12 +9,13 @@ equation.  Two drivers share the tableau, initial step, step control,
 error norm, crossing rule and step-table layout (_StepLog, sampled by
 dense_nodes): scalar_run is a step loop on Python floats, so one lane pays
 no numpy call overhead; lockstep advances many lanes as numpy arrays, one
-step per lane per iteration, each with its own step size.  An iteration
-evaluates the field 12 times; the three dense-output stages of accepted
-steps are built later in bulk, a bounded buffer at a time, so rejected
-steps never pay for them, and a lane that left is handed back after the
-next such flush.  Both sum stages in stage order, so the two agree to
-round-off beyond the rounding of the field itself.
+step per lane per iteration, each with its own step size, and returns
+every lane's run at the end.  An iteration evaluates the field 12 times;
+the three dense-output stages of accepted steps are built later in bulk,
+a bounded buffer at a time, so rejected steps never pay for them.  Both
+return a run as (steps, t_end, crossed, stopped) and sum stages in stage
+order, so the two agree to round-off beyond the rounding of the field
+itself.
 
 The error norm is relative to the size of the state (section II.4): a
 step's error is scaled by rtol times the largest of |y0|, |y1|, |y0_new|
@@ -268,13 +269,16 @@ EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Accepted steps held back before their dense-output stages are built in one
-# pass, after which the lanes that left are handed back: room for
-# _PENDING_ITERATIONS iterations of the whole batch, and at least
-# _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger hold
-# costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
+# pass: room for _PENDING_ITERATIONS iterations of the whole batch, and at
+# least _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger
+# hold costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
 # hold, and threshold_search's 24 no faster than with 256 rows.
 _PENDING_ROWS = 256
 _PENDING_ITERATIONS = 16
+
+# The step table's first size, in accepted steps per lane: the shots of
+# dichotomy_sweep and threshold_search take about 100 to 120.
+_STEPS_PER_LANE = 128
 
 
 def _stage_sum(coeffs, K):
@@ -322,60 +326,42 @@ def _initial_step(t0, y0, f0, t_bound, rhs, rtol):
 
 
 class _StepLog:
-    """Accepted steps of all lanes in one table, each lane's rows in step order.
+    """Accepted steps of all lanes in one table.
 
     A row is (lane, t_old, h, y0_old, y1_old, F) with F the 7 x 2
     dense-output coefficients of the step, flattened row by row.  Steps
     reach the table in bulk: the lockstep holds each accepted step's state
     and first 13 stages in a _Pending buffer, and its flush builds the
     other three stages and F for every held row at once, in place in the
-    table.  A lane that leaves the lockstep keeps its rows until they are
-    handed back (live stays set for it); take hands out the rows of many
-    lanes in one pass.  Rows of lanes that are no longer live are dropped
-    when the table fills, before it grows.
+    table.  Each lane's rows arrive in step order.
     """
 
     WIDTH = 5 + 2 * INTERPOLATOR_POWER
-    CAPACITY = 1024
 
-    def __init__(self):
-        self.rows = np.empty((self.CAPACITY, self.WIDTH))
+    def __init__(self, size):
+        self.rows = np.empty((size, self.WIDTH))
         self.n = 0
 
-    def extend(self, m, live):
-        """The next m rows of the table, to be filled by the caller.
-
-        A full table first drops the rows of lanes that are not live, and
-        grows by half only if that leaves fewer than m rows free.  Doubling
-        ahead of need took dichotomy_sweep's table to 32768 rows (5 MB).
-        """
-        n = self.n
-        if n + m > len(self.rows):
-            table = self.rows[:n]
-            keep = live[table[:, 0].astype(int)]
-            kept = int(np.count_nonzero(keep))
-            size = len(self.rows)
-            while kept + m > size:
-                size += size // 2 + 1
-            rows = self.rows if size == len(self.rows) else np.empty((size, self.WIDTH))
-            rows[:kept] = table[keep]
-            self.rows, n = rows, kept
+    def extend(self, m):
+        """The next m rows of the table, to be filled by the caller; a full table grows by half."""
+        n, size = self.n, len(self.rows)
+        while n + m > size:
+            size += size // 2 + 1
+        if size > len(self.rows):
+            rows = np.empty((size, self.WIDTH))
+            rows[:n] = self.rows[:n]
+            self.rows = rows
         self.n = n + m
         return self.rows[n : n + m]
 
-    def take(self, lanes):
-        """(lane, its rows in step order) for every lane set in the mask lanes.
+    def by_lane(self, n_lanes):
+        """The rows of lanes 0 .. n_lanes - 1, each in step order, possibly none.
 
-        One pass over the table selects the rows, and a stable sort by
-        lane keeps each lane's rows in step order.  Every lane must have a
-        row.
+        One stable sort by lane keeps each lane's rows in step order.
         """
-        lane = self.rows[: self.n, 0]
-        at = np.flatnonzero(lanes[lane.astype(int)])
-        at = at[np.argsort(lane[at], kind="stable")]
-        ids = np.flatnonzero(lanes)
-        starts = np.searchsorted(lane[at], ids[1:])
-        return zip(ids.tolist(), np.split(self.rows[at], starts))
+        table = self.rows[: self.n]
+        table = table[np.argsort(table[:, 0], kind="stable")]
+        return np.split(table, np.searchsorted(table[:, 0], np.arange(1, n_lanes)))
 
 
 class _Pending:
@@ -384,8 +370,7 @@ class _Pending:
     K holds the step's 12 stages and the field at its end; room for the
     three dense-output stages is kept behind them.  The lockstep flushes
     when the hold cannot take an iteration's accepted steps and once when
-    its loop ends, and hands back the lanes that have left right after each
-    flush, when all their rows are in the table.
+    its loop ends.
     """
 
     def __init__(self, size):
@@ -409,8 +394,7 @@ class _Pending:
         self.K[: N_STAGES + 1, rows] = K.take(k, axis=1)  # K[:, k] gathers far slower
         self.n = rows.stop
 
-    @np.errstate(all="ignore")
-    def flush(self, lane_field, log_, live):
+    def flush(self, lane_field, log_):
         """Build every held step's dense output in one pass into log_.
 
         The four D-weighted rows of F are summed one at a time, so the
@@ -427,7 +411,7 @@ class _Pending:
             _stage(s, t + _C_LANES[s] * h, y, hc, K, rhs)
         y_new = y + hc * _stage_sum(_B_LANES, K)  # as the step summed it
         delta = y_new - y
-        block = log_.extend(n, live)
+        block = log_.extend(n)
         block[:, 0], block[:, 1], block[:, 2], block[:, 3:5] = lane, t, h, y
         F = block[:, 5:].reshape(n, INTERPOLATOR_POWER, 2)
         F[:, 0] = delta
@@ -573,52 +557,33 @@ def scalar_run(field, start, t_bound, rtol):
             return np.array(rows), t_end, crossed, False
 
 
-def _handed_back(log_, owed, crossed_at, live, t_bound):
-    """(lane, steps, t_end, crossed) of every owed lane, whose rows are all in log_.
-
-    The lanes are no longer live once every one has been handed back.
-    """
-    for j, steps in log_.take(owed):
-        crossed = not math.isnan(crossed_at[j])
-        t_end = _crossing(steps[-1].tolist(), float(crossed_at[j])) if crossed else t_bound
-        yield j, steps, t_end, crossed
-    live[owed] = False
-    owed[:] = False
-
-
 def lockstep(lane_field, starts, t_bound, rtol):
-    """Run every start as a lane of one lockstep: a generator of finished lanes.
+    """Run every start as a lane of one lockstep: one run per lane, in lane order.
 
     starts holds one (t, y0, y1) per lane, and a lane is its index into
     starts.  lane_field(lanes) returns the field rhs(t, y, out) of the
     given lanes, which writes (y0', y1') of each row of y into out.  One
-    iteration tries one step on every lane in the lockstep.  A lane leaves
-    when it crosses or reaches t_bound; after the next flush of the held
-    steps it is yielded as (lane, steps, t_end, crossed), with its rows of
-    the step table in step order and t_end the refined crossing or
-    t_bound, before the loop resumes.  A lane that fails the minimum-step
-    test is yielded at once, as (lane, a table with no rows, the last t it
-    reached, False).
+    iteration tries one step on every lane still in the lockstep; a lane
+    leaves when it crosses, reaches t_bound or fails the minimum-step test.
+    A lane's run is (steps, t_end, crossed, stopped) as scalar_run returns
+    it: its rows of the step table in step order, and t_end the refined
+    crossing, t_bound, or, for a stopped lane, the last t it reached.
     """
     starts = np.reshape(starts, (-1, 3))
-    lane = np.arange(len(starts))
+    n_lanes = len(starts)
+    lane = np.arange(n_lanes)
     t, y = starts[:, 0].copy(), starts[:, 1:].copy()
     rhs = lane_field(lane)
     f = np.empty_like(y)
-    live = np.ones(len(lane), dtype=bool)
-    # lanes that left by crossing or at t_bound and wait for their rows,
-    # with the end of a crossing's last step (nan at t_bound)
-    owed = np.zeros(len(lane), dtype=bool)
-    crossed_at = np.full(len(lane), np.nan)
-    log_ = _StepLog()
-    pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * len(lane)))
+    ends = [None] * n_lanes  # (the last t, crossed, stopped) of each lane that left
+    log_ = _StepLog(_STEPS_PER_LANE * n_lanes)
+    pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * n_lanes))
 
     with np.errstate(all="ignore"):
         rhs(t, y, f)
         h_abs = _initial_step(t, y, f, t_bound, rhs, rtol)
-    retry = np.zeros(len(lane), dtype=bool)
-    while len(lane):
-        with np.errstate(all="ignore"):  # not across a yield: the caller runs there
+        retry = np.zeros(n_lanes, dtype=bool)
+        while len(lane):
             min_step = 10.0 * (np.nextafter(t, np.inf) - t)
             h_abs = np.where(retry, h_abs, np.maximum(h_abs, min_step))
             failed = ~(h_abs >= min_step)  # a NaN step fails too
@@ -653,26 +618,28 @@ def lockstep(lane_field, starts, t_bound, rtol):
             h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, ratio))
             retry = ~accept
 
-        acc = np.flatnonzero(accept)
-        if not pending.room(len(acc)):
-            pending.flush(lane_field, log_, live)
-            yield from _handed_back(log_, owed, crossed_at, live, t_bound)
-        pending.push(acc, lane, t, h, y, K)
+            acc = np.flatnonzero(accept)
+            if not pending.room(len(acc)):
+                pending.flush(lane_field, log_)
+            pending.push(acc, lane, t, h, y, K)
 
-        crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
-        gone = failed | crossed | (accept & (t_new >= t_bound))
-        t = np.where(accept, t_new, t)
-        y[acc] = y_new[acc]
-        f[acc] = f_new[acc]
-        if not gone.any():
-            continue
-        for k in np.flatnonzero(failed):
-            live[lane[k]] = False
-            yield int(lane[k]), np.empty((0, _StepLog.WIDTH)), float(t[k]), False
-        owed[lane[gone & ~failed]] = True
-        crossed_at[lane[crossed]] = t_new[crossed]
-        keep = ~gone
-        lane, t, y, f, h_abs, retry = (a[keep] for a in (lane, t, y, f, h_abs, retry))
-        rhs = lane_field(lane)
-    pending.flush(lane_field, log_, live)
-    yield from _handed_back(log_, owed, crossed_at, live, t_bound)
+            crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
+            gone = failed | crossed | (accept & (t_new >= t_bound))
+            t = np.where(accept, t_new, t)
+            y[acc] = y_new[acc]
+            f[acc] = f_new[acc]
+            if not gone.any():
+                continue
+            for k in np.flatnonzero(gone):
+                ends[lane[k]] = float(t[k]), bool(crossed[k]), bool(failed[k])
+            keep = ~gone
+            lane, t, y, f, h_abs, retry = (a[keep] for a in (lane, t, y, f, h_abs, retry))
+            rhs = lane_field(lane)
+        pending.flush(lane_field, log_)
+
+    runs = []
+    for steps, (t_end, crossed, stopped) in zip(log_.by_lane(n_lanes), ends):
+        if crossed:
+            t_end = _crossing(steps[-1].tolist(), t_end)
+        runs.append((steps, t_end, crossed, stopped))
+    return runs

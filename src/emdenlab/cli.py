@@ -519,6 +519,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """argv with every negative number joined to the flag before it: --a -5e-1 -> --a=-5e-1.
+
+    argparse reads a separate -5e-1, -1e-3 or -inf as an option string, not
+    as a flag's value; of negative numbers it only knows forms like -5 and -0.5.
+    """
+    out: list[str] = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (tok.startswith("-") and flag.startswith("--") and "=" not in flag
+                and _number(tok) is not None):
+            out[-1] = f"{flag}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """build_parser()'s parser, built on the first main call and shared by the rest."""
@@ -529,11 +546,12 @@ def main(argv=None) -> int:
     """Run one subcommand: print its primary payload, then write --out if given.
 
     cmd_<subcommand> is looked up on the module at call time, so a cmd_*
-    function rebound after the parser was built is the one that runs.  An
+    function rebound after the parser was built is the one that runs.  A
+    negative number is a flag's value also as a separate token.  An
     EmdenLabError returns 2 and an OSError 4, each named on stderr; any
     other exception propagates.
     """
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
     try:
         output = globals()[f"cmd_{args.command}"](args)

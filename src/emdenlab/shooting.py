@@ -65,6 +65,7 @@ from ._numerics import Knots, brent_root
 from .closed_forms import first_zero_law
 from .errors import (
     BracketInvalid,
+    DerivativeUndefinedAtOrigin,
     EmdenLabError,
     MalformedTrajectory,
     NonFiniteParameter,
@@ -200,7 +201,8 @@ class RadialTrajectory:
         Between nodes the node splines are used, so a trajectory re-read
         from CSV gives the same values.  Below the first node the
         power-series start is used, which needs the shot's config;
-        trajectories loaded from CSV only cover [r[0], r[-1]].
+        trajectories loaded from CSV only cover [r[0], r[-1]].  dv at r = 0
+        with sigma < 1 raises DerivativeUndefinedAtOrigin.
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr < 0) or np.any(r_arr > self.r[-1] * (1 + 1e-12)):
@@ -229,14 +231,21 @@ class RadialTrajectory:
 
 
 def _series_values(params: ProblemParams, sigma: float, beta: float, r):
-    """Two-term start v = beta - beta^p r^sigma/(sigma(N+b)), dv its derivative."""
+    """Two-term start v = beta - beta^p r^sigma/(sigma(N+b)), dv its derivative.
+
+    dv at r = 0 with sigma < 1 has no finite limit: DerivativeUndefinedAtOrigin.
+    """
     N, b, p = params.N, params.b, params.p
     r_arr = np.asarray(r, dtype=float)
+    at_origin = r_arr == 0.0
+    if sigma < 1.0 and at_origin.any():
+        raise DerivativeUndefinedAtOrigin(
+            f"sigma = {sigma} < 1: dv has no finite limit at r = 0"
+        )
     v = beta - beta**p * r_arr**sigma / (sigma * (N + b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dv = -(beta**p) * r_arr ** (sigma - 1.0) / (N + b)
+    dv = -(beta**p) * r_arr ** (sigma - 1.0) / (N + b)
     if sigma > 1.0:
-        dv = np.where(r_arr == 0.0, 0.0, dv)
+        dv = np.where(at_origin, 0.0, dv)
     return v, dv
 
 
@@ -599,7 +608,7 @@ def sweep_shoot(
     rows is an iterable of ProblemParams; returns the list of outcomes.
     All rows run together in one process, as the lanes of one
     _dop853.lockstep whose field is _lane_rhs, looked up at call time.
-    Each lane it hands back is finished as a shot is (_finish).  A row
+    Each lane's run is finished as a shot's is (_finish).  A row
     that fails its parameter or start checks never enters a lane, and a
     lane whose nodes leave float range is not classified; either comes
     back as Inconclusive("rejected: ...") in its place.  processes is
@@ -615,8 +624,7 @@ def sweep_shoot(
             outcomes[i] = Inconclusive(f"rejected: {exc}")
     if not starts:
         return outcomes
-    ids = list(starts)
-    lanes = [rows[i] for i in ids]
+    lanes = [rows[i] for i in starts]
     prm = np.array([_lane_params(q) for q in lanes]).T.copy()
 
     def lane_field(lanes):
@@ -626,13 +634,11 @@ def sweep_shoot(
     runs = _dop853.lockstep(
         lane_field, list(starts.values()), math.log(config.r_max), _rtol(config)
     )
-    for k, steps, t_end, crossed in runs:
-        # a lane that failed the minimum-step test comes back with no steps
-        run = (starts[ids[k]], steps, t_end, crossed, not len(steps))
+    for (i, start), params, run in zip(starts.items(), lanes, runs):
         try:
-            outcomes[ids[k]] = _finish(lanes[k], config, *run).outcome
+            outcomes[i] = _finish(params, config, start, *run).outcome
         except EmdenLabError as exc:
-            outcomes[ids[k]] = Inconclusive(f"rejected: {exc}")
+            outcomes[i] = Inconclusive(f"rejected: {exc}")
     return outcomes
 
 

@@ -177,8 +177,8 @@ def test_non_finite_flags_exit_2_with_a_named_error(capsys, argv):
     assert err.startswith("NonFiniteParameter: ")
 
 
-def _float_flags():
-    """(subcommand, flag) for every option of the parser that takes a float."""
+def _flags(*types):
+    """(subcommand, flag) for every option of the parser whose type is one of types."""
     from emdenlab.cli import build_parser
 
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -186,7 +186,7 @@ def _float_flags():
         (name, action.option_strings[0])
         for name, sp in sub.choices.items()
         for action in sp._actions
-        if action.type is float
+        if action.type in types
     ]
 
 
@@ -203,23 +203,81 @@ _VALID_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command, flag", _float_flags())
-def test_every_float_flag_refuses_non_finite_values(capsys, tmp_path, command, flag, value):
-    # written as --flag=value: as two tokens argparse reads -inf as an option
-    from emdenlab import errors
-
+def _valid_argv(command, tmp_path):
     if command == "sweep":
         grid = tmp_path / "grid.csv"
         grid.write_text("N,a,b,p\n3,0,0,3\n")
-        argv = ["--grid", str(grid)]
-    else:
-        argv = ["--N", "3", "--a", "0", "--b", "0", *_VALID_FLAGS[command]]
-    code, out, err = run(capsys, command, *argv, f"{flag}={value}")
-    assert code == 2
-    assert "NaN" not in out and "Infinity" not in out
+        return ["--grid", str(grid)]
+    return ["--N", "3", "--a", "0", "--b", "0", *_VALID_FLAGS[command]]
+
+
+def _assert_named_refusal(code, out, err):
+    from emdenlab import errors
+
+    assert code == 2 and out == ""
     name = err.split(":", 1)[0]
     assert issubclass(getattr(errors, name), errors.EmdenLabError), err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _flags(float))
+def test_every_float_flag_refuses_non_finite_values(capsys, tmp_path, command, flag, value):
+    argv = _valid_argv(command, tmp_path)
+    _assert_named_refusal(*run(capsys, command, *argv, flag, value))
+
+
+# one finite value out of range per flag, by flag, or by (subcommand, flag)
+_OUT_OF_RANGE = {
+    "--N": "2",
+    "--a": "-5",  # N - 2 + a < 0
+    "--b": "-2.5",  # b < a - 2
+    "--p": "0.5",
+    "--beta": "0",
+    "--rmax": "0.5",
+    "--rtol": "0",
+    "--nodes-per-decade": "3",
+    "--p-lo": "0.5",
+    "--p-hi": "3",  # below --p-lo 4
+    "--tol": "0",
+    "--samples": "1",
+    "--rmin": "0",
+    "--lambda-scale": "0",
+    "--q": "1",
+    "--radii": "-1",
+    ("bubble", "--rmax"): "1e-4",  # below the default --rmin
+}
+
+# classify answers every finite b, inadmissible ones with a regime
+_NUMERIC_FLAGS = [
+    site for site in _flags(int, float) + [("pohozaev", "--radii")]
+    if site != ("classify", "--b")
+]
+
+
+@pytest.mark.parametrize("command, flag", _NUMERIC_FLAGS)
+def test_every_numeric_flag_refuses_a_value_out_of_range(capsys, tmp_path, command, flag):
+    value = _OUT_OF_RANGE.get((command, flag), _OUT_OF_RANGE[flag])
+    argv = _valid_argv(command, tmp_path)
+    _assert_named_refusal(*run(capsys, command, *argv, flag, value))
+
+
+def test_classify_names_inadmissible_weights_as_a_regime(capsys):
+    code, out, _ = run(capsys, "classify", "--N", "3", "--a", "0", "--b", "-2.5", "--p", "3")
+    assert code == 0
+    assert json.loads(out)["regime"] == E.INADMISSIBLE_WEIGHTS
+
+
+def test_negative_values_in_exponent_notation_are_flag_values(capsys, monkeypatch):
+    # argparse alone reads -5e-1 as an option string: "expected one argument"
+    argv = ["classify", "--N", "3", "--a", "-5e-1", "--b", "-1e-1", "--p", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["params"] == {"N": 3, "a": -0.5, "b": -0.1, "p": 3.0}
+    monkeypatch.setattr(sys, "argv", ["emdenlab", *argv])
+    assert main() == code and capsys.readouterr().out == out
+    code, out, err = run(capsys, "shoot", "--N", "3", "--a", "0", "--b", "0", "--p", "3",
+                         "--beta", "-1e-3")
+    assert code == 2 and out == "" and err.startswith("NotInRange: ")
 
 
 def test_bubble_with_a_degenerate_weight_exits_2_with_a_named_error(capsys):

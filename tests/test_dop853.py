@@ -38,16 +38,15 @@ def _oscillator_lanes(omegas):
 
 
 def _lockstep(omegas, t_bound):
-    """{lane: (steps, t_end, crossed)} of one lockstep over the omegas."""
-    runs = _dop853.lockstep(
+    """The runs (steps, t_end, crossed, stopped) of one lockstep over the omegas."""
+    return _dop853.lockstep(
         _oscillator_lanes(omegas), [START] * len(omegas), t_bound, RTOL
     )
-    return {lane: run for lane, *run in runs}
 
 
 def test_both_drivers_find_the_exact_crossings():
     lanes = _lockstep(OMEGAS, 10.0)
-    assert sorted(lanes) == list(range(len(OMEGAS)))
+    assert len(lanes) == len(OMEGAS)
     for k, omega in enumerate(OMEGAS):
         exact = math.pi / (2 * omega)
         steps, t_end, crossed, stopped = _dop853.scalar_run(
@@ -55,10 +54,11 @@ def test_both_drivers_find_the_exact_crossings():
         )
         assert crossed and not stopped
         assert t_end == pytest.approx(exact, rel=1e-9, abs=0)
-        lane_steps, lane_end, lane_crossed = lanes[k]
+        lane_steps, lane_end, lane_crossed, lane_stopped = lanes[k]
         # the first steps agree bit for bit; later step sizes may part at
         # round-off, and the crossings agree to round-off
-        assert lane_crossed
+        assert lane_crossed is True and lane_stopped is False
+        assert type(lane_end) is type(t_end) is float
         assert lane_end == pytest.approx(t_end, rel=1e-13, abs=0)
         assert (lane_steps[:, 0] == k).all() and (steps[:, 0] == 0).all()
         assert np.array_equal(lane_steps[:2, 1:], steps[:2, 1:])
@@ -77,12 +77,12 @@ def test_a_run_that_does_not_cross_ends_at_its_bound():
         _oscillator(0.5), START, 3.0, RTOL
     )
     assert (t_end, crossed, stopped) == (3.0, False, False)
-    assert lanes[0][1:] == [3.0, False]
+    assert lanes[0][1:] == (3.0, False, False)
     assert lanes[1][1] == pytest.approx(math.pi / 6, rel=1e-9) and lanes[1][2]
 
 
-def test_a_lane_that_fails_the_minimum_step_test_comes_back_at_once_with_no_rows():
-    # a field that turns to NaN makes every trial step fail its error test
+def test_a_lane_that_fails_the_minimum_step_test_before_its_first_step_has_no_rows():
+    # a field that is NaN everywhere makes every trial step fail its error test
     def lane_field(lanes):
         def rhs(t, y, out):
             out[:] = y[:, ::-1]
@@ -91,11 +91,40 @@ def test_a_lane_that_fails_the_minimum_step_test_comes_back_at_once_with_no_rows
 
         return rhs
 
-    runs = list(_dop853.lockstep(lane_field, [START, START], 10.0, RTOL))
-    [(lane, steps, t_end, crossed)] = [run for run in runs if run[0] == 1]
-    assert steps.shape == (0, _dop853._StepLog.WIDTH) and not crossed
-    assert t_end == 0.0
-    assert [run[0] for run in runs] == [1, 0]
+    (steps0, _, crossed0, stopped0), (steps, t_end, crossed, stopped) = _dop853.lockstep(
+        lane_field, [START, START], 10.0, RTOL
+    )
+    assert steps.shape == (0, _dop853._StepLog.WIDTH)
+    assert (t_end, crossed, stopped) == (0.0, False, True)
+    # the other lane runs to its crossing as if alone
+    assert crossed0 and not stopped0 and (steps0[:, 0] == 0).all()
+
+
+def test_both_drivers_stop_alike_where_the_field_turns_nan():
+    # past t = 1 the field is NaN: steps shrink onto t = 1 until they fail
+    # the minimum-step test, and the rows reached are kept
+    def field(t, y):
+        return (math.nan, math.nan) if t > 1.0 else (y[1], -y[0])
+
+    def lane_field(lanes):
+        nan_after = np.where(lanes == 1, 1.0, np.inf)
+
+        def rhs(t, y, out):
+            out[:, 0] = y[:, 1]
+            np.negative(y[:, 0], out=out[:, 1])
+            out[t > nan_after] = math.nan
+
+        return rhs
+
+    steps, t_end, crossed, stopped = _dop853.scalar_run(field, START, 10.0, RTOL)
+    assert (crossed, stopped) == (False, True)
+    assert 1.0 - 1e-12 < t_end <= 1.0
+    _, (lane_steps, lane_end, lane_crossed, lane_stopped) = _dop853.lockstep(
+        lane_field, [START, START], 10.0, RTOL
+    )
+    assert (lane_end, lane_crossed, lane_stopped) == (t_end, False, True)
+    assert (lane_steps[:, 0] == 1).all() and len(lane_steps) > 2
+    assert np.array_equal(lane_steps[:2, 1:], steps[:2, 1:])
 
 
 def test_the_engine_imports_no_physics():
@@ -128,9 +157,9 @@ def test_a_lane_settling_on_a_fixed_point_does_not_stall():
 
     start = (0.0, 2.0, 0.0)
     steps, t_end, crossed, stopped = _dop853.scalar_run(field, start, 1e3, RTOL)
-    [(_, lane_steps, lane_end, lane_crossed)] = _dop853.lockstep(lane_field, [start], 1e3, RTOL)
+    [(lane_steps, *lane_run)] = _dop853.lockstep(lane_field, [start], 1e3, RTOL)
     assert (t_end, crossed, stopped) == (1e3, False, False)
-    assert (lane_end, lane_crossed) == (1e3, False)
+    assert lane_run == [1e3, False, False]
     assert len(steps) < 1000 and len(lane_steps) < 1000
     v, dv = _dop853.dense_nodes(steps, np.array([1e3]))
     assert v[0] == pytest.approx(1.0, abs=10 * RTOL) and abs(dv[0]) < 10 * RTOL

@@ -584,10 +584,9 @@ def _criterion5_rows():
     return rows
 
 
-def test_owed_lanes_keep_their_rows_through_flushes_and_compaction(monkeypatch):
-    # A lane that crosses or reaches r_max is finished at a later flush.
-    # With a tiny hold and table, flushes and compactions fall between
-    # lanes' exits and their outcomes; a NaN-state lane stops among them.
+def test_a_tiny_hold_and_table_change_no_outcome(monkeypatch):
+    # With a tiny hold and table, flushes fall between a lane's steps and
+    # the table grows many times; a NaN-state lane stops among the others.
     from emdenlab import shooting
 
     series_start = shooting.series_start
@@ -604,7 +603,7 @@ def test_owed_lanes_keep_their_rows_through_flushes_and_compaction(monkeypatch):
     ref = E.sweep_shoot(rows, config)
     monkeypatch.setattr(_dop853, "_PENDING_ROWS", 1)
     monkeypatch.setattr(_dop853, "_PENDING_ITERATIONS", 1)
-    monkeypatch.setattr(_dop853._StepLog, "CAPACITY", 4)
+    monkeypatch.setattr(_dop853, "_STEPS_PER_LANE", 1)
     got = E.sweep_shoot(rows, config)
     assert ref[50].reason.startswith("integrator stopped at r = ")
     assert {o.kind for o in ref} == {"crossed_zero", "positive_global",
@@ -1031,6 +1030,24 @@ def test_shoot_rejects_inadmissible_weights():
         E.shoot(E.ProblemParams(3, 0.0, -2.5, 3.0))
     with pytest.raises(E.EmdenLabError):
         E.shoot(E.ProblemParams(3, 0.0, -4.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "b, dv0",
+    [(-1.5, None), (-1.0, -0.5), (0.0, 0.0)],
+    ids=["sigma-below-1", "sigma-1", "sigma-above-1"],
+)
+def test_eval_at_the_origin_names_a_slope_without_a_limit(b, dv0):
+    # sigma = 2 + b - a; dv = -beta^p r^(sigma-1)/(N+b) near the origin
+    traj = E.shoot(E.ProblemParams(3, 0.0, b, 3.0), E.ShootConfig(r_max=10.0))
+    if dv0 is None:
+        with pytest.raises(E.DerivativeUndefinedAtOrigin):
+            traj.eval(0.0)
+        with pytest.raises(E.DerivativeUndefinedAtOrigin):
+            traj.eval([traj.r[0] / 2.0, 0.0])
+        assert math.isfinite(traj.eval(traj.r[0] / 2.0)[1])
+    else:
+        assert traj.eval(0.0) == (1.0, dv0)
 
 
 def test_eval_range_and_series_fallback(tmp_path):
