@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import NamedTuple
@@ -265,18 +266,7 @@ def cmd_phase(args) -> Output:
     params = ProblemParams(args.N, args.a, args.b, args.p)
     config = _config_from(args)
     traj = shoot(params, config)
-    # a crossing shot ends on one nonpositive node; the cylinder map
-    # needs v > 0, so drop it
-    keep = len(traj.v) - 1 if traj.v[-1] <= 0.0 else len(traj.v)
-    trimmed = RadialTrajectory(
-        params=params,
-        r=traj.r[:keep],
-        v=traj.v[:keep],
-        dv=traj.dv[:keep],
-        outcome=traj.outcome,
-        config=config,
-    )
-    cyl = to_cylinder(trimmed)
+    cyl = to_cylinder(traj)
     d = derive(params)
     H = hamiltonian(params, cyl.w, cyl.dw)
     report = fixed_points(params) if params.p > d.p_serrin else None
@@ -519,17 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """argv with every negative number joined to the flag before it: --a -5e-1 -> --a=-5e-1.
+# a token that starts like a negative number: -5e-1, -.5, -inf, -nan, -1,2
+_NEGATIVE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
-    argparse reads a separate -5e-1, -1e-3 or -inf as an option string, not
-    as a flag's value; of negative numbers it only knows forms like -5 and -0.5.
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """argv with every negative value joined to the flag before it: --a -5e-1 -> --a=-5e-1.
+
+    argparse reads a separate -5e-1, -1e-3, -inf or -1,2 as an option string,
+    not as a flag's value; of negative numbers it only knows forms like -5
+    and -0.5.  A token after a flag is joined to it when it starts like a
+    negative number (_NEGATIVE), so a list such as --radii -1,2 reaches the
+    flag's own check.
     """
     out: list[str] = []
     for tok in argv:
         flag = out[-1] if out else ""
-        if (tok.startswith("-") and flag.startswith("--") and "=" not in flag
-                and _number(tok) is not None):
+        if flag.startswith("--") and "=" not in flag and _NEGATIVE.match(tok):
             out[-1] = f"{flag}={tok}"
         else:
             out.append(tok)

@@ -32,9 +32,6 @@ from .errors import (
 )
 from .params import ProblemParams, _is_critical, derive, require_admissible, validate
 
-# Switch to log-space evaluation once exponent*log(...) passes this size.
-_LOG_GUARD = 500.0
-
 
 def _softplus(t):
     """log(1 + exp(t)), stable for any t."""

@@ -65,12 +65,14 @@ class FixedPointReport:
 def to_cylinder(traj: RadialTrajectory) -> CylinderTrajectory:
     """Map stored nodes to cylinder coordinates.
 
-    Every node must have r > 0 and v > 0 (a terminal crossing node has to
-    be trimmed by the caller first); dw = r^gamma (gamma v + r dv) is the
-    exact chain-rule image of dv.
+    A terminal node with v exactly 0, a shot's crossing node, is left out;
+    every other node must have r > 0 and v > 0, else NonpositiveNode.
+    dw = r^gamma (gamma v + r dv) is the exact chain-rule image of dv.
     """
     d = derive(traj.params)
     r, v, dv = traj.r, traj.v, traj.dv
+    if len(v) and v[-1] == 0.0:
+        r, v, dv = r[:-1], v[:-1], dv[:-1]
     if np.any(r <= 0) or np.any(v <= 0):
         raise NonpositiveNode("cylinder map needs r > 0 and v > 0 at every node")
     gamma = d.gamma

@@ -34,12 +34,11 @@ step table and written back as (r, v, dv), then classified.  The powers
 in the two fields round differently (the C library's against numpy's), so
 a shot and a lane agree to round-off.
 
-threshold_bisect shoots its probes in lockstep rounds.  The first round
-holds the bracket's ends, the next four bisection levels and the path the
-serial walk would take if the threshold sat where the first-zero law
-(closed_forms.first_zero_law) puts the horizon; when the law is right the
-whole walk reads its decisions from that one round.  Later rounds, needed
-only where the path runs out, shoot four levels each.
+threshold_bisect shoots one lockstep batch: the bracket's ends and the
+path the serial walk would take if the threshold sat where the first-zero
+law (closed_forms.first_zero_law) puts the horizon.  When the law is right
+the whole walk reads its decisions from that batch; a midpoint off the
+path, needed only where the law misses, is shot alone.
 
 No shot needs scipy: the engine's tableau is a table of constants,
 crossings are refined by brent_root and node splines are _numerics'
@@ -99,11 +98,12 @@ class ShootConfig(Record):
 
     rel_tol bounds every step's error relative to the size of the cylinder
     state (w, w'), with no absolute tolerance (_dop853), and places the
-    series start (series_start).  nodes_per_decade sets the stored grid,
-    uniform in log r; everything downstream that must be reproducible from
-    a CSV (the integral identities in particular) uses only these nodes.
-    A NaN or infinite knob raises NonFiniteParameter, a finite one out of
-    its range NotInRange.
+    series start (series_start); it lies in [100 eps, 1e-3], since a step
+    error below 100 eps of the state is round-off.  nodes_per_decade sets
+    the stored grid, uniform in log r; everything downstream that must be
+    reproducible from a CSV (the integral identities in particular) uses
+    only these nodes.  A NaN or infinite knob raises NonFiniteParameter, a
+    finite one out of its range NotInRange.
     """
 
     beta: float = 1.0
@@ -123,8 +123,9 @@ class ShootConfig(Record):
             raise NotInRange(f"beta = {self.beta}, need it positive")
         if not self.r_max >= 1.0:
             raise NotInRange(f"r_max = {self.r_max}, need r_max >= 1")
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise NotInRange(f"rel_tol = {self.rel_tol}, need it in (0, 1e-3]")
+        rel_tol_min = 100 * float(_dop853.EPS)
+        if not rel_tol_min <= self.rel_tol <= 1e-3:
+            raise NotInRange(f"rel_tol = {self.rel_tol}, need it in [{rel_tol_min!r}, 1e-3]")
         n = self.nodes_per_decade
         if not (n >= 4 and n == int(n)):
             raise NotInRange(
@@ -312,11 +313,6 @@ def _node_grid(t0: float, t_end: float, nodes_per_decade: int) -> np.ndarray:
     return np.linspace(t0, t_end, n)
 
 
-def _rtol(config: ShootConfig) -> float:
-    """The run's rtol: rel_tol floored at 100 eps, as solve_ivp floors it."""
-    return max(config.rel_tol, 100 * _dop853.EPS)
-
-
 def _finish(params, config, start, steps, t_end, crossed, stopped) -> RadialTrajectory:
     """The classified trajectory of one DOP853 run from the series start.
 
@@ -377,7 +373,7 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     reached and is Inconclusive.
     """
     start = series_start(params, config)
-    run = _dop853.scalar_run(_make_rhs(params), start, math.log(config.r_max), _rtol(config))
+    run = _dop853.scalar_run(_make_rhs(params), start, math.log(config.r_max), config.rel_tol)
     return _finish(params, config, start, *run)
 
 
@@ -427,11 +423,6 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
     return PositiveGlobal(r_end, -slope)
 
 
-# Bisection levels shot per lockstep batch.  Deeper rounds shoot more
-# speculative probes than they save in iterations.
-_ROUND_DEPTH = 4
-
-
 def _split(lo: float, hi: float, tol_p: float) -> float | None:
     """The midpoint 0.5 * (lo + hi) the bisection splits (lo, hi) at, or None.
 
@@ -440,18 +431,6 @@ def _split(lo: float, hi: float, tol_p: float) -> float | None:
     """
     mid = 0.5 * (lo + hi)
     return mid if hi - lo > tol_p and lo < mid < hi else None
-
-
-def _bisection_tree(lo: float, hi: float, tol_p: float, depth=_ROUND_DEPTH) -> list:
-    """Every midpoint the next depth bisection steps from (lo, hi) may probe (_split)."""
-    mid = _split(lo, hi, tol_p)
-    if depth == 0 or mid is None:
-        return []
-    return (
-        [mid]
-        + _bisection_tree(lo, mid, tol_p, depth - 1)
-        + _bisection_tree(mid, hi, tol_p, depth - 1)
-    )
 
 
 def _bisection_path(lo: float, hi: float, tol_p: float, p_pred: float) -> list:
@@ -510,24 +489,20 @@ def threshold_bisect(
 
     The lower endpoint must cross, the upper must not, else BracketInvalid;
     weights the shooter refuses raise its errors, a NaN or infinite tol_p
-    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  Probes are shot in
-    rounds through sweep_shoot, and the serial walk then reads its
-    decisions from them, so the result is the serial bisection's bit for
-    bit.  The first round shoots the two ends, every midpoint of the next
-    _ROUND_DEPTH bisection levels, and the walk's path to the threshold
-    the first-zero law predicts (_predicted_threshold), one midpoint per
-    level; a right prediction finishes the walk in this one round.  Each
-    later round, shot only where the walk leaves the probes it has, holds
-    every midpoint of the next _ROUND_DEPTH levels of the current bracket.
-    The answer never depends on the prediction: every decision is read
-    from a shot, and a wrong prediction costs only rounds.  An
-    inconclusive probe counts as not crossing.  Crossing must be monotone
-    in p: every round checks that its crossing probes all lie below its
-    other probes, else NonMonotoneThreshold.  Each round (its lane count
-    and how many of its probes lie on the predicted path) and each probe
-    are logged.  The walk also ends when the bracket's midpoint rounds
-    onto one of its ends, so a tol_p below the float spacing still
-    terminates.
+    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  One
+    sweep_shoot batch shoots the two ends and the serial walk's path to
+    the threshold the first-zero law predicts (_predicted_threshold,
+    _bisection_path), one midpoint per level.  The serial walk then reads
+    each decision from that batch, and shoots a midpoint the batch does
+    not hold on its own with shoot; a right prediction finishes the walk
+    on the batch alone.  The answer never depends on the prediction:
+    every decision is read from a shot, and a wrong prediction costs only
+    single shots.  An inconclusive probe, or one the shooter refuses,
+    counts as not crossing.  Crossing must be monotone in p: once the walk
+    ends, every crossing probe must lie below every other probe, else
+    NonMonotoneThreshold.  The batch (its lane count) and each probe are
+    logged.  The walk also ends when the bracket's midpoint rounds onto
+    one of its ends, so a tol_p below the float spacing still terminates.
     """
     if not p_lo < p_hi < math.inf:
         raise BracketInvalid(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
@@ -538,39 +513,32 @@ def threshold_bisect(
     if not tol_p > 0:
         raise NotInRange(f"tol_p = {tol_p}, need it positive")
     require_admissible(ProblemParams(N, a, b, p_lo))
-    rounds = 0
 
-    def shoot_round(probes, crosses, on_path=0):
-        nonlocal rounds
-        rounds += 1
-        log.info(
-            "threshold round %d: %d lanes, %d on the predicted path",
-            rounds, len(probes), on_path,
-        )
-        outcomes = sweep_shoot([ProblemParams(N, a, b, p) for p in probes], config)
-        for p, outcome in zip(probes, outcomes):
-            log.info("threshold probe p=%.17g -> %s", p, outcome)
-            crosses[p] = isinstance(outcome, CrossedZero)
-        return crosses
+    def crosses_zero(p, outcome):
+        log.info("threshold probe p=%.17g -> %s", p, outcome)
+        return isinstance(outcome, CrossedZero)
 
-    probes = [p_lo, p_hi] + _bisection_tree(p_lo, p_hi, tol_p)
     path = _bisection_path(p_lo, p_hi, tol_p, _predicted_threshold(N, a, b, config))
-    probes += [p for p in path if p not in probes]
-    crosses = shoot_round(probes, {}, len(path))
+    probes = [p_lo, p_hi, *path]
+    log.info("threshold batch: %d lanes, the ends and the predicted path", len(probes))
+    outcomes = sweep_shoot([ProblemParams(N, a, b, p) for p in probes], config)
+    crosses = {p: crosses_zero(p, outcome) for p, outcome in zip(probes, outcomes)}
     if not crosses[p_lo]:
         raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
     if crosses[p_hi]:
         raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
-    _require_crossing_prefix(crosses)
     while (mid := _split(p_lo, p_hi, tol_p)) is not None:
         if mid not in crosses:
-            probes = _bisection_tree(p_lo, p_hi, tol_p)
-            crosses = shoot_round(probes, {p_lo: True, p_hi: False})
-            _require_crossing_prefix(crosses)
+            try:
+                outcome = shoot(ProblemParams(N, a, b, mid), config).outcome
+            except EmdenLabError as exc:
+                outcome = Inconclusive(f"rejected: {exc}")
+            crosses[mid] = crosses_zero(mid, outcome)
         if crosses[mid]:
             p_lo = mid
         else:
             p_hi = mid
+    _require_crossing_prefix(crosses)
     return 0.5 * (p_lo + p_hi)
 
 
@@ -632,7 +600,7 @@ def sweep_shoot(
         return lambda t, y, out: _lane_rhs(t, y, fld, out)
 
     runs = _dop853.lockstep(
-        lane_field, list(starts.values()), math.log(config.r_max), _rtol(config)
+        lane_field, list(starts.values()), math.log(config.r_max), config.rel_tol
     )
     for (i, start), params, run in zip(starts.items(), lanes, runs):
         try:

@@ -280,6 +280,14 @@ def test_negative_values_in_exponent_notation_are_flag_values(capsys, monkeypatc
     assert code == 2 and out == "" and err.startswith("NotInRange: ")
 
 
+def test_a_list_starting_with_a_negative_number_is_a_flag_value(capsys):
+    # argparse alone reads -1,2 as an option string: "expected one argument"
+    code, out, err = run(capsys, "pohozaev", "--N", "3", "--a", "0", "--b", "0", "--p", "3",
+                         "--rmax", "10", "--radii", "-1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("NotInRange: ")
+
+
 def test_bubble_with_a_degenerate_weight_exits_2_with_a_named_error(capsys):
     # N - 2 + a = 0 used to end in a ZeroDivisionError traceback from p_critical
     code, out, err = run(capsys, "bubble", "--N", "3", "--a", "-1", "--b", "0")

@@ -29,6 +29,15 @@ def test_cylinder_map_rejects_nonpositive_nodes():
         E.to_cylinder(E.RadialTrajectory(params, r, v, dv))
 
 
+def test_cylinder_map_leaves_out_a_terminal_zero():
+    # a crossing shot ends on v = 0 exactly; that node alone is left out
+    params = E.ProblemParams(3, 0.0, 0.0, 3.0)
+    traj = E.shoot(params, E.ShootConfig(r_max=10.0))
+    assert traj.v[-1] == 0.0
+    cyl = E.to_cylinder(traj)
+    assert np.array_equal(cyl.t, np.log(traj.r[:-1]))
+
+
 @pytest.mark.parametrize(
     "params, kind",
     [

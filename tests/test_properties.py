@@ -4,6 +4,7 @@ hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,49 @@ def test_the_shot_depends_on_n_plus_a_b_minus_a_and_p_alone(row, shift):
     [one, other] = [E.shoot(q, FAR).outcome for q in (row, E.ProblemParams(N, a, b, p))]
     assert isinstance(one, E.CrossedZero), (row, one)
     assert abs(other.r0 - one.r0) <= 1e-12 * one.r0
+
+
+@st.composite
+def threshold_brackets(draw):
+    """(N, a, b, p_lo, p_hi): admissible weights drawn as (N + a, b - a), and a bracket around p_c.
+
+    p_c - 1 = 2 sigma / (N - 2 + a) with sigma = 2 + b - a; p_lo lies a
+    fraction f of the way from 1 to p_c, where the height-1 shot crosses
+    within r_max = 1e12, and p_hi above p_c, where it stays positive.
+    """
+    N = draw(st.sampled_from([3, 4, 5]))
+    M = draw(st.floats(0.5, 3.0))  # N - 2 + a
+    sigma = draw(st.floats(0.2, 2.0))
+    f = draw(st.floats(0.4, 0.8))
+    g = draw(st.floats(0.05, 0.5))
+    a = M + 2.0 - N
+    p_c = 1.0 + 2.0 * sigma / M
+    return N, a, a - 2.0 + sigma, 1.0 + f * (p_c - 1.0), p_c + g * (p_c - 1.0)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    bracket=threshold_brackets(),
+    tol_p=st.sampled_from([1e-2, 1e-3]),
+    miss=st.sampled_from([0.0, -0.3, 0.3]),
+)
+def test_threshold_bisect_is_the_serial_walk_on_shoot(bracket, tol_p, miss):
+    # the batch's lanes and the walk's single shots decide as one shot at a
+    # time does, so the answer is the serial bisection's, whether the
+    # predicted path is the walk's (miss = 0) or leaves it
+    from emdenlab import shooting
+
+    N, a, b, lo, hi = bracket
+
+    def crosses(p):
+        return isinstance(E.shoot(E.ProblemParams(N, a, b, p), FAR).outcome, E.CrossedZero)
+
+    assert crosses(lo) and not crosses(hi)
+    predict = shooting._predicted_threshold
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shooting, "_predicted_threshold",
+                   lambda *args: predict(*args) + miss * (hi - lo))
+        p_star = E.threshold_bisect(N, a, b, lo, hi, tol_p=tol_p, config=FAR)
+    while hi - lo > tol_p and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    assert p_star == 0.5 * (lo + hi)

@@ -289,49 +289,61 @@ def test_threshold_bisect_refuses_non_finite_brackets(p_lo, p_hi):
         E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=0.05)
 
 
-def _fake_sweep(crosses, calls):
-    def sweep_shoot(rows, config):
-        calls.append([row.p for row in rows])
-        return [
-            E.CrossedZero(1.0) if crosses(row.p) else E.Inconclusive("stub")
-            for row in rows
-        ]
+def _stub_shots(mp, crosses):
+    """Stub sweep_shoot and shoot to decide crosses(p); the p of each batch and of each shot.
 
-    return sweep_shoot
-
-
-def test_threshold_bisect_shoots_four_levels_per_batch(monkeypatch, caplog):
-    # Inconclusive counts as not crossing; every probe is logged once.
+    An outcome that does not cross is Inconclusive, which counts as not crossing.
+    """
     from emdenlab import shooting
 
-    calls = []
-    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < 5.0, calls))
+    batches, shots = [], []
+
+    def outcome(p):
+        return E.CrossedZero(1.0) if crosses(p) else E.Inconclusive("stub")
+
+    def sweep_shoot(rows, config):
+        batches.append([row.p for row in rows])
+        return [outcome(row.p) for row in rows]
+
+    def shoot(params, config):
+        shots.append(params.p)
+        return E.RadialTrajectory(params, None, None, None, outcome=outcome(params.p))
+
+    mp.setattr(shooting, "sweep_shoot", sweep_shoot)
+    mp.setattr(shooting, "shoot", shoot)
+    return batches, shots
+
+
+def test_threshold_bisect_shoots_the_ends_and_the_predicted_path_in_one_batch(
+    monkeypatch, caplog
+):
+    # every probe is logged once
+    batches, shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
     with caplog.at_level("INFO", logger="emdenlab.shooting"):
         p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     # serial bisection: 5.0 fails, then 4.75, 4.875, 4.9375 and 4.96875 cross
     assert p_star == 0.5 * (4.96875 + 5.0)
-    # width 1 to 0.05 takes 5 halvings: 2 ends + 15 midpoints of four levels,
-    # and the predicted path (p_h just below 5) adds its fifth level, 4.96875
-    assert [len(batch) for batch in calls] == [18]
-    assert calls[0][:3] == [4.5, 5.5, 5.0]
-    four_levels = [4.5, 5.5] + [4.5 + k / 16 for k in range(1, 16)]
-    assert set(four_levels) <= set(calls[0])
+    # width 1 to 0.05 takes 5 halvings, and the predicted path (p_h just
+    # below 5) is the walk's: the 2 ends and 5 midpoints, no single shot
+    assert batches == [[4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875]]
+    assert shots == []
     probes = [r for r in caplog.records if r.msg.startswith("threshold probe")]
-    assert len(probes) == 18
-    rounds = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold round")]
-    assert rounds == ["threshold round 1: 18 lanes, 5 on the predicted path"]
+    assert len(probes) == 7
+    batch = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold batch")]
+    assert batch == ["threshold batch: 7 lanes, the ends and the predicted path"]
 
 
-def _counting_sweep(calls):
+def _counting(name, calls):
+    """shooting.<name>, recording the p of every row it shoots."""
     from emdenlab import shooting
 
-    real = shooting.sweep_shoot
+    real = getattr(shooting, name)
 
-    def sweep_shoot(rows, config):
-        calls.append(len(rows))
-        return real(rows, config)
+    def counted(arg, config):
+        calls.append(arg.p if name == "shoot" else [row.p for row in arg])
+        return real(arg, config)
 
-    return sweep_shoot
+    return counted
 
 
 def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
@@ -340,24 +352,31 @@ def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
     from emdenlab import shooting
 
     config = E.ShootConfig()
-    calls = []
-    monkeypatch.setattr(shooting, "sweep_shoot", _counting_sweep(calls))
+    batches, shots = [], []
+    monkeypatch.setattr(shooting, "sweep_shoot", _counting("sweep_shoot", batches))
+    monkeypatch.setattr(shooting, "shoot", _counting("shoot", shots))
     p_star = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
-    assert calls == [31]  # 2 ends + 15 of the tree + 14 more path midpoints
+    assert [len(batch) for batch in batches] == [20]  # 2 ends + 18 path midpoints
+    assert shots == []
     monkeypatch.undo()
     assert p_star == serial_threshold(3, 0.0, 0.0, 4.0, 6.0, 1e-5, config, lockstep=True)
 
-    # a prediction 0.3 off only costs rounds: the tree rounds take over
+    # a wrong prediction only costs single shots: one per level the
+    # predicted path misses, after the one batch
+    walk = shooting._bisection_path(4.0, 6.0, 1e-5, p_star)
     predict = shooting._predicted_threshold
-    for offset in (0.3, -0.3):
-        calls = []
-        monkeypatch.setattr(shooting, "sweep_shoot", _counting_sweep(calls))
+    for offset in (0.3, -0.3, 1e-3, -1e-3):
+        batches, shots = [], []
+        monkeypatch.setattr(shooting, "sweep_shoot", _counting("sweep_shoot", batches))
+        monkeypatch.setattr(shooting, "shoot", _counting("shoot", shots))
         monkeypatch.setattr(
             shooting, "_predicted_threshold", lambda *args: predict(*args) + offset
         )
         got = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
         assert got == p_star
-        assert len(calls) > 1
+        path = shooting._bisection_path(4.0, 6.0, 1e-5, predict(3, 0.0, 0.0, config) + offset)
+        assert batches == [[4.0, 6.0, *path]]
+        assert shots == [p for p in walk if p not in path] != []
         monkeypatch.undo()
 
 
@@ -400,35 +419,32 @@ def test_threshold_bisect_is_the_serial_walk_whatever_the_prediction(
     while hi - lo > tol_p and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mid < theta else (lo, mid)
-    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < theta, calls))
+        batches, shots = _stub_shots(mp, lambda p: p < theta)
         mp.setattr(shooting, "_predicted_threshold", lambda *args: prediction)
         got = E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=tol_p)
     assert got == 0.5 * (lo + hi)
-    probes = [p for batch in calls for p in batch]
+    assert len(batches) == 1
+    probes = batches[0] + shots
     assert len(set(probes)) == len(probes)
 
 
 def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
-    from emdenlab import shooting
-
-    calls = []
-    crosses = lambda p: p < 4.8 or 5.2 < p < 5.3  # noqa: E731
-    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(crosses, calls))
-    with pytest.raises(E.NonMonotoneThreshold, match=r"5\.25.*4\.8125") as info:
+    # the predicted path (p_h just below 5) probes 4.9375 inside the island;
+    # the walk then shoots 4.8125, which does not cross, and 4.78125
+    crosses = lambda p: p < 4.8 or 4.93 < p < 4.95  # noqa: E731
+    batches, shots = _stub_shots(monkeypatch, crosses)
+    with pytest.raises(E.NonMonotoneThreshold, match=r"4\.9375.*4\.8125") as info:
         E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     assert isinstance(info.value, E.BracketInvalid)
-    assert len(calls) == 1
+    assert len(batches) == 1 and 4.9375 in batches[0]
+    assert shots == [4.8125, 4.78125]
 
 
 def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch):
     # Below the spacing of floats the midpoint rounds onto an end, and the
     # bracket stops shrinking; the walk must end there instead of spinning.
-    from emdenlab import shooting
-
-    calls = []
-    monkeypatch.setattr(shooting, "sweep_shoot", _fake_sweep(lambda p: p < 5.0, calls))
+    batches, shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
 
     def spinning(signum, frame):
         raise TimeoutError("threshold_bisect did not return")
@@ -441,8 +457,9 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert p_star in (np.nextafter(5.0, 0.0), 5.0)
-    # no round probes a midpoint that rounded onto an end of its bracket
-    probes = [p for batch in calls for p in batch]
+    # no probe is a midpoint that rounded onto an end of its bracket
+    assert len(batches) == 1
+    probes = batches[0] + shots
     assert len(set(probes)) == len(probes)
 
 
@@ -459,7 +476,7 @@ def test_config_refuses_a_non_finite_height_or_horizon(name, value):
 @pytest.mark.parametrize(
     "name, value",
     [("beta", 0.0), ("beta", -1.0), ("r_max", 0.5), ("rel_tol", 0.0), ("rel_tol", 1e-2),
-     ("nodes_per_decade", 2), ("nodes_per_decade", 10.5)],
+     ("rel_tol", 1e-15), ("nodes_per_decade", 2), ("nodes_per_decade", 10.5)],
 )
 def test_config_names_a_value_out_of_range(name, value):
     with pytest.raises(E.NotInRange, match=name):
