@@ -2,20 +2,20 @@
 II.10): the one integrator.
 
 A run integrates y' = field(t, y), y = (y0, y1), from a start (t, y0, y1)
-up to t_bound.  It stops at the first accepted step that starts at
-y0 >= 0 and ends at y0 <= 0, and refines that crossing by brent_root on
-the step's dense output.  The field is passed in; nothing here knows the
-equation.  Two drivers share the tableau, initial step, step control,
-error norm, crossing rule and step-table layout (_StepLog, sampled by
-dense_nodes): scalar_run is a step loop on Python floats, so one lane pays
-no numpy call overhead; lockstep advances many lanes as numpy arrays, one
-step per lane per iteration, each with its own step size, and returns
-every lane's run at the end.  An iteration evaluates the field 12 times;
-the three dense-output stages of accepted steps are built later in bulk,
-a bounded buffer at a time, so rejected steps never pay for them.  Both
-return a run as (steps, t_end, crossed, stopped) and sum stages in stage
-order, so the two agree to round-off beyond the rounding of the field
-itself.
+up to t_bound.  It stops at the first accepted step that starts at y0 >= 0
+and ends at y0 <= 0, and refines that crossing by brent_root on the step's
+dense output.  The field is passed in; nothing here knows the equation.
+Two drivers share the tableau, initial step, step control, error norm,
+crossing rule and step-table layout (_StepLog, sampled by dense_nodes):
+scalar_run is a step loop on Python floats, its stages straight-line code
+(_step_source), so one lane pays no numpy call overhead; lockstep advances
+many lanes as numpy arrays, one step per lane per iteration, each with its
+own step size, and returns every lane's run at the end.  An iteration
+evaluates the field 12 times; the three dense-output stages of accepted
+steps are built later in bulk, a bounded buffer at a time, so rejected
+steps never pay for them.  Both return a run as (steps, t_end, crossed,
+stopped) and sum stages in stage order, so the two agree to round-off
+beyond the rounding of the field itself.
 
 The error norm is relative to the size of the state (section II.4): a
 step's error is scaled by rtol times the largest of |y0|, |y1|, |y0_new|
@@ -30,8 +30,9 @@ The decimal literals are those of scipy/integrate/_ivp/dop853_coefficients.py
 Developers), copied digit for digit, so every double equals scipy's.  E3 is
 built from B by the same three subtractions.  The sparse tables hold the
 nonzero entries only, as {column: weight}; coefficients() expands them
-into scipy's dense arrays, and each driver's tableau is shaped once, at
-import.
+into scipy's dense arrays.  Each driver's tableau is built once, at
+import: the lockstep's as arrays, scalar_run's as source compiled from
+these constants alone.
 """
 
 import math
@@ -251,16 +252,50 @@ _B_LANES = _B[:, None, None]
 _E53_LANES = np.stack([_E5, _E3])[:, :, None, None]
 _D_LANES = _D[:, :, None, None]
 
-# The tableau for one lane, as (j, weight) pairs in stage order.  A's rows,
-# B and D's rows hold the nonzero weights only: for finite stages a zero
-# term changes no bit of a sum.  E5 and E3 keep all 13, so a non-finite
-# field at a step's end (weight 0) still fails the error test, as it does
-# in the lockstep.
-_A_PAIRS = [sorted(A_ROWS.get(s, {}).items()) for s in range(N_STAGES_EXTENDED)]
-_B_PAIRS = _A_PAIRS[N_STAGES]
-_E5_PAIRS = list(enumerate(_E5.tolist()))
-_E3_PAIRS = list(enumerate(_E3.tolist()))
-_D_PAIRS = [sorted(row.items()) for row in D_ROWS]
+
+def _step_source():
+    """The one-lane step as straight-line code, as the Fortran DOP853 writes it.
+
+    trial(field, t, h, v, dv, f), f the field at (t, v, dv), returns the
+    step's end, its E5 and E3 error sums, and K, its 13 stages flattened
+    as (k0v, k0dv, k1v, ...); row(field, t, h, v, dv, v_new, dv_new, K)
+    the step's row of the step table, built as _Pending.flush builds it.
+    A sum is 0.0 plus its terms in stage order, a weight its repr (the
+    same double).  A zero weight changes no bit of a sum of finite stages,
+    so only E5 and E3 keep theirs: a non-finite field at a step's end
+    (weight 0) still fails the error test, as it does in the lockstep.
+    """
+
+    def total(weights, c):  # weights as {j: w_j}
+        return " + ".join(["0.0", *(f"{w!r} * k{j}{c}" for j, w in sorted(weights.items()))])
+
+    def stage(s):
+        return (f"    k{s}v, k{s}dv = field(t + {C[s]!r} * h, (v + h * ({total(A_ROWS[s], 'v')}),"
+                f" dv + h * ({total(A_ROWS[s], 'dv')})))")
+
+    K = ", ".join(f"k{j}v, k{j}dv" for j in range(N_STAGES + 1))
+    B = A_ROWS[N_STAGES]
+    errors = [total(dict(enumerate(e.tolist())), c) for e in (_E5, _E3) for c in ("v", "dv")]
+    dense = [f"h * ({total(row, c)})" for row in D_ROWS for c in ("v", "dv")]
+    return "\n".join([
+        "def trial(field, t, h, v, dv, f):",
+        "    k0v, k0dv = f",
+        *map(stage, range(1, N_STAGES)),
+        f"    v_new, dv_new = v + h * ({total(B, 'v')}), dv + h * ({total(B, 'dv')})",
+        "    k12v, k12dv = field(t + h, (v_new, dv_new))",
+        f"    return v_new, dv_new, {', '.join(errors)}, ({K})",
+        "def row(field, t, h, v, dv, v_new, dv_new, K):",
+        f"    {K} = K",
+        *map(stage, range(N_STAGES + 1, N_STAGES_EXTENDED)),
+        "    delta_v, delta_dv = v_new - v, dv_new - dv",
+        "    return (0.0, t, h, v, dv, delta_v, delta_dv, h * k0v - delta_v, h * k0dv - delta_dv,"
+        f" 2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv), {', '.join(dense)})",
+    ])
+
+
+_STEP = {}
+exec(compile(_step_source(), f"<{__name__} step>", "exec"), _STEP)
+_trial, _row = _STEP["trial"], _STEP["row"]
 
 # step control, as scipy's DOP853 has it
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -270,14 +305,13 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Accepted steps held back before their dense-output stages are built in one
 # pass: room for _PENDING_ITERATIONS iterations of the whole batch, and at
-# least _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger
-# hold costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the
-# hold, and threshold_search's 24 no faster than with 256 rows.
+# least _PENDING_ROWS rows.  Fewer passes save their fixed costs, a larger hold
+# costs memory: dichotomy_sweep's 121 lanes ran no faster with twice the hold.
 _PENDING_ROWS = 256
 _PENDING_ITERATIONS = 16
 
 # The step table's first size, in accepted steps per lane: the shots of
-# dichotomy_sweep and threshold_search take about 100 to 120.
+# dichotomy_sweep take about 110 on average.
 _STEPS_PER_LANE = 128
 
 
@@ -466,29 +500,18 @@ def dense_nodes(steps, nodes):
     return out[0], out[1]
 
 
-def _combine(weights, K):
-    """sum_j w_j K_j of the pairs K over weights' (j, w_j), in stage order."""
-    s0 = s1 = 0.0
-    for j, w in weights:
-        k0, k1 = K[j]
-        s0 += w * k0
-        s1 += w * k1
-    return s0, s1
-
-
 def scalar_run(field, start, t_bound, rtol):
     """One run on Python floats: (steps, t_end, crossed, stopped).
 
     The lockstep's iteration for a single lane: the same initial step
     (_initial_step on one-lane arrays), step control, stage sums in stage
-    order, error norm, minimum-step test and crossing rule.  field(t, (y0,
-    y1)) returns (y0', y1'), and start is (t, y0, y1).  steps holds every
-    accepted step in _StepLog's row layout, with lane 0; it has no rows
-    when the run stops before its first step.  t_end is the refined
-    crossing, t_bound, or, for a run that failed the minimum-step test
-    (stopped), the last t it reached.
+    order (_trial and _row), error norm, minimum-step test and crossing
+    rule.  field(t, (y0, y1)) returns (y0', y1'), and start is (t, y0,
+    y1).  steps holds every accepted step in _StepLog's row layout, with
+    lane 0; it has no rows when the run stops before its first step.
+    t_end is the refined crossing, t_bound, or, for a run that failed the
+    minimum-step test (stopped), the last t it reached.
     """
-    A, B, E5, E3, D = _A_PAIRS, _B_PAIRS, _E5_PAIRS, _E3_PAIRS, _D_PAIRS
     t, v, dv = start
 
     def one_lane(t, y, out):
@@ -511,17 +534,8 @@ def scalar_run(field, start, t_bound, rtol):
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
 
-        K = [f]
-        for s in range(1, N_STAGES):
-            sv, sdv = _combine(A[s], K)
-            K.append(field(t + C[s] * h, (v + h * sv, dv + h * sdv)))
-        sv, sdv = _combine(B, K)
-        v_new, dv_new = v + h * sv, dv + h * sdv
-        f_new = field(t + h, (v_new, dv_new))
-        K.append(f_new)
-
+        v_new, dv_new, e5v, e5dv, e3v, e3dv, K = _trial(field, t, h, v, dv, f)
         scale = rtol * max(abs(v), abs(dv), abs(v_new), abs(dv_new))
-        (e5v, e5dv), (e3v, e3dv) = _combine(E5, K), _combine(E3, K)
         e5v, e5dv, e3v, e3dv = e5v / scale, e5dv / scale, e3v / scale, e3dv / scale
         err5 = e5v * e5v + e5dv * e5dv
         err3 = e3v * e3v + e3dv * e3dv
@@ -535,23 +549,9 @@ def scalar_run(field, start, t_bound, rtol):
         h_abs = h * (min(1.0, grow) if retry else grow)
         retry = False
 
-        for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-            sv, sdv = _combine(A[s], K)
-            K.append(field(t + C[s] * h, (v + h * sv, dv + h * sdv)))
-        delta_v, delta_dv = v_new - v, dv_new - dv
-        (k0v, k0dv), (k12v, k12dv) = f, f_new
-        F = [
-            delta_v, delta_dv,
-            h * k0v - delta_v, h * k0dv - delta_dv,
-            2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
-        ]
-        for weights in D:
-            sv, sdv = _combine(weights, K)
-            F += (h * sv, h * sdv)
-        rows.append((0.0, t, h, v, dv, *F))
-
+        rows.append(_row(field, t, h, v, dv, v_new, dv_new, K))
         crossed = v >= 0 and v_new <= 0
-        t, v, dv, f = t_new, v_new, dv_new, f_new
+        t, v, dv, f = t_new, v_new, dv_new, K[-2:]
         if crossed or t >= t_bound:
             t_end = _crossing(rows[-1], t) if crossed else t_bound
             return np.array(rows), t_end, crossed, False

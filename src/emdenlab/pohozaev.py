@@ -69,8 +69,8 @@ def weighted_node_integral(
     NotInRange or RangeExceeded) and a positive trajectory up to R.
     """
     r, v = traj.r, traj.v
-    if not math.isfinite(R):
-        raise NonFiniteParameter(f"R = {R}, need it finite")
+    if not (math.isfinite(R) and math.isfinite(exponent) and math.isfinite(power)):
+        raise NonFiniteParameter(f"R = {R}, exponent = {exponent}, power = {power}: need all finite")
     if R <= 0:
         raise NotInRange(f"R = {R}, need it positive")
     if R > r[-1] * (1 + 1e-12):

@@ -24,8 +24,8 @@ symmetry: probing at large beta compresses huge beta = 1 crossing radii
 into a modest window, so a fixed horizon loses almost no resolution near
 the critical exponent.
 
-Single shots (shoot) and batches (sweep_shoot, and through it
-threshold_bisect) run the one DOP853 engine of _dop853: a shot as its
+Single shots (shoot, and through it threshold_bisect) and batches
+(sweep_shoot) run the one DOP853 engine of _dop853: a shot as its
 scalar step loop on Python floats, a batch as the lanes of its lockstep.
 This module passes it the cylinder field (_make_rhs for a shot, _lane_rhs
 for lanes), the series start and rel_tol, and finishes every run the same
@@ -34,11 +34,11 @@ step table and written back as (r, v, dv), then classified.  The powers
 in the two fields round differently (the C library's against numpy's), so
 a shot and a lane agree to round-off.
 
-threshold_bisect shoots one lockstep batch: the bracket's ends and the
-path the serial walk would take if the threshold sat where the first-zero
-law (closed_forms.first_zero_law) puts the horizon.  When the law is right
-the whole walk reads its decisions from that batch; a midpoint off the
-path, needed only where the law misses, is shot alone.
+threshold_bisect shoots the bracket's ends, then the path the serial
+walk would take if the threshold sat where the first-zero law
+(closed_forms.first_zero_law) puts the horizon, one shoot each.  When the
+law is right the walk reads every decision from those shots; a midpoint
+off the path is shot when the walk reaches it.
 
 No shot needs scipy: the engine's tableau is a table of constants,
 crossings are refined by brent_root and node splines are _numerics'
@@ -202,14 +202,15 @@ class RadialTrajectory:
         Between nodes the node splines are used, so a trajectory re-read
         from CSV gives the same values.  Below the first node the
         power-series start is used, which needs the shot's config;
-        trajectories loaded from CSV only cover [r[0], r[-1]].  dv at r = 0
-        with sigma < 1 raises DerivativeUndefinedAtOrigin.
+        trajectories loaded from CSV only cover [r[0], r[-1]].  A NaN radius
+        raises NonFiniteParameter, and dv at r = 0 with sigma < 1
+        DerivativeUndefinedAtOrigin.
         """
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        if np.isnan(r_arr).any():
+            raise NonFiniteParameter("a radius is NaN, need every radius a number")
         if np.any(r_arr < 0) or np.any(r_arr > self.r[-1] * (1 + 1e-12)):
-            raise RangeExceeded(
-                f"radii must lie in [0, {self.r[-1]}] for this trajectory"
-            )
+            raise RangeExceeded(f"radii must lie in [0, {self.r[-1]}] for this trajectory")
         below = r_arr < self.r[0]
         v = np.empty_like(r_arr)
         dv = np.empty_like(r_arr)
@@ -489,18 +490,16 @@ def threshold_bisect(
 
     The lower endpoint must cross, the upper must not, else BracketInvalid;
     weights the shooter refuses raise its errors, a NaN or infinite tol_p
-    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  One
-    sweep_shoot batch shoots the two ends and the serial walk's path to
-    the threshold the first-zero law predicts (_predicted_threshold,
-    _bisection_path), one midpoint per level.  The serial walk then reads
-    each decision from that batch, and shoots a midpoint the batch does
-    not hold on its own with shoot; a right prediction finishes the walk
-    on the batch alone.  The answer never depends on the prediction:
-    every decision is read from a shot, and a wrong prediction costs only
-    single shots.  An inconclusive probe, or one the shooter refuses,
-    counts as not crossing.  Crossing must be monotone in p: once the walk
-    ends, every crossing probe must lie below every other probe, else
-    NonMonotoneThreshold.  The batch (its lane count) and each probe are
+    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  Every probe is
+    one shoot: the two ends, then the serial walk's path to the threshold
+    the first-zero law predicts (_predicted_threshold, _bisection_path),
+    one midpoint per level.  The serial walk reads each decision from the
+    probes shot and shoots any midpoint not yet shot, so the answer never
+    depends on the prediction; a wrong one costs only extra shots.  An
+    inconclusive probe, or one the shooter refuses, counts as not
+    crossing.  Crossing must be monotone in p: once the walk ends, every
+    crossing probe must lie below every other probe, else
+    NonMonotoneThreshold.  The path's probe count and each probe are
     logged.  The walk also ends when the bracket's midpoint rounds onto
     one of its ends, so a tol_p below the float spacing still terminates.
     """
@@ -513,28 +512,28 @@ def threshold_bisect(
     if not tol_p > 0:
         raise NotInRange(f"tol_p = {tol_p}, need it positive")
     require_admissible(ProblemParams(N, a, b, p_lo))
+    crosses = {}  # every probe shot: does it cross?
 
-    def crosses_zero(p, outcome):
-        log.info("threshold probe p=%.17g -> %s", p, outcome)
-        return isinstance(outcome, CrossedZero)
-
-    path = _bisection_path(p_lo, p_hi, tol_p, _predicted_threshold(N, a, b, config))
-    probes = [p_lo, p_hi, *path]
-    log.info("threshold batch: %d lanes, the ends and the predicted path", len(probes))
-    outcomes = sweep_shoot([ProblemParams(N, a, b, p) for p in probes], config)
-    crosses = {p: crosses_zero(p, outcome) for p, outcome in zip(probes, outcomes)}
-    if not crosses[p_lo]:
-        raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
-    if crosses[p_hi]:
-        raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
-    while (mid := _split(p_lo, p_hi, tol_p)) is not None:
-        if mid not in crosses:
+    def probe(p):
+        if p not in crosses:
             try:
-                outcome = shoot(ProblemParams(N, a, b, mid), config).outcome
+                outcome = shoot(ProblemParams(N, a, b, p), config).outcome
             except EmdenLabError as exc:
                 outcome = Inconclusive(f"rejected: {exc}")
-            crosses[mid] = crosses_zero(mid, outcome)
-        if crosses[mid]:
+            log.info("threshold probe p=%.17g -> %s", p, outcome)
+            crosses[p] = isinstance(outcome, CrossedZero)
+        return crosses[p]
+
+    if not probe(p_lo):
+        raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
+    if probe(p_hi):
+        raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
+    path = _bisection_path(p_lo, p_hi, tol_p, _predicted_threshold(N, a, b, config))
+    log.info("threshold path: %d probes toward the predicted threshold", len(path))
+    for p in path:
+        probe(p)
+    while (mid := _split(p_lo, p_hi, tol_p)) is not None:
+        if probe(mid):
             p_lo = mid
         else:
             p_hi = mid

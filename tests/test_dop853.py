@@ -163,3 +163,127 @@ def test_a_lane_settling_on_a_fixed_point_does_not_stall():
     assert len(steps) < 1000 and len(lane_steps) < 1000
     v, dv = _dop853.dense_nodes(steps, np.array([1e3]))
     assert v[0] == pytest.approx(1.0, abs=10 * RTOL) and abs(dv[0]) < 10 * RTOL
+
+
+def _reference_run(field, start, t_bound, rtol):
+    """scalar_run as a loop over the tableau's (j, weight) pairs, one stage sum at a time.
+
+    Each sum starts from 0.0 and adds w_j K_j in stage order.  A's rows,
+    B and D's rows keep their nonzero weights, E5 and E3 all 13.
+    """
+    d = _dop853
+    A = [sorted(d.A_ROWS.get(s, {}).items()) for s in range(d.N_STAGES_EXTENDED)]
+    _, _, C, E3, E5, _ = d.coefficients()
+    E5, E3 = list(enumerate(E5.tolist())), list(enumerate(E3.tolist()))
+    D = [sorted(row.items()) for row in d.D_ROWS]
+
+    def combine(weights, K):
+        s0 = s1 = 0.0
+        for j, w in weights:
+            k0, k1 = K[j]
+            s0 += w * k0
+            s1 += w * k1
+        return s0, s1
+
+    def stage(s, t, h, v, dv, K):
+        sv, sdv = combine(A[s], K)
+        K.append(field(t + C[s] * h, (v + h * sv, dv + h * sdv)))
+
+    def one_lane(t, y, out):
+        out[0] = field(float(t[0]), (float(y[0, 0]), float(y[0, 1])))
+
+    t, v, dv = start
+    f = field(t, (v, dv))
+    with np.errstate(all="ignore"):
+        h_abs = d._initial_step(
+            np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane, rtol
+        )
+    h_abs = float(h_abs[0])
+    rows = []
+    retry = False
+    while True:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if not retry:
+            h_abs = max(h_abs, min_step)
+        if not h_abs >= min_step:
+            return np.reshape(rows, (-1, d._StepLog.WIDTH)), t, False, True
+        t_new = min(t + h_abs, t_bound)
+        h = t_new - t
+        K = [f]
+        for s in range(1, d.N_STAGES):
+            stage(s, t, h, v, dv, K)
+        sv, sdv = combine(A[d.N_STAGES], K)
+        v_new, dv_new = v + h * sv, dv + h * sdv
+        f_new = field(t + h, (v_new, dv_new))
+        K.append(f_new)
+
+        scale = rtol * max(abs(v), abs(dv), abs(v_new), abs(dv_new))
+        (e5v, e5dv), (e3v, e3dv) = combine(E5, K), combine(E3, K)
+        e5v, e5dv, e3v, e3dv = e5v / scale, e5dv / scale, e3v / scale, e3dv / scale
+        err5 = e5v * e5v + e5dv * e5dv
+        err3 = e3v * e3v + e3dv * e3dv
+        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
+        ratio = d._SAFETY * error_norm**d._ERROR_EXPONENT if error_norm else math.inf
+        if not error_norm < 1:
+            h_abs = h * max(d._MIN_FACTOR, ratio)
+            retry = True
+            continue
+        grow = min(d._MAX_FACTOR, ratio)
+        h_abs = h * (min(1.0, grow) if retry else grow)
+        retry = False
+
+        for s in range(d.N_STAGES + 1, d.N_STAGES_EXTENDED):
+            stage(s, t, h, v, dv, K)
+        delta_v, delta_dv = v_new - v, dv_new - dv
+        (k0v, k0dv), (k12v, k12dv) = f, f_new
+        F = [
+            delta_v, delta_dv,
+            h * k0v - delta_v, h * k0dv - delta_dv,
+            2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv),
+        ]
+        for weights in D:
+            sv, sdv = combine(weights, K)
+            F += (h * sv, h * sdv)
+        rows.append((0.0, t, h, v, dv, *F))
+
+        crossed = v >= 0 and v_new <= 0
+        t, v, dv, f = t_new, v_new, dv_new, f_new
+        if crossed or t >= t_bound:
+            t_end = d._crossing(rows[-1], t) if crossed else t_bound
+            return np.array(rows), t_end, crossed, False
+
+
+def _nan_after_one(t, y):
+    return (math.nan, math.nan) if t > 1.0 else (y[1], -y[0])
+
+
+def _cylinder_runs():
+    """(field, start, t_bound, rtol) of the criterion-5 rows' shots at beta = 100, r_max = 1e4."""
+    from emdenlab import shooting
+    from test_shooting import _criterion5_rows
+
+    config = shooting.ShootConfig(beta=100.0, r_max=1e4)
+    for params in _criterion5_rows():
+        start = shooting.series_start(params, config)
+        yield shooting._make_rhs(params), start, math.log(config.r_max), config.rel_tol
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        pytest.param(lambda: [(_oscillator(w), START, 10.0, RTOL) for w in OMEGAS],
+                     id="oscillators"),
+        pytest.param(lambda: [(_oscillator(0.5), START, 3.0, RTOL)], id="ends-at-bound"),
+        pytest.param(lambda: [(_nan_after_one, START, 10.0, RTOL)], id="stopped"),
+        pytest.param(_cylinder_runs, id="criterion5-cylinder"),
+    ],
+)
+def test_the_straight_line_step_is_the_loop_over_the_tableau_bit_for_bit(runs):
+    for field, start, t_bound, rtol in runs():
+        steps, t_end, crossed, stopped = _dop853.scalar_run(field, start, t_bound, rtol)
+        ref_steps, ref_end, ref_crossed, ref_stopped = _reference_run(
+            field, start, t_bound, rtol
+        )
+        assert len(steps) > 2
+        assert np.array_equal(steps, ref_steps)
+        assert (t_end, crossed, stopped) == (ref_end, ref_crossed, ref_stopped)

@@ -120,6 +120,17 @@ def test_weighted_node_integral_names_a_weight_not_integrable_at_0(exponent):
         E.weighted_node_integral(traj, exponent, 2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "exponent, power",
+    [(math.nan, 2.0), (2.0, math.nan), (math.inf, 2.0), (2.0, math.inf), (2.0, -math.inf)],
+    ids=["exponent-nan", "power-nan", "exponent-inf", "power-inf", "power-minus-inf"],
+)
+def test_weighted_node_integral_names_a_non_finite_exponent_or_power(exponent, power):
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
+    with pytest.raises(E.NonFiniteParameter):
+        E.weighted_node_integral(traj, exponent, power, 1.0)
+
+
 def test_weighted_node_integral_validation():
     traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
     with pytest.raises(ValueError):

@@ -128,7 +128,7 @@ def threshold_brackets(draw):
     miss=st.sampled_from([0.0, -0.3, 0.3]),
 )
 def test_threshold_bisect_is_the_serial_walk_on_shoot(bracket, tol_p, miss):
-    # the batch's lanes and the walk's single shots decide as one shot at a
+    # the predicted path's shots and the walk's decide as one shot at a
     # time does, so the answer is the serial bisection's, whether the
     # predicted path is the walk's (miss = 0) or leaves it
     from emdenlab import shooting

@@ -226,20 +226,11 @@ def test_threshold_bisect_rejects_bad_brackets():
         E.threshold_bisect(3, 0.0, 0.0, 3.0, 4.5, tol_p=0.05, config=config)
 
 
-def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config, lockstep=False):
-    """Reference bisection: one shot per probe, each waiting on the last.
-
-    Shots come from shoot, or with lockstep=True from one-row sweep_shoot
-    batches, the engine threshold_bisect itself runs on.
-    """
+def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config):
+    """Reference bisection: one shot per probe, each waiting on the last."""
 
     def crosses(p):
-        params = E.ProblemParams(N, a, b, p)
-        if lockstep:
-            outcome = E.sweep_shoot([params], config)[0]
-        else:
-            outcome = E.shoot(params, config).outcome
-        return isinstance(outcome, E.CrossedZero)
+        return isinstance(E.shoot(E.ProblemParams(N, a, b, p), config).outcome, E.CrossedZero)
 
     assert crosses(p_lo) and not crosses(p_hi)
     while p_hi - p_lo > tol_p:
@@ -290,58 +281,50 @@ def test_threshold_bisect_refuses_non_finite_brackets(p_lo, p_hi):
 
 
 def _stub_shots(mp, crosses):
-    """Stub sweep_shoot and shoot to decide crosses(p); the p of each batch and of each shot.
+    """Stub shoot to decide crosses(p); the p of each shot, in order.
 
     An outcome that does not cross is Inconclusive, which counts as not crossing.
     """
     from emdenlab import shooting
 
-    batches, shots = [], []
-
-    def outcome(p):
-        return E.CrossedZero(1.0) if crosses(p) else E.Inconclusive("stub")
-
-    def sweep_shoot(rows, config):
-        batches.append([row.p for row in rows])
-        return [outcome(row.p) for row in rows]
+    shots = []
 
     def shoot(params, config):
         shots.append(params.p)
-        return E.RadialTrajectory(params, None, None, None, outcome=outcome(params.p))
+        outcome = E.CrossedZero(1.0) if crosses(params.p) else E.Inconclusive("stub")
+        return E.RadialTrajectory(params, None, None, None, outcome=outcome)
 
-    mp.setattr(shooting, "sweep_shoot", sweep_shoot)
     mp.setattr(shooting, "shoot", shoot)
-    return batches, shots
+    return shots
 
 
 def test_threshold_bisect_shoots_the_ends_and_the_predicted_path_in_one_batch(
     monkeypatch, caplog
 ):
-    # every probe is logged once
-    batches, shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
+    # every probe is one shoot, logged once
+    shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
     with caplog.at_level("INFO", logger="emdenlab.shooting"):
         p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     # serial bisection: 5.0 fails, then 4.75, 4.875, 4.9375 and 4.96875 cross
     assert p_star == 0.5 * (4.96875 + 5.0)
     # width 1 to 0.05 takes 5 halvings, and the predicted path (p_h just
-    # below 5) is the walk's: the 2 ends and 5 midpoints, no single shot
-    assert batches == [[4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875]]
-    assert shots == []
+    # below 5) is the walk's: the 2 ends, then 5 midpoints, and no other shot
+    assert shots == [4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875]
     probes = [r for r in caplog.records if r.msg.startswith("threshold probe")]
     assert len(probes) == 7
-    batch = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold batch")]
-    assert batch == ["threshold batch: 7 lanes, the ends and the predicted path"]
+    path = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold path")]
+    assert path == ["threshold path: 5 probes toward the predicted threshold"]
 
 
-def _counting(name, calls):
-    """shooting.<name>, recording the p of every row it shoots."""
+def _counting(shots):
+    """shooting.shoot, recording the p of every shot."""
     from emdenlab import shooting
 
-    real = getattr(shooting, name)
+    real = shooting.shoot
 
-    def counted(arg, config):
-        calls.append(arg.p if name == "shoot" else [row.p for row in arg])
-        return real(arg, config)
+    def counted(params, config):
+        shots.append(params.p)
+        return real(params, config)
 
     return counted
 
@@ -352,31 +335,30 @@ def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
     from emdenlab import shooting
 
     config = E.ShootConfig()
-    batches, shots = [], []
-    monkeypatch.setattr(shooting, "sweep_shoot", _counting("sweep_shoot", batches))
-    monkeypatch.setattr(shooting, "shoot", _counting("shoot", shots))
+    shots = []
+    monkeypatch.setattr(shooting, "shoot", _counting(shots))
     p_star = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
-    assert [len(batch) for batch in batches] == [20]  # 2 ends + 18 path midpoints
-    assert shots == []
-    monkeypatch.undo()
-    assert p_star == serial_threshold(3, 0.0, 0.0, 4.0, 6.0, 1e-5, config, lockstep=True)
-
-    # a wrong prediction only costs single shots: one per level the
-    # predicted path misses, after the one batch
     walk = shooting._bisection_path(4.0, 6.0, 1e-5, p_star)
+    assert len(walk) == 18
+    assert shots == [4.0, 6.0, *walk]  # 2 ends + 18 path midpoints
+    monkeypatch.undo()
+    assert p_star == serial_threshold(3, 0.0, 0.0, 4.0, 6.0, 1e-5, config)
+
+    # a wrong prediction only costs single shots: after the predicted path,
+    # one per level it misses
     predict = shooting._predicted_threshold
     for offset in (0.3, -0.3, 1e-3, -1e-3):
-        batches, shots = [], []
-        monkeypatch.setattr(shooting, "sweep_shoot", _counting("sweep_shoot", batches))
-        monkeypatch.setattr(shooting, "shoot", _counting("shoot", shots))
+        shots = []
+        monkeypatch.setattr(shooting, "shoot", _counting(shots))
         monkeypatch.setattr(
             shooting, "_predicted_threshold", lambda *args: predict(*args) + offset
         )
         got = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
         assert got == p_star
         path = shooting._bisection_path(4.0, 6.0, 1e-5, predict(3, 0.0, 0.0, config) + offset)
-        assert batches == [[4.0, 6.0, *path]]
-        assert shots == [p for p in walk if p not in path] != []
+        missed = [p for p in walk if p not in path]
+        assert missed != []
+        assert shots == [4.0, 6.0, *path, *missed]
         monkeypatch.undo()
 
 
@@ -420,31 +402,30 @@ def test_threshold_bisect_is_the_serial_walk_whatever_the_prediction(
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if mid < theta else (lo, mid)
     with pytest.MonkeyPatch.context() as mp:
-        batches, shots = _stub_shots(mp, lambda p: p < theta)
+        shots = _stub_shots(mp, lambda p: p < theta)
         mp.setattr(shooting, "_predicted_threshold", lambda *args: prediction)
         got = E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=tol_p)
     assert got == 0.5 * (lo + hi)
-    assert len(batches) == 1
-    probes = batches[0] + shots
-    assert len(set(probes)) == len(probes)
+    path = shooting._bisection_path(p_lo, p_hi, tol_p, prediction)
+    assert shots[: 2 + len(path)] == [p_lo, p_hi, *path]
+    assert len(set(shots)) == len(shots)
 
 
 def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
     # the predicted path (p_h just below 5) probes 4.9375 inside the island;
     # the walk then shoots 4.8125, which does not cross, and 4.78125
     crosses = lambda p: p < 4.8 or 4.93 < p < 4.95  # noqa: E731
-    batches, shots = _stub_shots(monkeypatch, crosses)
+    shots = _stub_shots(monkeypatch, crosses)
     with pytest.raises(E.NonMonotoneThreshold, match=r"4\.9375.*4\.8125") as info:
         E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     assert isinstance(info.value, E.BracketInvalid)
-    assert len(batches) == 1 and 4.9375 in batches[0]
-    assert shots == [4.8125, 4.78125]
+    assert shots == [4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875, 4.8125, 4.78125]
 
 
 def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch):
     # Below the spacing of floats the midpoint rounds onto an end, and the
     # bracket stops shrinking; the walk must end there instead of spinning.
-    batches, shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
+    shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
 
     def spinning(signum, frame):
         raise TimeoutError("threshold_bisect did not return")
@@ -458,9 +439,8 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
         signal.signal(signal.SIGALRM, previous)
     assert p_star in (np.nextafter(5.0, 0.0), 5.0)
     # no probe is a midpoint that rounded onto an end of its bracket
-    assert len(batches) == 1
-    probes = batches[0] + shots
-    assert len(set(probes)) == len(probes)
+    assert shots[:2] == [4.5, 5.5]
+    assert len(set(shots)) == len(shots)
 
 
 @pytest.mark.parametrize(
@@ -1084,6 +1064,14 @@ def test_eval_range_and_series_fallback(tmp_path):
     back = E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
     with pytest.raises(E.RangeExceeded):
         back.eval(r_small)
+
+
+@pytest.mark.parametrize("r", [math.nan, [1.0, math.nan], np.array([[math.nan]])],
+                         ids=["scalar", "list", "array"])
+def test_eval_names_a_nan_radius(r):
+    traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
+    with pytest.raises(E.NonFiniteParameter, match="NaN"):
+        traj.eval(r)
 
 
 def test_outcome_serialization_shapes():
