@@ -36,6 +36,8 @@ CALLS = [
                         "--beta", "100"]),
     ("shoot-positive", ["shoot", *CUBIC, "--p", "5", "--rmax", "50"]),
     ("shoot-singular", ["shoot", *CUBIC, "--p", "12", "--rmax", "1000"]),
+    # dv underflows on its far nodes; the integrator's w' reads the fixed point
+    ("shoot-far-singular", ["shoot", *CUBIC, "--p", "12", "--rmax", "1e300"]),
     ("shoot-inconclusive", ["shoot", *CUBIC, "--p", "5", "--rmax", "2"]),
     # sigma = 2 + b - a = 0.1, near the edge b -> a - 2: crosses at 15.107
     ("shoot-small-sigma", ["shoot", "--N", "3", "--a", "0", "--b", "-1.9", "--p", "1.15",

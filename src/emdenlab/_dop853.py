@@ -6,7 +6,7 @@ up to t_bound.  It stops at the first accepted step that starts at y0 >= 0
 and ends at y0 <= 0, and refines that crossing by brent_root on the step's
 dense output.  The field is passed in; nothing here knows the equation.
 Two drivers share the tableau, initial step, step control, error norm,
-crossing rule and step-table layout (_StepLog, sampled by dense_nodes):
+crossing rule and step-table layout (ROW_WIDTH, sampled by dense_nodes):
 scalar_run is a step loop on Python floats, its stages straight-line code
 (_step_source), so one lane pays no numpy call overhead; lockstep advances
 many lanes as numpy arrays, one step per lane per iteration, each with its
@@ -310,9 +310,9 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 _PENDING_ROWS = 256
 _PENDING_ITERATIONS = 16
 
-# The step table's first size, in accepted steps per lane: the shots of
-# dichotomy_sweep take about 110 on average.
-_STEPS_PER_LANE = 128
+# A row of the step table is (lane, t_old, h, y0_old, y1_old, F), F the 7 x 2
+# dense-output coefficients of the step, flattened row by row.
+ROW_WIDTH = 5 + 2 * INTERPOLATOR_POWER
 
 
 def _stage_sum(coeffs, K):
@@ -359,52 +359,14 @@ def _initial_step(t0, y0, f0, t_bound, rhs, rtol):
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
-class _StepLog:
-    """Accepted steps of all lanes in one table.
-
-    A row is (lane, t_old, h, y0_old, y1_old, F) with F the 7 x 2
-    dense-output coefficients of the step, flattened row by row.  Steps
-    reach the table in bulk: the lockstep holds each accepted step's state
-    and first 13 stages in a _Pending buffer, and its flush builds the
-    other three stages and F for every held row at once, in place in the
-    table.  Each lane's rows arrive in step order.
-    """
-
-    WIDTH = 5 + 2 * INTERPOLATOR_POWER
-
-    def __init__(self, size):
-        self.rows = np.empty((size, self.WIDTH))
-        self.n = 0
-
-    def extend(self, m):
-        """The next m rows of the table, to be filled by the caller; a full table grows by half."""
-        n, size = self.n, len(self.rows)
-        while n + m > size:
-            size += size // 2 + 1
-        if size > len(self.rows):
-            rows = np.empty((size, self.WIDTH))
-            rows[:n] = self.rows[:n]
-            self.rows = rows
-        self.n = n + m
-        return self.rows[n : n + m]
-
-    def by_lane(self, n_lanes):
-        """The rows of lanes 0 .. n_lanes - 1, each in step order, possibly none.
-
-        One stable sort by lane keeps each lane's rows in step order.
-        """
-        table = self.rows[: self.n]
-        table = table[np.argsort(table[:, 0], kind="stable")]
-        return np.split(table, np.searchsorted(table[:, 0], np.arange(1, n_lanes)))
-
-
 class _Pending:
     """Accepted steps waiting for their dense output: (lane, t, h, y, K[0..12]).
 
     K holds the step's 12 stages and the field at its end; room for the
     three dense-output stages is kept behind them.  The lockstep flushes
     when the hold cannot take an iteration's accepted steps and once when
-    its loop ends.
+    its loop ends; each flush appends one block of step-table rows, each
+    lane's rows in step order.
     """
 
     def __init__(self, size):
@@ -428,8 +390,8 @@ class _Pending:
         self.K[: N_STAGES + 1, rows] = K.take(k, axis=1)  # K[:, k] gathers far slower
         self.n = rows.stop
 
-    def flush(self, lane_field, log_):
-        """Build every held step's dense output in one pass into log_.
+    def flush(self, lane_field, blocks):
+        """Build every held step's dense output in one pass, as one block appended to blocks.
 
         The four D-weighted rows of F are summed one at a time, so the
         largest temporary is one (16, rows, 2) stage product.
@@ -445,7 +407,8 @@ class _Pending:
             _stage(s, t + _C_LANES[s] * h, y, hc, K, rhs)
         y_new = y + hc * _stage_sum(_B_LANES, K)  # as the step summed it
         delta = y_new - y
-        block = log_.extend(n)
+        block = np.empty((n, ROW_WIDTH))
+        blocks.append(block)
         block[:, 0], block[:, 1], block[:, 2], block[:, 3:5] = lane, t, h, y
         F = block[:, 5:].reshape(n, INTERPOLATOR_POWER, 2)
         F[:, 0] = delta
@@ -474,12 +437,12 @@ def _crossing(step, t_end: float) -> float:
 def dense_nodes(steps, nodes):
     """(y0, y1) at sorted nodes from rows of a step table, as OdeSolution does it.
 
-    Rows are (lane, t_old, h, y0_old, y1_old, F) as _StepLog holds them;
-    a node on a step boundary is read from the earlier step.  Each
-    coefficient column is gathered at the nodes' step indices and the two
-    components are summed apart, in Dop853DenseOutput's Horner order, so
-    every operation is one on arrays of the nodes' shape.  steps needs at
-    least one row.
+    Rows are (lane, t_old, h, y0_old, y1_old, F), ROW_WIDTH wide; a node
+    on a step boundary is read from the earlier step.  Each coefficient
+    column is gathered at the nodes' step indices and the two components
+    are summed apart, in Dop853DenseOutput's Horner order, so every
+    operation is one on arrays of the nodes' shape.  steps needs at least
+    one row.
     """
     seg = np.searchsorted(steps[:, 1], nodes, side="left") - 1
     np.clip(seg, 0, len(steps) - 1, out=seg)
@@ -507,8 +470,9 @@ def scalar_run(field, start, t_bound, rtol):
     (_initial_step on one-lane arrays), step control, stage sums in stage
     order (_trial and _row), error norm, minimum-step test and crossing
     rule.  field(t, (y0, y1)) returns (y0', y1'), and start is (t, y0,
-    y1).  steps holds every accepted step in _StepLog's row layout, with
-    lane 0; it has no rows when the run stops before its first step.
+    y1).  steps holds every accepted step as a row of the step table
+    (ROW_WIDTH), with lane 0; it has no rows when the run stops before its
+    first step.
     t_end is the refined crossing, t_bound, or, for a run that failed the
     minimum-step test (stopped), the last t it reached.
     """
@@ -530,7 +494,7 @@ def scalar_run(field, start, t_bound, rtol):
         if not retry:
             h_abs = max(h_abs, min_step)
         if not h_abs >= min_step:  # a NaN step fails too
-            return np.reshape(rows, (-1, _StepLog.WIDTH)), t, False, True
+            return np.reshape(rows, (-1, ROW_WIDTH)), t, False, True
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
 
@@ -576,7 +540,7 @@ def lockstep(lane_field, starts, t_bound, rtol):
     rhs = lane_field(lane)
     f = np.empty_like(y)
     ends = [None] * n_lanes  # (the last t, crossed, stopped) of each lane that left
-    log_ = _StepLog(_STEPS_PER_LANE * n_lanes)
+    blocks = [np.empty((0, ROW_WIDTH))]  # the step table, a block per flush; none may come
     pending = _Pending(max(_PENDING_ROWS, _PENDING_ITERATIONS * n_lanes))
 
     with np.errstate(all="ignore"):
@@ -620,7 +584,7 @@ def lockstep(lane_field, starts, t_bound, rtol):
 
             acc = np.flatnonzero(accept)
             if not pending.room(len(acc)):
-                pending.flush(lane_field, log_)
+                pending.flush(lane_field, blocks)
             pending.push(acc, lane, t, h, y, K)
 
             crossed = accept & (y[:, 0] >= 0) & (y_new[:, 0] <= 0)
@@ -635,10 +599,14 @@ def lockstep(lane_field, starts, t_bound, rtol):
             keep = ~gone
             lane, t, y, f, h_abs, retry = (a[keep] for a in (lane, t, y, f, h_abs, retry))
             rhs = lane_field(lane)
-        pending.flush(lane_field, log_)
+        pending.flush(lane_field, blocks)
 
+    # one stable sort by lane keeps each lane's rows in step order
+    table = np.concatenate(blocks)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    by_lane = np.split(table, np.searchsorted(table[:, 0], np.arange(1, n_lanes)))
     runs = []
-    for steps, (t_end, crossed, stopped) in zip(log_.by_lane(n_lanes), ends):
+    for steps, (t_end, crossed, stopped) in zip(by_lane, ends):
         if crossed:
             t_end = _crossing(steps[-1].tolist(), t_end)
         runs.append((steps, t_end, crossed, stopped))

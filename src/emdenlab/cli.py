@@ -21,7 +21,6 @@ of the program and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -71,6 +70,7 @@ from .shooting import (
     Inconclusive,
     RadialTrajectory,
     ShootConfig,
+    _csv_table,
     csv_text,
     shoot,
     sweep_shoot,
@@ -123,25 +123,28 @@ def _read_grid(path: str, n_columns: int):
 
     The first row is a header if none of its first n_columns cells is a
     number.  Any other row with a non-numeric cell, a row short of
-    n_columns and a file without rows raise MalformedGrid.
+    n_columns, any row with a non-empty cell past them, a file that does
+    not decode as text or that the csv module refuses (a field over its
+    128 KiB limit) and a file without rows raise MalformedGrid.
     """
     rows = []
     header_seen = False
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line or not "".join(line).strip():
-                continue
-            if line[0].lstrip().startswith("#"):
-                continue
-            values = [_number(tok) for tok in line[:n_columns]]
-            if None in values:
-                if rows or header_seen or values.count(None) < len(values):
-                    raise MalformedGrid(f"non-numeric row {line!r} in {path}")
-                header_seen = True
-                continue
-            if len(line) < n_columns:
-                raise MalformedGrid(f"row {line!r} has fewer than {n_columns} columns")
-            rows.append(values)
+    for line in _csv_table(path, MalformedGrid):
+        if not line or not "".join(line).strip():
+            continue
+        if line[0].lstrip().startswith("#"):
+            continue
+        if "".join(line[n_columns:]).strip():
+            raise MalformedGrid(f"row {line!r} has more than {n_columns} columns")
+        values = [_number(tok) for tok in line[:n_columns]]
+        if None in values:
+            if rows or header_seen or values.count(None) < len(values):
+                raise MalformedGrid(f"non-numeric row {line!r} in {path}")
+            header_seen = True
+            continue
+        if len(line) < n_columns:
+            raise MalformedGrid(f"row {line!r} has fewer than {n_columns} columns")
+        rows.append(values)
     if not rows:
         raise MalformedGrid(f"no parameter rows found in {path}")
     return rows

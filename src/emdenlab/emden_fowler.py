@@ -33,7 +33,7 @@ DEGENERATE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class CylinderTrajectory:
-    """Image of a radial trajectory under (t, w, dw) = (log r, r^g v, dw/dt)."""
+    """A radial trajectory in (t, w, dw) = (log r, r^gamma v, dw/dt)."""
 
     params: ProblemParams
     t: np.ndarray
@@ -63,26 +63,20 @@ class FixedPointReport:
 
 
 def to_cylinder(traj: RadialTrajectory) -> CylinderTrajectory:
-    """Map stored nodes to cylinder coordinates.
+    """The trajectory's nodes in cylinder coordinates.
 
     A terminal node with v exactly 0, a shot's crossing node, is left out;
-    every other node must have r > 0 and v > 0, else NonpositiveNode.
-    dw = r^gamma (gamma v + r dv) is the exact chain-rule image of dv.
+    every other node must have r > 0 and v > 0, else NonpositiveNode.  The
+    arrays are the trajectory's cylinder state: a shot's integrator
+    (t, w, w'), a CSV re-read's chain-rule image of its columns
+    (RadialTrajectory._cylinder_state).
     """
-    d = derive(traj.params)
-    r, v, dv = traj.r, traj.v, traj.dv
-    if len(v) and v[-1] == 0.0:
-        r, v, dv = r[:-1], v[:-1], dv[:-1]
-    if np.any(r <= 0) or np.any(v <= 0):
+    r, v = traj.r, traj.v
+    n = len(v) - 1 if len(v) and v[-1] == 0.0 else len(v)
+    if np.any(r[:n] <= 0) or np.any(v[:n] <= 0):
         raise NonpositiveNode("cylinder map needs r > 0 and v > 0 at every node")
-    gamma = d.gamma
-    rg = r**gamma
-    return CylinderTrajectory(
-        params=traj.params,
-        t=np.log(r),
-        w=rg * v,
-        dw=rg * (gamma * v + r * dv),
-    )
+    t, w, dw = traj._cylinder_state()
+    return CylinderTrajectory(params=traj.params, t=t[:n], w=w[:n], dw=dw[:n])
 
 
 def cylinder_rhs(params: ProblemParams, w, dw):

@@ -30,9 +30,9 @@ scalar step loop on Python floats, a batch as the lanes of its lockstep.
 This module passes it the cylinder field (_make_rhs for a shot, _lane_rhs
 for lanes), the series start and rel_tol, and finishes every run the same
 way (_finish): nodes uniform in t (_node_grid), sampled from the run's
-step table and written back as (r, v, dv), then classified.  The powers
-in the two fields round differently (the C library's against numpy's), so
-a shot and a lane agree to round-off.
+step table, written back as (r, v, dv) and kept as (t, w, w'), then
+classified.  The powers in the two fields round differently (the C
+library's against numpy's), so a shot and a lane agree to round-off.
 
 threshold_bisect shoots the bracket's ends, then the path the serial
 walk would take if the threshold sat where the first-zero law
@@ -169,7 +169,9 @@ class RadialTrajectory:
     Nodes satisfy v > 0 except possibly the terminal crossing node, and
     dv < 0 throughout.  A trajectory re-read from CSV carries exactly the
     same node data, so node-based consumers reproduce their reports bit
-    for bit.
+    for bit.  The cylinder state (t, w, w') that classify_trajectory and
+    to_cylinder read is a shot's own (_finish); a trajectory read from CSV
+    or built by hand gets it from its columns (_cylinder_state).
     """
 
     params: ProblemParams
@@ -182,12 +184,27 @@ class RadialTrajectory:
     _splines: tuple | None = field(default=None, repr=False)
     # pohozaev's integrand splines, by (exponent, power)
     _integrands: dict = field(default_factory=dict, repr=False)
+    _cylinder: tuple | None = field(default=None, repr=False)
 
     def _log_knots(self) -> Knots:
         """The knots z = log r that every spline of the trajectory shares, factored once."""
         if self._knots is None:
             self._knots = Knots(np.log(self.r))
         return self._knots
+
+    def _cylinder_state(self) -> tuple:
+        """The cylinder state (t, w, w') at the nodes, computed once.
+
+        A shot's is its integrator's own.  Any other trajectory's is the
+        chain-rule image of its columns, t = log r, w = r^gamma v and
+        w' = r^gamma (gamma v + r dv).
+        """
+        if self._cylinder is None:
+            gamma = derive(self.params).gamma
+            r, v = self.r, self.v
+            rg = r**gamma
+            self._cylinder = (np.log(r), rg * v, rg * (gamma * v + r * self.dv))
+        return self._cylinder
 
     def _node_splines(self):
         """Splines of v and dv in log r; a terminal v <= 0 node is kept for root bracketing."""
@@ -320,7 +337,9 @@ def _finish(params, config, start, steps, t_end, crossed, stopped) -> RadialTraj
     The nodes (_node_grid up to t_end) are sampled from the run's step
     table, with w = 0 last at a crossing, and written as r = e^t,
     v = r^-gamma w and dv = r^(-gamma-1) (w' - gamma w); a run that
-    reaches the horizon ends on r_max exactly.  A node radius or value
+    reaches the horizon ends on r_max exactly.  The trajectory keeps the
+    sampled (t, w, w') as its cylinder state, so the classification reads
+    the integrator's w' even where dv underflows.  A node radius or value
     that overflows, or a v that underflows where w does not (it would read
     as a crossing), raises NotInRange; dv, which falls fastest, may
     underflow.  A stopped run is Inconclusive and keeps the nodes it
@@ -347,7 +366,7 @@ def _finish(params, config, start, steps, t_end, crossed, stopped) -> RadialTraj
         if lost.any():
             i = int(np.argmax(lost))
             raise NotInRange(f"the node at r = exp({float(t[i])!r}) leaves float range")
-    traj = RadialTrajectory(params=params, r=r, v=v, dv=dv, config=config)
+    traj = RadialTrajectory(params, r, v, dv, config=config, _cylinder=(t, w, dw))
     if stopped:
         traj.outcome = Inconclusive(
             f"integrator stopped at r = {math.exp(t_end)}: {_dop853.TOO_SMALL_STEP}"
@@ -384,11 +403,18 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
     Crossing wins if any node reaches v <= 0 (the radius is refined on the
     node spline; shots place an exact v = 0 node there already).  Otherwise
     a positive trajectory needs at least a decade of far field beyond
-    min_fit_radius for a stable decay fit; the cylinder picture decides
-    between convergence to the singular profile and plain power decay.
+    min_fit_radius for a stable decay fit; above p_serrin the cylinder
+    state (_cylinder_state) decides between convergence to the singular
+    profile and plain power decay.  A shot is classified from its
+    integrator's (w, w'), a CSV re-read from the chain-rule image of its
+    columns.  The two give the same kind unless dv underflowed in the
+    columns (a horizon like r_max = 1e300), where the re-read's w' is
+    gamma w and it reads PositiveGlobal; the oscillation count, which
+    counts sign flips of w - w_star at round-off, may differ by a flip or
+    two.
     """
     config = traj.config if traj.config is not None else ShootConfig()
-    r, v, dv = traj.r, traj.v, traj.dv
+    r, v = traj.r, traj.v
 
     nonpos = np.where(v <= 0.0)[0]
     if nonpos.size:
@@ -408,11 +434,8 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
 
     d = derive(traj.params)
     if traj.params.p > d.p_serrin:
-        gamma = d.gamma
         w_star = d.lambda2 ** (1.0 / (traj.params.p - 1.0))
-        rg = r**gamma
-        w = rg * v
-        dw = rg * (gamma * v + r * dv)
+        _, w, dw = traj._cylinder_state()
         dist = np.hypot(w[window] - w_star, dw[window])
         if float(dist.max()) <= config.delta_fp * w_star:
             s = np.sign(w - w_star)
@@ -629,6 +652,15 @@ def csv_text(header, columns) -> str:
     return buf.getvalue()
 
 
+def _csv_table(path, refusal) -> list:
+    """The rows of a CSV file; refusal if it does not decode or has a field over 128 KiB."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise refusal(f"{path} is not readable CSV: {exc}") from None
+
+
 def trajectory_csv(traj: RadialTrajectory) -> str:
     """The nodes as `r,v,dv` CSV text; trajectory_from_csv reads it back exactly."""
     return csv_text(["r", "v", "dv"], [traj.r.tolist(), traj.v.tolist(), traj.dv.tolist()])
@@ -645,15 +677,15 @@ def trajectory_from_csv(
 ) -> RadialTrajectory:
     """Rebuild a trajectory from its CSV; node data round-trips exactly.
 
-    Refuses a header other than r,v,dv, fewer than two nodes, a row that
-    is not three numbers and radii that do not strictly increase
-    (MalformedTrajectory), a NaN or infinite value (NonFiniteParameter)
+    Refuses a file that does not decode as text or that the csv module
+    refuses (a field over its 128 KiB limit), a header other than r,v,dv, fewer
+    than two nodes, a row that is not three numbers and radii that do not
+    strictly increase (MalformedTrajectory), a NaN or infinite value (NonFiniteParameter)
     and a radius r <= 0 (NonpositiveNode).  The cells are converted in one
     pass; only a table that fails it is scanned row by row, to name its
     first bad row (the header is row 1).
     """
-    with open(path, newline="") as fh:
-        table = list(csv.reader(fh))
+    table = _csv_table(path, MalformedTrajectory)
     header = table[0] if table else []
     if [h.strip() for h in header] != ["r", "v", "dv"]:
         raise MalformedTrajectory(f"unexpected trajectory header {header!r}")

@@ -718,11 +718,26 @@ def test_main_calls_share_one_parser_and_dispatch_at_call_time(capsys, monkeypat
     assert run(capsys, *argv) == first
 
 
-# one id per refusal site: (grid file text or None, argv, error name)
+# the sweep, ckn and pohozaev calls that read a file, at {file}
+SWEEP_GRID = ["sweep", "--rmax", "10", "--grid", "{file}"]
+CKN_GRID = ["ckn", "--N", "3", "--grid", "{file}"]
+POHOZAEV_TRAJ = ["pohozaev", *CUBIC_ARGS, "--p", "3", "--radii", "1", "--traj", "{file}"]
+# a CSV field one byte over the csv module's 128 KiB limit
+OVERSIZED = "3" * ((1 << 17) + 1)
+
+# one id per refusal site: (file text or bytes, or None, argv, error name)
 NAMED_REFUSALS = {
-    "grid-non-numeric-row": ("N,a,b,p\n3,0,0,3\nthree,0,0,3\n", ["sweep"], "MalformedGrid"),
-    "grid-short-row": ("N,a,b,p\n3,0,0\n", ["sweep"], "MalformedGrid"),
-    "grid-without-rows": ("N,a,b,p\n# nothing\n", ["sweep"], "MalformedGrid"),
+    "grid-non-numeric-row": ("N,a,b,p\n3,0,0,3\nthree,0,0,3\n", SWEEP_GRID, "MalformedGrid"),
+    "grid-short-row": ("N,a,b,p\n3,0,0\n", SWEEP_GRID, "MalformedGrid"),
+    "grid-without-rows": ("N,a,b,p\n# nothing\n", SWEEP_GRID, "MalformedGrid"),
+    "grid-not-utf8": (b"N,a,b,p\n3,0,0,\xff\n", SWEEP_GRID, "MalformedGrid"),
+    "grid-field-over-csv-limit": (f"N,a,b,p\n3,0,0,{OVERSIZED}\n", SWEEP_GRID, "MalformedGrid"),
+    # a sweep grid read as a,b rows would take each row's (N, a) for (a, b)
+    "grid-more-cells-than-columns": ("N,a,b,p\n3,0,0,3\n", CKN_GRID, "MalformedGrid"),
+    "traj-not-utf8": (b"r,v,dv\n1.0,1.0,0.0\n2.0,0.5,\xff\n", POHOZAEV_TRAJ,
+                      "MalformedTrajectory"),
+    "traj-field-over-csv-limit": (f"r,v,dv\n1.0,1.0,0.0\n2.0,0.5,{OVERSIZED}\n",
+                                  POHOZAEV_TRAJ, "MalformedTrajectory"),
     "bubble-one-sample": (None, ["bubble", *CUBIC_ARGS, "--samples", "1"], "NotInRange"),
     "bubble-rmin-above-rmax": (
         None, ["bubble", *CUBIC_ARGS, "--rmin", "2", "--rmax", "1"], "NotInRange"
@@ -741,12 +756,16 @@ NAMED_REFUSALS = {
 
 @pytest.mark.parametrize("site", list(NAMED_REFUSALS))
 def test_cli_refusals_exit_2_with_a_named_error(capsys, tmp_path, site):
-    # each used to raise a bare ValueError
+    # each used to raise a bare ValueError, a UnicodeDecodeError or a csv.Error,
+    # or, for the wide grid, to read wrong rows
     text, argv, name = NAMED_REFUSALS[site]
     if text is not None:
-        grid = tmp_path / "grid.csv"
-        grid.write_text(text)
-        argv = [*argv, "--grid", str(grid), "--rmax", "10"]
+        path = tmp_path / "input.csv"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        argv = [arg.format(file=path) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"{name}: ")

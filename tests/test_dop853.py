@@ -94,7 +94,7 @@ def test_a_lane_that_fails_the_minimum_step_test_before_its_first_step_has_no_ro
     (steps0, _, crossed0, stopped0), (steps, t_end, crossed, stopped) = _dop853.lockstep(
         lane_field, [START, START], 10.0, RTOL
     )
-    assert steps.shape == (0, _dop853._StepLog.WIDTH)
+    assert steps.shape == (0, _dop853.ROW_WIDTH)
     assert (t_end, crossed, stopped) == (0.0, False, True)
     # the other lane runs to its crossing as if alone
     assert crossed0 and not stopped0 and (steps0[:, 0] == 0).all()
@@ -206,7 +206,7 @@ def _reference_run(field, start, t_bound, rtol):
         if not retry:
             h_abs = max(h_abs, min_step)
         if not h_abs >= min_step:
-            return np.reshape(rows, (-1, d._StepLog.WIDTH)), t, False, True
+            return np.reshape(rows, (-1, d.ROW_WIDTH)), t, False, True
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
         K = [f]

@@ -35,7 +35,12 @@ def test_cylinder_map_leaves_out_a_terminal_zero():
     traj = E.shoot(params, E.ShootConfig(r_max=10.0))
     assert traj.v[-1] == 0.0
     cyl = E.to_cylinder(traj)
-    assert np.array_equal(cyl.t, np.log(traj.r[:-1]))
+    # the shot's own state (t, w, w') without its last node; t is the node
+    # grid, which log r gives back to round-off
+    t, w, dw = traj._cylinder_state()
+    assert np.array_equal(cyl.t, t[:-1])
+    assert np.array_equal(cyl.w, w[:-1]) and np.array_equal(cyl.dw, dw[:-1])
+    assert np.allclose(cyl.t, np.log(traj.r[:-1]), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize(

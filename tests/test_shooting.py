@@ -582,8 +582,8 @@ def _criterion5_rows():
 
 
 def test_a_tiny_hold_and_table_change_no_outcome(monkeypatch):
-    # With a tiny hold and table, flushes fall between a lane's steps and
-    # the table grows many times; a NaN-state lane stops among the others.
+    # With a tiny hold, flushes fall between a lane's steps and the step
+    # table is built from many blocks; a NaN-state lane stops among the others.
     from emdenlab import shooting
 
     series_start = shooting.series_start
@@ -600,7 +600,6 @@ def test_a_tiny_hold_and_table_change_no_outcome(monkeypatch):
     ref = E.sweep_shoot(rows, config)
     monkeypatch.setattr(_dop853, "_PENDING_ROWS", 1)
     monkeypatch.setattr(_dop853, "_PENDING_ITERATIONS", 1)
-    monkeypatch.setattr(_dop853, "_STEPS_PER_LANE", 1)
     got = E.sweep_shoot(rows, config)
     assert ref[50].reason.startswith("integrator stopped at r = ")
     assert {o.kind for o in ref} == {"crossed_zero", "positive_global",
@@ -669,7 +668,7 @@ def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
     [(steps, t_end, crossed, stopped)] = runs
     assert (crossed, stopped) == (kind is E.CrossedZero, False)
     assert traj.r[-1] == (math.exp(t_end) if crossed else config.r_max)
-    assert steps.shape[1] == _dop853._StepLog.WIDTH
+    assert steps.shape[1] == _dop853.ROW_WIDTH
     assert (steps[:, 0] == 0).all() and (np.diff(steps[:, 1]) > 0).all()
     # nodes uniform in t = log r from the start, 160 per decade
     t = np.linspace(steps[0, 1], t_end, len(traj.r))
@@ -682,6 +681,19 @@ def test_shot_nodes_are_the_dense_output_of_its_run(monkeypatch, p, kind):
     last = len(traj.r) - 1 if crossed else len(traj.r)
     assert np.array_equal(traj.v[:last], (w * np.exp(-gamma * t))[:last])
     assert np.array_equal(traj.dv, (dw - gamma * w) * np.exp(-(gamma + 1.0) * t))
+    # and kept as the shot's cylinder state
+    t_kept, w_kept, dw_kept = traj._cylinder_state()
+    assert np.array_equal(t_kept, t) and np.array_equal(dw_kept, dw)
+    assert np.array_equal(w_kept[:last], w[:last])
+
+
+def test_a_far_supercritical_shot_reads_its_fixed_point():
+    # At r_max = 1e300, dv underflows to 0 on thousands of nodes, and its
+    # chain-rule image w' = gamma w read as power decay at rate gamma.  The
+    # integrator's own w' sits on (w_star, 0).
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 12.0), E.ShootConfig(r_max=1e300))
+    assert (traj.dv == 0.0).sum() > 1000
+    assert isinstance(traj.outcome, E.ConvergedToSingular)
 
 
 # scipy floors rtol at 100 eps
@@ -929,18 +941,24 @@ def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(r_max=10.0))
-    path = tmp_path / "traj.csv"
-    E.trajectory_to_csv(traj, path)
-    back = E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
-    assert np.array_equal(back.r, traj.r)
-    assert np.array_equal(back.v, traj.v)
-    assert np.array_equal(back.dv, traj.dv)
-    assert isinstance(back.outcome, E.CrossedZero)
-    assert back.outcome.r0 == traj.outcome.r0
-    path2 = tmp_path / "traj2.csv"
-    E.trajectory_to_csv(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    # a crossing shot, and a supercritical one: the shot is classified from
+    # its integrator's (w, w'), the re-read from the chain-rule image of its
+    # columns, and both must give the same kind
+    for params, r_max, kind in [(UNWEIGHTED_CUBIC, 10.0, E.CrossedZero),
+                                (E.ProblemParams(3, 0.0, 0.0, 12.0), 1e3, E.ConvergedToSingular)]:
+        traj = E.shoot(params, E.ShootConfig(r_max=r_max))
+        path = tmp_path / "traj.csv"
+        E.trajectory_to_csv(traj, path)
+        back = E.trajectory_from_csv(path, params)
+        assert np.array_equal(back.r, traj.r)
+        assert np.array_equal(back.v, traj.v)
+        assert np.array_equal(back.dv, traj.dv)
+        assert isinstance(traj.outcome, kind) and isinstance(back.outcome, kind)
+        if kind is E.CrossedZero:
+            assert back.outcome.r0 == traj.outcome.r0
+        path2 = tmp_path / "traj2.csv"
+        E.trajectory_to_csv(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def _csv_module_text(header, rows):
@@ -996,14 +1014,19 @@ def test_csv_rejects_malformed_input(tmp_path):
         ("1.0,1.0,0.0\n2.0,0.5,-inf\n", "NonFiniteParameter"),
         ("0.0,1.0,0.0\n2.0,0.5,-0.1\n", "NonpositiveNode"),
         ("-1.0,1.0,0.0\n2.0,0.5,-0.1\n", "NonpositiveNode"),
+        (b"1.0,1.0,0.0\n2.0,0.5,\xff\n", "MalformedTrajectory"),
+        ("1.0,1.0,0.0\n2.0,0.5," + "1" * ((1 << 17) + 1) + "\n", "MalformedTrajectory"),
     ],
     ids=["empty_file", "two_columns", "four_columns", "blank_row", "non_numeric",
          "decreasing_r", "repeated_r", "nan_r", "nan_v", "infinite_dv", "zero_r",
-         "negative_r"],
+         "negative_r", "not_utf8", "field_over_csv_limit"],
 )
 def test_csv_refuses_malformed_nodes_with_a_named_error(tmp_path, nodes, error):
     path = tmp_path / "bad.csv"
-    path.write_text("" if nodes is None else "r,v,dv\n" + nodes)
+    if isinstance(nodes, bytes):
+        path.write_bytes(b"r,v,dv\n" + nodes)
+    else:
+        path.write_text("" if nodes is None else "r,v,dv\n" + nodes)
     with pytest.raises(E.EmdenLabError) as info:
         E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
     assert type(info.value).__name__ == error
