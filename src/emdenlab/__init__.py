@@ -109,6 +109,7 @@ from .shooting import (
     classify_trajectory,
     series_start,
     shoot,
+    shot_crosses,
     sweep_shoot,
     threshold_bisect,
     trajectory_from_csv,

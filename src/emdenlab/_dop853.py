@@ -3,19 +3,23 @@ II.10): the one integrator.
 
 A run integrates y' = field(t, y), y = (y0, y1), from a start (t, y0, y1)
 up to t_bound.  It stops at the first accepted step that starts at y0 >= 0
-and ends at y0 <= 0, and refines that crossing by brent_root on the step's
-dense output.  The field is passed in; nothing here knows the equation.
-Two drivers share the tableau, initial step, step control, error norm,
-crossing rule and step-table layout (ROW_WIDTH, sampled by dense_nodes):
-scalar_run is a step loop on Python floats, its stages straight-line code
-(_step_source), so one lane pays no numpy call overhead; lockstep advances
-many lanes as numpy arrays, one step per lane per iteration, each with its
-own step size, and returns every lane's run at the end.  An iteration
-evaluates the field 12 times; the three dense-output stages of accepted
-steps are built later in bulk, a bounded buffer at a time, so rejected
-steps never pay for them.  Both return a run as (steps, t_end, crossed,
-stopped) and sum stages in stage order, so the two agree to round-off
-beyond the rounding of the field itself.
+and ends at y0 <= 0; a run whose nodes are sampled refines that crossing
+by brent_root on the step's dense output.  The field is passed in;
+nothing here knows the equation.  Two drivers share the tableau, initial
+step, step control, error norm, crossing rule and step-table layout
+(ROW_WIDTH, sampled by dense_nodes).  scalar_steps is a step loop on
+Python floats, its stages straight-line code (_step_source), so one lane
+pays no numpy call overhead; it keeps each accepted step and builds no
+dense output, so a caller that asks only whether a run crossed pays for
+none.  scalar_run builds that run's step table (_row) and refines its
+crossing.  lockstep advances many lanes as numpy arrays, one step per
+lane per iteration, each with its own step size, and returns every
+lane's run at the end.  An iteration evaluates the field 12 times; the
+three dense-output stages of accepted steps are built later (the
+lockstep's in bulk, a bounded buffer at a time), so rejected steps never
+pay for them.  scalar_run and lockstep return a run as (steps,
+t_end, crossed, stopped) and sum stages in stage order, so the two agree
+to round-off beyond the rounding of the field itself.
 
 The error norm is relative to the size of the state (section II.4): a
 step's error is scaled by rtol times the largest of |y0|, |y1|, |y0_new|
@@ -463,18 +467,18 @@ def dense_nodes(steps, nodes):
     return out[0], out[1]
 
 
-def scalar_run(field, start, t_bound, rtol):
-    """One run on Python floats: (steps, t_end, crossed, stopped).
+def scalar_steps(field, start, t_bound, rtol):
+    """One run on Python floats: (accepted, t, crossed, stopped).
 
     The lockstep's iteration for a single lane: the same initial step
     (_initial_step on one-lane arrays), step control, stage sums in stage
-    order (_trial and _row), error norm, minimum-step test and crossing
-    rule.  field(t, (y0, y1)) returns (y0', y1'), and start is (t, y0,
-    y1).  steps holds every accepted step as a row of the step table
-    (ROW_WIDTH), with lane 0; it has no rows when the run stops before its
-    first step.
-    t_end is the refined crossing, t_bound, or, for a run that failed the
-    minimum-step test (stopped), the last t it reached.
+    order (_trial), error norm, minimum-step test and crossing rule.
+    field(t, (y0, y1)) returns (y0', y1'), and start is (t, y0, y1).
+    accepted holds every accepted step as (t, h, y0, y1, y0_new, y1_new,
+    K), K its 13 stages as _trial returns them; it is empty when the run
+    stops before its first step.  t is where the run ended: the end of
+    the crossing step, t_bound, or, for a run that failed the minimum-step
+    test (stopped), the last t it reached.  No dense output is built.
     """
     t, v, dv = start
 
@@ -487,14 +491,14 @@ def scalar_run(field, start, t_bound, rtol):
             np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane, rtol
         )
     h_abs = float(h_abs[0])
-    rows = []
+    accepted = []
     retry = False
     while True:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         if not retry:
             h_abs = max(h_abs, min_step)
         if not h_abs >= min_step:  # a NaN step fails too
-            return np.reshape(rows, (-1, ROW_WIDTH)), t, False, True
+            return accepted, t, False, True
         t_new = min(t + h_abs, t_bound)
         h = t_new - t
 
@@ -513,12 +517,27 @@ def scalar_run(field, start, t_bound, rtol):
         h_abs = h * (min(1.0, grow) if retry else grow)
         retry = False
 
-        rows.append(_row(field, t, h, v, dv, v_new, dv_new, K))
+        accepted.append((t, h, v, dv, v_new, dv_new, K))
         crossed = v >= 0 and v_new <= 0
         t, v, dv, f = t_new, v_new, dv_new, K[-2:]
         if crossed or t >= t_bound:
-            t_end = _crossing(rows[-1], t) if crossed else t_bound
-            return np.array(rows), t_end, crossed, False
+            return accepted, t, crossed, False
+
+
+def scalar_run(field, start, t_bound, rtol):
+    """scalar_steps' run with its step table: (steps, t_end, crossed, stopped).
+
+    steps holds every accepted step as a row of the step table
+    (ROW_WIDTH, built by _row), with lane 0; it has no rows when the run
+    stops before its first step.  t_end is the crossing refined on the
+    last row's dense output, t_bound, or, for a stopped run, the last t it
+    reached.  Only a caller that samples nodes needs this; a caller that
+    only asks whether the run crossed reads scalar_steps.
+    """
+    accepted, t, crossed, stopped = scalar_steps(field, start, t_bound, rtol)
+    rows = [_row(field, *step) for step in accepted]
+    t_end = _crossing(rows[-1], t) if crossed else t
+    return np.reshape(rows, (-1, ROW_WIDTH)), t_end, crossed, stopped
 
 
 def lockstep(lane_field, starts, t_bound, rtol):

@@ -24,21 +24,24 @@ symmetry: probing at large beta compresses huge beta = 1 crossing radii
 into a modest window, so a fixed horizon loses almost no resolution near
 the critical exponent.
 
-Single shots (shoot, and through it threshold_bisect) and batches
-(sweep_shoot) run the one DOP853 engine of _dop853: a shot as its
-scalar step loop on Python floats, a batch as the lanes of its lockstep.
-This module passes it the cylinder field (_make_rhs for a shot, _lane_rhs
-for lanes), the series start and rel_tol, and finishes every run the same
-way (_finish): nodes uniform in t (_node_grid), sampled from the run's
-step table, written back as (r, v, dv) and kept as (t, w, w'), then
-classified.  The powers in the two fields round differently (the C
-library's against numpy's), so a shot and a lane agree to round-off.
+Single shots (shoot, and the threshold probes of shot_crosses) and
+batches (sweep_shoot) run the one DOP853 engine of _dop853: a shot as
+its scalar step loop on Python floats, a batch as the lanes of its
+lockstep.  This module passes it the cylinder field (_make_rhs for a
+shot, _lane_rhs for lanes), the series start and rel_tol.  shoot and
+sweep_shoot finish every run the same way (_finish): nodes uniform in t
+(_node_grid), sampled from the run's step table, written back as
+(r, v, dv) and kept as (t, w, w'), then classified.  A probe is a
+decision: shot_crosses runs the step loop alone and reads whether it
+crossed, with no step table, nodes or trajectory.  The powers in the two
+fields round differently (the C library's against numpy's), so a shot
+and a lane agree to round-off.
 
-threshold_bisect shoots the bracket's ends, then the path the serial
+threshold_bisect probes the bracket's ends, then the path the serial
 walk would take if the threshold sat where the first-zero law
-(closed_forms.first_zero_law) puts the horizon, one shoot each.  When the
-law is right the walk reads every decision from those shots; a midpoint
-off the path is shot when the walk reaches it.
+(closed_forms.first_zero_law) puts the horizon, one shot_crosses each.
+When the law is right the walk reads every decision from those probes; a
+midpoint off the path is probed when the walk reaches it.
 
 No shot needs scipy: the engine's tableau is a table of constants,
 crossings are refined by brent_root and node splines are _numerics'
@@ -397,21 +400,45 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     return _finish(params, config, start, *run)
 
 
+def shot_crosses(params: ProblemParams, config: ShootConfig = ShootConfig()) -> bool:
+    """Whether shoot(params, config) crosses zero: the decision alone.
+
+    Runs shoot's step loop from the same series start on the same field
+    (_dop853.scalar_steps), and reads True iff the run crossed and did not
+    stop.  It builds no step table, node, trajectory or outcome, and does
+    not refine the crossing.  Parameters or a start that series_start
+    refuses (an EmdenLabError) read False, and the refusal is logged at
+    DEBUG.  shoot's outcome is CrossedZero when this run crossed, except
+    where its nodes leave float range: shoot then raises NotInRange, and
+    this reads the run's crossing.
+    """
+    try:
+        start = series_start(params, config)
+    except EmdenLabError as exc:
+        log.debug("shot p=%.17g refused: %s", params.p, exc)
+        return False
+    _, _, crossed, stopped = _dop853.scalar_steps(
+        _make_rhs(params), start, math.log(config.r_max), config.rel_tol
+    )
+    return crossed and not stopped
+
+
 def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
     """Name the fate of a sampled trajectory.
 
     Crossing wins if any node reaches v <= 0 (the radius is refined on the
-    node spline; shots place an exact v = 0 node there already).  Otherwise
-    a positive trajectory needs at least a decade of far field beyond
-    min_fit_radius for a stable decay fit; above p_serrin the cylinder
-    state (_cylinder_state) decides between convergence to the singular
-    profile and plain power decay.  A shot is classified from its
-    integrator's (w, w'), a CSV re-read from the chain-rule image of its
-    columns.  The two give the same kind unless dv underflowed in the
-    columns (a horizon like r_max = 1e300), where the re-read's w' is
-    gamma w and it reads PositiveGlobal; the oscillation count, which
-    counts sign flips of w - w_star at round-off, may differ by a flip or
-    two.
+    node spline, bracketed by the two nodes' own values, since the spline
+    meets the last node only to round-off; shots place an exact v = 0 node
+    there already).  Otherwise a positive trajectory needs at least a
+    decade of far field beyond min_fit_radius for a stable decay fit;
+    above p_serrin the cylinder state (_cylinder_state) decides between
+    convergence to the singular profile and plain power decay.  A shot is
+    classified from its integrator's (w, w'), a CSV re-read from the
+    chain-rule image of its columns.  The two give the same kind unless dv
+    underflowed in the columns (a horizon like r_max = 1e300), where the
+    re-read's w' is gamma w and it reads PositiveGlobal; the oscillation
+    count, which counts sign flips of w - w_star at round-off, may differ
+    by a flip or two.
     """
     config = traj.config if traj.config is not None else ShootConfig()
     r, v = traj.r, traj.v
@@ -424,7 +451,9 @@ def classify_trajectory(traj: RadialTrajectory) -> ShotOutcome:
         if v[i] == 0.0:
             return CrossedZero(float(r[i]))
         sv, _ = traj._node_splines()
-        z0 = brent_root(sv, math.log(r[i - 1]), math.log(r[i]), xtol=1e-15)
+        z_lo, z_hi = math.log(r[i - 1]), math.log(r[i])
+        ends = {z_lo: float(v[i - 1]), z_hi: float(v[i])}
+        z0 = brent_root(lambda z: ends[z] if z in ends else sv(z), z_lo, z_hi, xtol=1e-15)
         return CrossedZero(float(math.exp(z0)))
 
     r_end = float(r[-1])
@@ -514,14 +543,16 @@ def threshold_bisect(
     The lower endpoint must cross, the upper must not, else BracketInvalid;
     weights the shooter refuses raise its errors, a NaN or infinite tol_p
     raises NonFiniteParameter and a tol_p <= 0 NotInRange.  Every probe is
-    one shoot: the two ends, then the serial walk's path to the threshold
-    the first-zero law predicts (_predicted_threshold, _bisection_path),
-    one midpoint per level.  The serial walk reads each decision from the
-    probes shot and shoots any midpoint not yet shot, so the answer never
-    depends on the prediction; a wrong one costs only extra shots.  An
-    inconclusive probe, or one the shooter refuses, counts as not
-    crossing.  Crossing must be monotone in p: once the walk ends, every
-    crossing probe must lie below every other probe, else
+    one shot_crosses, a decision with no trajectory: the two ends, then the
+    serial walk's path to the threshold the first-zero law predicts
+    (_predicted_threshold, _bisection_path), one midpoint per level.  The
+    serial walk reads each decision from the probes made and probes any
+    midpoint not yet probed, so the answer never depends on the
+    prediction; a wrong one costs only extra probes.  A probe whose run
+    stopped, or one the shooter refuses, counts as not crossing; a probe
+    whose nodes would leave float range (which shoot refuses) reads its
+    run's crossing.  Crossing must be monotone in p: once the walk ends,
+    every crossing probe must lie below every other probe, else
     NonMonotoneThreshold.  The path's probe count and each probe are
     logged.  The walk also ends when the bracket's midpoint rounds onto
     one of its ends, so a tol_p below the float spacing still terminates.
@@ -535,16 +566,13 @@ def threshold_bisect(
     if not tol_p > 0:
         raise NotInRange(f"tol_p = {tol_p}, need it positive")
     require_admissible(ProblemParams(N, a, b, p_lo))
-    crosses = {}  # every probe shot: does it cross?
+    crosses = {}  # every probe made: does it cross?
 
     def probe(p):
         if p not in crosses:
-            try:
-                outcome = shoot(ProblemParams(N, a, b, p), config).outcome
-            except EmdenLabError as exc:
-                outcome = Inconclusive(f"rejected: {exc}")
-            log.info("threshold probe p=%.17g -> %s", p, outcome)
-            crosses[p] = isinstance(outcome, CrossedZero)
+            crosses[p] = shot_crosses(ProblemParams(N, a, b, p), config)
+            log.info("threshold probe p=%.17g -> %s", p,
+                     "crosses" if crosses[p] else "does not cross")
         return crosses[p]
 
     if not probe(p_lo):

@@ -4,6 +4,12 @@ hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
 
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -57,6 +63,20 @@ def test_a_single_shot_and_a_one_lane_sweep_agree(row, beta, r_max):
     assert lane.kind == shot.kind
     if isinstance(shot, E.CrossedZero):
         assert abs(lane.r0 - shot.r0) <= 1e-8 * shot.r0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    row=admissible_rows(),
+    beta=st.sampled_from([1.0, 100.0]),
+    r_max=st.sampled_from([20.0, 1e3]),
+)
+def test_a_threshold_probe_decides_as_the_shot_does(row, beta, r_max):
+    # shot_crosses runs the shot's step loop without its step table, nodes
+    # or trajectory; its decision is the shot's outcome kind
+    config = E.ShootConfig(beta=beta, r_max=r_max)
+    shot = E.shoot(row, config)
+    assert E.shot_crosses(row, config) == isinstance(shot.outcome, E.CrossedZero)
 
 
 @st.composite
@@ -147,3 +167,101 @@ def test_threshold_bisect_is_the_serial_walk_on_shoot(bracket, tol_p, miss):
     while hi - lo > tol_p and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
     assert p_star == 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------- CSV round trip
+
+_SUBNORMAL = sys.float_info.min
+
+
+def _column_values():
+    """Moderate floats, signed zeros and subnormals, each drawn often."""
+    return st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _SUBNORMAL, -_SUBNORMAL]),
+        st.floats(-_SUBNORMAL, _SUBNORMAL, allow_subnormal=True),
+    )
+
+
+@st.composite
+def node_columns(draw):
+    """(r, v, dv): strictly increasing radii in [1e-3, 1e3] and drawn v and dv columns."""
+    r = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40, unique=True)))
+    n = len(r)
+    v = draw(st.lists(_column_values(), min_size=n, max_size=n))
+    dv = draw(st.lists(_column_values(), min_size=n, max_size=n))
+    return r, v, dv
+
+
+def _bits(column):
+    return [float.hex(float(x)) for x in column]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(columns=node_columns())
+def test_a_csv_round_trip_is_exact_to_the_bit(columns):
+    # every float is written in its shortest round-trip form, so the re-read
+    # holds the same bits: the sign of a zero and every subnormal included
+    r, v, dv = (np.array(c) for c in columns)
+    params = E.ProblemParams(3, 0.0, 0.0, 3.0)
+    traj = E.RadialTrajectory(params, r, v, dv)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "trajectory.csv")
+        E.trajectory_to_csv(traj, path)
+        back = E.trajectory_from_csv(path, params)
+    for got, want in ((back.r, r), (back.v, v), (back.dv, dv)):
+        assert _bits(got) == _bits(want)
+
+
+# -------------------------------------------------------------- the regimes
+
+REGIMES = (E.params.INADMISSIBLE_WEIGHTS, E.params.NO_POSITIVE_SOLUTION_SERRIN,
+           E.params.CRITICAL, E.params.SUBCRITICAL_LIOUVILLE, E.params.SUPERCRITICAL)
+
+
+def _regimes_by_formula(N, a, b, p):
+    """Which of REGIMES hold at (N, a, b, p), each re-derived from the paper's formulas."""
+    M = N - 2.0 + a
+    p_serrin = (N + b) / M
+    p_c = (N + 2.0 + 2.0 * b - a) / M
+    inadmissible = N + b <= 0 or b <= a - 2
+    serrin = not inadmissible and (p == 1 or p <= p_serrin)
+    rest = not (inadmissible or serrin)
+    critical = rest and abs(p - p_c) <= 1e-12 * abs(p_c)
+    below = rest and not critical and p < p_c
+    above = rest and not critical and p > p_c
+    return [inadmissible, serrin, critical, below, above]
+
+
+def _check_regime(params):
+    regime = E.classify(params)
+    holds = _regimes_by_formula(params.N, params.a, params.b, params.p)
+    assert sum(holds) == 1, (params, holds)  # a partition: exactly one regime
+    assert regime.kind == REGIMES[holds.index(True)], (params, regime)
+    assert regime.witness_holds(params), (params, regime)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    N=st.sampled_from([3, 4, 5, 6]),
+    a=st.floats(-0.9, 3.0),
+    b=st.floats(-8.0, 8.0),
+    p=st.one_of(st.just(1.0), st.floats(1.0, 20.0)),
+)
+def test_classify_is_a_partition_that_agrees_with_the_formulas(N, a, b, p):
+    _check_regime(E.ProblemParams(N, a, b, p))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    N=st.sampled_from([3, 4, 5, 6]),
+    a=st.floats(-0.9, 3.0),
+    sigma=st.floats(1e-3, 4.0),  # b - a + 2
+)
+def test_the_witness_holds_at_p_serrin_at_p_c_and_next_to_them(N, a, sigma):
+    b = a - 2.0 + sigma
+    assume(b > a - 2 and N + b > 0)
+    d = E.derive(E.ProblemParams(N, a, b, 2.0))
+    for edge in (d.p_serrin, d.p_critical):
+        for p in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            _check_regime(E.ProblemParams(N, a, b, p))

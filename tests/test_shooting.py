@@ -205,6 +205,14 @@ def test_classification_of_synthetic_trajectories():
     assert isinstance(out, E.CrossedZero)
     assert out.r0 == 4.0
 
+    # a last node just below zero: the spline meets it only to round-off
+    # (it reads +5.6e-17 there), so the root is bracketed by the node values
+    r = np.array([1.0, 2.0, 3.0])
+    v = np.array([1.0, 1.0, -1.1276520631335964e-308])
+    out = E.classify_trajectory(E.RadialTrajectory(params_sub, r, v, np.zeros(3)))
+    assert isinstance(out, E.CrossedZero)
+    assert out.r0 == pytest.approx(3.0, rel=1e-15)
+
 
 def test_threshold_bisect_brackets_the_dividing_exponent():
     config = E.ShootConfig(beta=100.0, r_max=300.0)
@@ -281,27 +289,23 @@ def test_threshold_bisect_refuses_non_finite_brackets(p_lo, p_hi):
 
 
 def _stub_shots(mp, crosses):
-    """Stub shoot to decide crosses(p); the p of each shot, in order.
-
-    An outcome that does not cross is Inconclusive, which counts as not crossing.
-    """
+    """Stub the threshold probe (shot_crosses) to decide crosses(p); the p of each probe, in order."""
     from emdenlab import shooting
 
     shots = []
 
-    def shoot(params, config):
+    def shot_crosses(params, config):
         shots.append(params.p)
-        outcome = E.CrossedZero(1.0) if crosses(params.p) else E.Inconclusive("stub")
-        return E.RadialTrajectory(params, None, None, None, outcome=outcome)
+        return crosses(params.p)
 
-    mp.setattr(shooting, "shoot", shoot)
+    mp.setattr(shooting, "shot_crosses", shot_crosses)
     return shots
 
 
 def test_threshold_bisect_shoots_the_ends_and_the_predicted_path_in_one_batch(
     monkeypatch, caplog
 ):
-    # every probe is one shoot, logged once
+    # every probe is one shot_crosses, logged once
     shots = _stub_shots(monkeypatch, lambda p: p < 5.0)
     with caplog.at_level("INFO", logger="emdenlab.shooting"):
         p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
@@ -317,10 +321,10 @@ def test_threshold_bisect_shoots_the_ends_and_the_predicted_path_in_one_batch(
 
 
 def _counting(shots):
-    """shooting.shoot, recording the p of every shot."""
+    """shooting.shot_crosses, recording the p of every probe."""
     from emdenlab import shooting
 
-    real = shooting.shoot
+    real = shooting.shot_crosses
 
     def counted(params, config):
         shots.append(params.p)
@@ -336,7 +340,7 @@ def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
 
     config = E.ShootConfig()
     shots = []
-    monkeypatch.setattr(shooting, "shoot", _counting(shots))
+    monkeypatch.setattr(shooting, "shot_crosses", _counting(shots))
     p_star = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
     walk = shooting._bisection_path(4.0, 6.0, 1e-5, p_star)
     assert len(walk) == 18
@@ -349,7 +353,7 @@ def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
     predict = shooting._predicted_threshold
     for offset in (0.3, -0.3, 1e-3, -1e-3):
         shots = []
-        monkeypatch.setattr(shooting, "shoot", _counting(shots))
+        monkeypatch.setattr(shooting, "shot_crosses", _counting(shots))
         monkeypatch.setattr(
             shooting, "_predicted_threshold", lambda *args: predict(*args) + offset
         )
@@ -441,6 +445,70 @@ def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch)
     # no probe is a midpoint that rounded onto an end of its bracket
     assert shots[:2] == [4.5, 5.5]
     assert len(set(shots)) == len(shots)
+
+
+def test_a_stopped_probe_and_a_refused_one_do_not_cross(monkeypatch):
+    from emdenlab import shooting
+
+    config = E.ShootConfig(r_max=100.0)
+    assert E.shot_crosses(UNWEIGHTED_CUBIC, config)  # crosses near r = 6.9
+    # refused starts and parameters read False, as shoot raises on them
+    for params, refused in [
+        (E.ProblemParams(2, 0.0, 0.0, 3.0), config),  # dimension too small
+        (E.ProblemParams(3, 0.0, 0.0, math.nan), config),
+        (UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e-100)),  # starts beyond r_max
+    ]:
+        with pytest.raises(E.EmdenLabError):
+            E.shoot(params, refused)
+        assert E.shot_crosses(params, refused) is False
+    # a field that turns NaN from r = 2 on stops the run short of the crossing
+    make_rhs = shooting._make_rhs
+
+    def nan_make_rhs(params):
+        rhs = make_rhs(params)
+        return lambda t, y: rhs(t, y) if t < math.log(2.0) else (math.nan, math.nan)
+
+    monkeypatch.setattr(shooting, "_make_rhs", nan_make_rhs)
+    assert isinstance(E.shoot(UNWEIGHTED_CUBIC, config).outcome, E.Inconclusive)
+    assert E.shot_crosses(UNWEIGHTED_CUBIC, config) is False
+    # and one stopped before its first step
+    nan_at_start(monkeypatch)
+    assert E.shot_crosses(UNWEIGHTED_CUBIC, config) is False
+
+
+def test_a_probe_reads_the_crossing_of_a_run_whose_nodes_shoot_refuses():
+    # at beta = 1e-310 every v = r^-gamma w is subnormal: shoot refuses the
+    # nodes, while the run in (t, w, w') crosses like any other
+    from emdenlab import shooting
+
+    params = E.ProblemParams(3, 0.0, 0.0, 1.5)
+    config = E.ShootConfig(beta=1e-310, r_max=1e300)
+    with pytest.raises(E.NotInRange, match="leaves float range"):
+        E.shoot(params, config)
+    start = E.series_start(params, config)
+    _, _, crossed, stopped = _dop853.scalar_run(
+        shooting._make_rhs(params), start, math.log(config.r_max), config.rel_tol
+    )
+    assert crossed and not stopped
+    assert E.shot_crosses(params, config) is True
+
+
+def test_a_bisection_builds_no_step_table_and_no_trajectory(monkeypatch):
+    from emdenlab import shooting
+
+    config = E.ShootConfig(beta=100.0, r_max=1e3)
+    expected = E.threshold_bisect(3, 0.0, 1.0, 6.0, 8.0, tol_p=1e-3, config=config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a threshold probe built a step-table row or a trajectory")
+
+    monkeypatch.setattr(_dop853, "_row", refuse)
+    monkeypatch.setattr(shooting, "_finish", refuse)
+    monkeypatch.setattr(shooting, "RadialTrajectory", refuse)
+    p_star = E.threshold_bisect(3, 0.0, 1.0, 6.0, 8.0, tol_p=1e-3, config=config)
+    assert float.hex(p_star) == float.hex(expected)
+    with pytest.raises(AssertionError, match="step-table row"):
+        E.shoot(UNWEIGHTED_CUBIC, config)
 
 
 @pytest.mark.parametrize(
