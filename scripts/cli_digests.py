@@ -63,8 +63,8 @@ CALLS = [
     # negative values in exponent notation, each a separate token
     ("classify-negative-exponent", ["classify", "--N", "3", "--a", "-5e-1", "--b", "-1e-1",
                                     "--p", "3"]),
-    # the first-zero law puts the threshold at 3.236, p_star is 3.5623: the walk
-    # leaves the predicted path and shoots its last 13 midpoints one at a time
+    # a short horizon far below p_c: p_star is 3.5623, where the first-zero
+    # law puts this horizon's threshold at 3.236; the 2 ends and 16 midpoints
     ("threshold-missed", ["threshold", *CUBIC, "--p-lo", "2", "--p-hi", "6", "--tol", "1e-4",
                           "--beta", "1", "--rmax", "10"]),
 ]

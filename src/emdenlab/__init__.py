@@ -58,7 +58,6 @@ from .errors import (
     NonFiniteParameter,
     NonIntegerDimension,
     NonintegrableProfile,
-    NonMonotoneThreshold,
     NonpositiveNode,
     NonpositiveRadius,
     NonpositiveSolution,

@@ -82,10 +82,6 @@ class BracketInvalid(EmdenLabError):
     """Bisection endpoints do not straddle the crossing boundary."""
 
 
-class NonMonotoneThreshold(BracketInvalid):
-    """A probe crosses zero above a probe that does not: no single threshold."""
-
-
 class BalanceViolated(EmdenLabError):
     """The dimensional balance tying (N, a, b, q) together fails."""
 

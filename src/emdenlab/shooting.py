@@ -37,11 +37,8 @@ crossed, with no step table, nodes or trajectory.  The powers in the two
 fields round differently (the C library's against numpy's), so a shot
 and a lane agree to round-off.
 
-threshold_bisect probes the bracket's ends, then the path the serial
-walk would take if the threshold sat where the first-zero law
-(closed_forms.first_zero_law) puts the horizon, one shot_crosses each.
-When the law is right the walk reads every decision from those probes; a
-midpoint off the path is probed when the walk reaches it.
+threshold_bisect is a plain bisection in p: it probes the bracket's
+ends, then one midpoint per level, one shot_crosses each.
 
 No shot needs scipy: the engine's tableau is a table of constants,
 crossings are refined by brent_root and node splines are _numerics'
@@ -64,19 +61,17 @@ import numpy as np
 
 from . import _dop853
 from ._numerics import Knots, brent_root
-from .closed_forms import first_zero_law
 from .errors import (
     BracketInvalid,
     DerivativeUndefinedAtOrigin,
     EmdenLabError,
     MalformedTrajectory,
     NonFiniteParameter,
-    NonMonotoneThreshold,
     NonpositiveNode,
     NotInRange,
     RangeExceeded,
 )
-from .params import ProblemParams, Record, derive, p_critical, require_admissible
+from .params import ProblemParams, Record, derive, require_admissible
 
 log = logging.getLogger(__name__)
 
@@ -486,49 +481,6 @@ def _split(lo: float, hi: float, tol_p: float) -> float | None:
     return mid if hi - lo > tol_p and lo < mid < hi else None
 
 
-def _bisection_path(lo: float, hi: float, tol_p: float, p_pred: float) -> list:
-    """The midpoints the serial walk from (lo, hi) probes if the threshold is p_pred.
-
-    One midpoint per level (_split); a midpoint below p_pred is taken to cross.
-    """
-    path = []
-    while (mid := _split(lo, hi, tol_p)) is not None:
-        path.append(mid)
-        lo, hi = (mid, hi) if mid < p_pred else (lo, mid)
-    return path
-
-
-def _predicted_threshold(N: int, a: float, b: float, config: ShootConfig) -> float:
-    """Where the first-zero law puts the crossing threshold of config's shots.
-
-    The shot of height beta crosses at beta^(-(p-1)/sigma) times the unit
-    shot's radius, and (p-1)/sigma = 2/(N-2+a) at p_c, so the law puts its
-    first zero on the horizon r_max at p_c - delta with
-    delta = (C / (r_max beta^(2/(N-2+a))))^(N-2+a).  Where delta leaves
-    float range the prediction is p_c; it never raises.
-    """
-    p_c = p_critical(N, a, b)
-    try:
-        nu, log_c = first_zero_law(N, a, b)
-        log_delta = (log_c - math.log(config.r_max)) / nu - 2.0 * math.log(config.beta)
-        delta = math.exp(log_delta)
-    except (ArithmeticError, ValueError):
-        return p_c
-    return p_c - delta if math.isfinite(delta) else p_c
-
-
-def _require_crossing_prefix(crosses: dict) -> None:
-    """NonMonotoneThreshold unless every crossing p lies below every other p."""
-    ps = sorted(crosses)
-    first_miss = next(i for i, p in enumerate(ps) if not crosses[p])
-    above = [p for p in ps[first_miss:] if crosses[p]]
-    if above:
-        raise NonMonotoneThreshold(
-            f"crossing is not monotone in p: p = {above[-1]!r} crosses but "
-            f"p = {ps[first_miss]!r} below it does not"
-        )
-
-
 def threshold_bisect(
     N: int,
     a: float,
@@ -541,21 +493,17 @@ def threshold_bisect(
     """Bisect the crossing/no-crossing boundary in p.
 
     The lower endpoint must cross, the upper must not, else BracketInvalid;
-    weights the shooter refuses raise its errors, a NaN or infinite tol_p
-    raises NonFiniteParameter and a tol_p <= 0 NotInRange.  Every probe is
-    one shot_crosses, a decision with no trajectory: the two ends, then the
-    serial walk's path to the threshold the first-zero law predicts
-    (_predicted_threshold, _bisection_path), one midpoint per level.  The
-    serial walk reads each decision from the probes made and probes any
-    midpoint not yet probed, so the answer never depends on the
-    prediction; a wrong one costs only extra probes.  A probe whose run
-    stopped, or one the shooter refuses, counts as not crossing; a probe
-    whose nodes would leave float range (which shoot refuses) reads its
-    run's crossing.  Crossing must be monotone in p: once the walk ends,
-    every crossing probe must lie below every other probe, else
-    NonMonotoneThreshold.  The path's probe count and each probe are
-    logged.  The walk also ends when the bracket's midpoint rounds onto
-    one of its ends, so a tol_p below the float spacing still terminates.
+    weights or a start at p_lo that the shooter refuses (series_start)
+    raise its errors, a NaN or infinite tol_p raises NonFiniteParameter and
+    a tol_p <= 0 NotInRange.  Every probe is one shot_crosses, a decision
+    with no trajectory, logged once: the two ends, then one midpoint per
+    level (_split).  The bracket keeps the largest crossing probe and the
+    smallest one that does not cross, and every midpoint lies strictly
+    inside it, so no p is probed twice.  A probe whose run stopped, or one
+    the shooter refuses, counts as not crossing; a probe whose nodes would
+    leave float range (which shoot refuses) reads its run's crossing.  The
+    walk also ends when the bracket's midpoint rounds onto one of its
+    ends, so a tol_p below the float spacing still terminates.
     """
     if not p_lo < p_hi < math.inf:
         raise BracketInvalid(f"need finite p_lo < p_hi, got [{p_lo}, {p_hi}]")
@@ -565,30 +513,23 @@ def threshold_bisect(
         raise NonFiniteParameter(f"tol_p = {tol_p}, need it finite")
     if not tol_p > 0:
         raise NotInRange(f"tol_p = {tol_p}, need it positive")
-    require_admissible(ProblemParams(N, a, b, p_lo))
-    crosses = {}  # every probe made: does it cross?
+    series_start(ProblemParams(N, a, b, p_lo), config)
 
     def probe(p):
-        if p not in crosses:
-            crosses[p] = shot_crosses(ProblemParams(N, a, b, p), config)
-            log.info("threshold probe p=%.17g -> %s", p,
-                     "crosses" if crosses[p] else "does not cross")
-        return crosses[p]
+        crosses = shot_crosses(ProblemParams(N, a, b, p), config)
+        log.info("threshold probe p=%.17g -> %s", p,
+                 "crosses" if crosses else "does not cross")
+        return crosses
 
     if not probe(p_lo):
         raise BracketInvalid(f"p_lo = {p_lo} does not cross within the horizon")
     if probe(p_hi):
         raise BracketInvalid(f"p_hi = {p_hi} still crosses within the horizon")
-    path = _bisection_path(p_lo, p_hi, tol_p, _predicted_threshold(N, a, b, config))
-    log.info("threshold path: %d probes toward the predicted threshold", len(path))
-    for p in path:
-        probe(p)
     while (mid := _split(p_lo, p_hi, tol_p)) is not None:
         if probe(mid):
             p_lo = mid
         else:
             p_hi = mid
-    _require_crossing_prefix(crosses)
     return 0.5 * (p_lo + p_hi)
 
 

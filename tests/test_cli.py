@@ -93,6 +93,17 @@ def test_threshold_refuses_a_nan_weight(capsys):
     assert "NonFiniteParameter" in err
 
 
+def test_threshold_names_a_start_beyond_the_horizon(capsys):
+    # the shooter's refusal at p_lo, as shoot reports it, not BracketInvalid
+    code, out, err = run(
+        capsys,
+        "threshold", "--N", "3", "--a", "0", "--b", "0",
+        "--p-lo", "4.5", "--p-hi", "5.5", "--beta", "1e-100",
+    )
+    assert code == 2 and out == ""
+    assert "NotInRange" in err and "at or beyond r_max" in err
+
+
 def test_classify_refuses_a_nan_power(capsys):
     code, out, err = run(
         capsys, "classify", "--N", "3", "--a", "0", "--b", "0", "--p", "nan"

@@ -142,28 +142,17 @@ def threshold_brackets(draw):
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
-@given(
-    bracket=threshold_brackets(),
-    tol_p=st.sampled_from([1e-2, 1e-3]),
-    miss=st.sampled_from([0.0, -0.3, 0.3]),
-)
-def test_threshold_bisect_is_the_serial_walk_on_shoot(bracket, tol_p, miss):
-    # the predicted path's shots and the walk's decide as one shot at a
-    # time does, so the answer is the serial bisection's, whether the
-    # predicted path is the walk's (miss = 0) or leaves it
-    from emdenlab import shooting
-
+@given(bracket=threshold_brackets(), tol_p=st.sampled_from([1e-2, 1e-3]))
+def test_threshold_bisect_is_the_serial_walk_on_shoot(bracket, tol_p):
+    # every probe decides as one shot at a time does, so the answer is the
+    # serial bisection's on shoot
     N, a, b, lo, hi = bracket
 
     def crosses(p):
         return isinstance(E.shoot(E.ProblemParams(N, a, b, p), FAR).outcome, E.CrossedZero)
 
     assert crosses(lo) and not crosses(hi)
-    predict = shooting._predicted_threshold
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(shooting, "_predicted_threshold",
-                   lambda *args: predict(*args) + miss * (hi - lo))
-        p_star = E.threshold_bisect(N, a, b, lo, hi, tol_p=tol_p, config=FAR)
+    p_star = E.threshold_bisect(N, a, b, lo, hi, tol_p=tol_p, config=FAR)
     while hi - lo > tol_p and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
     assert p_star == 0.5 * (lo + hi)

@@ -234,6 +234,15 @@ def test_threshold_bisect_rejects_bad_brackets():
         E.threshold_bisect(3, 0.0, 0.0, 3.0, 4.5, tol_p=0.05, config=config)
 
 
+def _serial_walk(lo, hi, tol_p, crosses):
+    """The midpoints a serial bisection of (lo, hi) probes, in order, and its answer."""
+    walk = []
+    while hi - lo > tol_p and lo < (mid := 0.5 * (lo + hi)) < hi:
+        walk.append(mid)
+        lo, hi = (mid, hi) if crosses(mid) else (lo, mid)
+    return walk, 0.5 * (lo + hi)
+
+
 def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config):
     """Reference bisection: one shot per probe, each waiting on the last."""
 
@@ -241,13 +250,7 @@ def serial_threshold(N, a, b, p_lo, p_hi, tol_p, config):
         return isinstance(E.shoot(E.ProblemParams(N, a, b, p), config).outcome, E.CrossedZero)
 
     assert crosses(p_lo) and not crosses(p_hi)
-    while p_hi - p_lo > tol_p:
-        mid = 0.5 * (p_lo + p_hi)
-        if crosses(mid):
-            p_lo = mid
-        else:
-            p_hi = mid
-    return 0.5 * (p_lo + p_hi)
+    return _serial_walk(p_lo, p_hi, tol_p, crosses)[1]
 
 
 @pytest.mark.parametrize(
@@ -311,13 +314,11 @@ def test_threshold_bisect_shoots_the_ends_and_the_predicted_path_in_one_batch(
         p_star = E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
     # serial bisection: 5.0 fails, then 4.75, 4.875, 4.9375 and 4.96875 cross
     assert p_star == 0.5 * (4.96875 + 5.0)
-    # width 1 to 0.05 takes 5 halvings, and the predicted path (p_h just
-    # below 5) is the walk's: the 2 ends, then 5 midpoints, and no other shot
+    # width 1 to 0.05 takes 5 halvings: the 2 ends, then 5 midpoints, and
+    # no other shot
     assert shots == [4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875]
     probes = [r for r in caplog.records if r.msg.startswith("threshold probe")]
     assert len(probes) == 7
-    path = [r.getMessage() for r in caplog.records if r.msg.startswith("threshold path")]
-    assert path == ["threshold path: 5 probes toward the predicted threshold"]
 
 
 def _counting(shots):
@@ -335,56 +336,44 @@ def _counting(shots):
 
 def test_threshold_bisect_walks_the_predicted_path_in_one_round(monkeypatch):
     # README bracket at the default config: beta = 1, r_max = 1e4, where
-    # p_h sits 1.8e-3 below p_c and the first-zero law places it within 1e-5
+    # p_h sits 1.8e-3 below p_c
     from emdenlab import shooting
 
     config = E.ShootConfig()
     shots = []
     monkeypatch.setattr(shooting, "shot_crosses", _counting(shots))
     p_star = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
-    walk = shooting._bisection_path(4.0, 6.0, 1e-5, p_star)
-    assert len(walk) == 18
-    assert shots == [4.0, 6.0, *walk]  # 2 ends + 18 path midpoints
+    walk, answer = _serial_walk(4.0, 6.0, 1e-5, lambda p: p < p_star)
+    assert answer == p_star and len(walk) == 18
+    assert shots == [4.0, 6.0, *walk]  # 2 ends + 18 midpoints
     monkeypatch.undo()
     assert p_star == serial_threshold(3, 0.0, 0.0, 4.0, 6.0, 1e-5, config)
 
-    # a wrong prediction only costs single shots: after the predicted path,
-    # one per level it misses
-    predict = shooting._predicted_threshold
-    for offset in (0.3, -0.3, 1e-3, -1e-3):
-        shots = []
-        monkeypatch.setattr(shooting, "shot_crosses", _counting(shots))
-        monkeypatch.setattr(
-            shooting, "_predicted_threshold", lambda *args: predict(*args) + offset
-        )
-        got = E.threshold_bisect(3, 0.0, 0.0, 4.0, 6.0, tol_p=1e-5, config=config)
-        assert got == p_star
-        path = shooting._bisection_path(4.0, 6.0, 1e-5, predict(3, 0.0, 0.0, config) + offset)
-        missed = [p for p in walk if p not in path]
-        assert missed != []
-        assert shots == [4.0, 6.0, *path, *missed]
-        monkeypatch.undo()
 
-
-@pytest.mark.parametrize(
-    "N, a, b, beta, r_max",
-    [
-        (3, 0.0, 0.0, 1e-300, 1e4),
-        (3, 0.0, 0.0, 1e300, 1e300),
-        (3, 0.0, -2.0 + 1e-15, 1.0, 1e4),
-        (3, 0.0, 1e308, 1.0, 1e4),
-        (10**300, 0.0, 0.0, 1.0, 1e4),
-    ],
-    ids=["delta-overflows", "delta-underflows", "C-overflows", "p_c-infinite",
-         "log-C-infinite"],
-)
-def test_threshold_prediction_never_raises(N, a, b, beta, r_max):
+def test_threshold_bisect_probes_the_ends_and_one_midpoint_per_level(monkeypatch):
+    # a short horizon far below p_c (the first-zero law puts its threshold
+    # at 3.236, p_star is 3.5623): the 2 ends, then one midpoint per level
     from emdenlab import shooting
 
-    config = E.ShootConfig(beta=beta, r_max=r_max)
-    p_pred = shooting._predicted_threshold(N, a, b, config)
-    p_c = E.params.p_critical(N, a, b)
-    assert p_pred == p_c or 0.0 < p_c - p_pred < math.inf
+    config = E.ShootConfig(beta=1.0, r_max=10.0)
+    shots = []
+    monkeypatch.setattr(shooting, "shot_crosses", _counting(shots))
+    p_star = E.threshold_bisect(3, 0.0, 0.0, 2.0, 6.0, tol_p=1e-4, config=config)
+    assert p_star.hex() == "0x1.c7fb000000000p+1"
+    walk, answer = _serial_walk(2.0, 6.0, 1e-4, lambda p: p < p_star)
+    assert answer == p_star and len(walk) == 16
+    assert shots == [2.0, 6.0, *walk]
+
+
+def test_threshold_bisect_names_a_refused_start_at_p_lo():
+    # beta = 1e-100 puts the start beyond r_max: the shooter's refusal,
+    # not a BracketInvalid that blames the bracket
+    config = E.ShootConfig(beta=1e-100)
+    with pytest.raises(E.NotInRange, match="at or beyond r_max") as shot:
+        E.shoot(E.ProblemParams(3, 0.0, 0.0, 4.5), config)
+    with pytest.raises(E.NotInRange) as bisect:
+        E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, config=config)
+    assert str(bisect.value) == str(shot.value)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -393,37 +382,17 @@ def test_threshold_prediction_never_raises(N, a, b, beta, r_max):
     below=st.floats(1e-9, 3.0),
     above=st.floats(0.0, 3.0),
     tol_p=st.sampled_from([1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12, 1e-20]),
-    prediction=st.floats(0.0, 13.0),
 )
 def test_threshold_bisect_is_the_serial_walk_whatever_the_prediction(
-    theta, below, above, tol_p, prediction
+    theta, below, above, tol_p
 ):
-    from emdenlab import shooting
-
     p_lo, p_hi = theta - below, theta + above
-    lo, hi = p_lo, p_hi
-    while hi - lo > tol_p and lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if mid < theta else (lo, mid)
+    walk, answer = _serial_walk(p_lo, p_hi, tol_p, lambda p: p < theta)
     with pytest.MonkeyPatch.context() as mp:
         shots = _stub_shots(mp, lambda p: p < theta)
-        mp.setattr(shooting, "_predicted_threshold", lambda *args: prediction)
         got = E.threshold_bisect(3, 0.0, 0.0, p_lo, p_hi, tol_p=tol_p)
-    assert got == 0.5 * (lo + hi)
-    path = shooting._bisection_path(p_lo, p_hi, tol_p, prediction)
-    assert shots[: 2 + len(path)] == [p_lo, p_hi, *path]
-    assert len(set(shots)) == len(shots)
-
-
-def test_threshold_bisect_refuses_a_crossing_above_a_non_crossing(monkeypatch):
-    # the predicted path (p_h just below 5) probes 4.9375 inside the island;
-    # the walk then shoots 4.8125, which does not cross, and 4.78125
-    crosses = lambda p: p < 4.8 or 4.93 < p < 4.95  # noqa: E731
-    shots = _stub_shots(monkeypatch, crosses)
-    with pytest.raises(E.NonMonotoneThreshold, match=r"4\.9375.*4\.8125") as info:
-        E.threshold_bisect(3, 0.0, 0.0, 4.5, 5.5, tol_p=0.05)
-    assert isinstance(info.value, E.BracketInvalid)
-    assert shots == [4.5, 5.5, 5.0, 4.75, 4.875, 4.9375, 4.96875, 4.8125, 4.78125]
+    assert got == answer
+    assert shots == [p_lo, p_hi, *walk]
 
 
 def test_threshold_bisect_stops_at_the_float_spacing_of_the_bracket(monkeypatch):
