@@ -67,6 +67,15 @@ CALLS = [
     # law puts this horizon's threshold at 3.236; the 2 ends and 16 midpoints
     ("threshold-missed", ["threshold", *CUBIC, "--p-lo", "2", "--p-hi", "6", "--tol", "1e-4",
                           "--beta", "1", "--rmax", "10"]),
+    # probes within 1e-6 of p_c = 13/3, where a decision turns on a run's last bits
+    ("threshold-weighted-fine", ["threshold", "--N", "3", "--a", "0.5", "--b", "1",
+                                 "--p-lo", "4.3", "--p-hi", "4.4", "--tol", "1e-6"]),
+    # sigma = 0.0217: the bubble's amplitude, about 1e328, leaves float range (exit 2)
+    ("bubble-small-sigma", ["bubble", "--N", "7", "--a", "2.9390709647512576",
+                            "--b", "0.9607210425423728"]),
+    # v = 1e120 near the start: r^3 v^4 leaves float range on the nodes (exit 2)
+    ("pohozaev-huge-beta", ["pohozaev", *CUBIC, "--p", "3", "--beta", "1e120", "--rmax", "1",
+                            "--radii", "1e-121"]),
 ]
 
 GRIDS = {

@@ -7,19 +7,24 @@ and ends at y0 <= 0; a run whose nodes are sampled refines that crossing
 by brent_root on the step's dense output.  The field is passed in;
 nothing here knows the equation.  Two drivers share the tableau, initial
 step, step control, error norm, crossing rule and step-table layout
-(ROW_WIDTH, sampled by dense_nodes).  scalar_steps is a step loop on
-Python floats, its stages straight-line code (_step_source), so one lane
-pays no numpy call overhead; it keeps each accepted step and builds no
-dense output, so a caller that asks only whether a run crossed pays for
-none.  scalar_run builds that run's step table (_row) and refines its
-crossing.  lockstep advances many lanes as numpy arrays, one step per
-lane per iteration, each with its own step size, and returns every
-lane's run at the end.  An iteration evaluates the field 12 times; the
-three dense-output stages of accepted steps are built later (the
-lockstep's in bulk, a bounded buffer at a time), so rejected steps never
-pay for them.  scalar_run and lockstep return a run as (steps,
-t_end, crossed, stopped) and sum stages in stage order, so the two agree
-to round-off beyond the rounding of the field itself.
+(ROW_WIDTH, sampled by dense_nodes).  The scalar driver takes its field
+as source (Scalar): the whole step loop on Python floats, with the
+field's statements spliced into every stage, is one function compiled
+from the tableau and that source (_scalar_source), so one lane pays
+neither numpy's call overhead nor a call per stage.  The same source
+gives the callable field (for the initial step) and the step-table row.
+scalar_steps runs the loop, keeping each accepted step only when asked
+and building no dense output, so a caller that asks only whether a run
+crossed pays for none.  scalar_run keeps the steps, builds that run's
+step table (Scalar.row) and refines its crossing.  lockstep advances
+many lanes as numpy arrays, one step per lane per iteration, each with
+its own step size, and returns every lane's run at the end.  An
+iteration evaluates the field 12 times; the three dense-output stages of
+accepted steps are built later (the lockstep's in bulk, a bounded buffer
+at a time), so rejected steps never pay for them.  scalar_run and
+lockstep return a run as (steps, t_end, crossed, stopped) and sum stages
+in stage order, so the two agree to round-off beyond the rounding of the
+field itself.
 
 The error norm is relative to the size of the state (section II.4): a
 step's error is scaled by rtol times the largest of |y0|, |y1|, |y0_new|
@@ -34,9 +39,9 @@ The decimal literals are those of scipy/integrate/_ivp/dop853_coefficients.py
 Developers), copied digit for digit, so every double equals scipy's.  E3 is
 built from B by the same three subtractions.  The sparse tables hold the
 nonzero entries only, as {column: weight}; coefficients() expands them
-into scipy's dense arrays.  Each driver's tableau is built once, at
-import: the lockstep's as arrays, scalar_run's as source compiled from
-these constants alone.
+into scipy's dense arrays.  The lockstep's tableau is built once, at
+import, as arrays; the scalar driver's is source compiled with its field,
+once per Scalar.
 """
 
 import math
@@ -257,55 +262,118 @@ _E53_LANES = np.stack([_E5, _E3])[:, :, None, None]
 _D_LANES = _D[:, :, None, None]
 
 
-def _step_source():
-    """The one-lane step as straight-line code, as the Fortran DOP853 writes it.
+# step control, as scipy's DOP853 has it
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+EPS = np.finfo(float).eps
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    trial(field, t, h, v, dv, f), f the field at (t, v, dv), returns the
-    step's end, its E5 and E3 error sums, and K, its 13 stages flattened
-    as (k0v, k0dv, k1v, ...); row(field, t, h, v, dv, v_new, dv_new, K)
-    the step's row of the step table, built as _Pending.flush builds it.
-    A sum is 0.0 plus its terms in stage order, a weight its repr (the
-    same double).  A zero weight changes no bit of a sum of finite stages,
-    so only E5 and E3 keep theirs: a non-finite field at a step's end
-    (weight 0) still fails the error test, as it does in the lockstep.
+
+def _scalar_source(params, source):
+    """The one-lane driver of a field as straight-line code, as the Fortran DOP853 writes it.
+
+    field(x, y0, y1, *args) returns the field (f0, f1).  loop(t, v, dv,
+    k0v, k0dv, h_abs, t_bound, rtol, keep, *args) is scalar_steps' loop
+    from the state (t, v, dv), the field (k0v, k0dv) there and the first
+    step h_abs.  row(t, h, v, dv, v_new, dv_new, K, *args) is an accepted
+    step's row of the step table, built as _Pending.flush builds it.  The
+    field's source is spliced into each stage, with no call.  A sum is
+    0.0 plus its terms in stage order, a weight its repr (the same
+    double).  A zero weight changes no bit of a sum of finite stages, so
+    only E5 and E3 keep theirs: a non-finite field at a step's end (weight
+    0) still fails the error test, as it does in the lockstep.
     """
+    args = "".join(f", {name}" for name in params)
+    body = source.strip("\n").splitlines()
+    reads_x = "x" in compile(source, "<field>", "exec").co_names
 
     def total(weights, c):  # weights as {j: w_j}
         return " + ".join(["0.0", *(f"{w!r} * k{j}{c}" for j, w in sorted(weights.items()))])
 
-    def stage(s):
-        return (f"    k{s}v, k{s}dv = field(t + {C[s]!r} * h, (v + h * ({total(A_ROWS[s], 'v')}),"
-                f" dv + h * ({total(A_ROWS[s], 'dv')})))")
+    def evaluate(k, x, y0, y1, pad):
+        """Lines that set k{k}v, k{k}dv to the field at (x, y0, y1)."""
+        lines = [f"x = {x}"] if reads_x else []
+        lines += [f"y0 = {y0}", f"y1 = {y1}", *body, f"k{k}v, k{k}dv = f0, f1"]
+        return [pad + line for line in lines]
+
+    def stages(first, last, pad):
+        return [line for s in range(first, last) for line in evaluate(
+            s, f"t + {C[s]!r} * h", f"v + h * ({total(A_ROWS[s], 'v')})",
+            f"dv + h * ({total(A_ROWS[s], 'dv')})", pad)]
 
     K = ", ".join(f"k{j}v, k{j}dv" for j in range(N_STAGES + 1))
     B = A_ROWS[N_STAGES]
-    errors = [total(dict(enumerate(e.tolist())), c) for e in (_E5, _E3) for c in ("v", "dv")]
+    e5v, e5dv, e3v, e3dv = (total(dict(enumerate(e.tolist())), c)
+                            for e in (_E5, _E3) for c in ("v", "dv"))
     dense = [f"h * ({total(row, c)})" for row in D_ROWS for c in ("v", "dv")]
     return "\n".join([
-        "def trial(field, t, h, v, dv, f):",
-        "    k0v, k0dv = f",
-        *map(stage, range(1, N_STAGES)),
-        f"    v_new, dv_new = v + h * ({total(B, 'v')}), dv + h * ({total(B, 'dv')})",
-        "    k12v, k12dv = field(t + h, (v_new, dv_new))",
-        f"    return v_new, dv_new, {', '.join(errors)}, ({K})",
-        "def row(field, t, h, v, dv, v_new, dv_new, K):",
+        f"def field(x, y0, y1{args}):",
+        *("    " + line for line in body),
+        "    return f0, f1",
+        f"def loop(t, v, dv, k0v, k0dv, h_abs, t_bound, rtol, keep{args}):",
+        "    accepted = [] if keep else None",
+        "    retry = False",
+        "    while True:",
+        "        min_step = 10.0 * (math.nextafter(t, math.inf) - t)",
+        "        if not retry:",
+        "            h_abs = max(h_abs, min_step)",
+        "        if not h_abs >= min_step:  # a NaN step fails too",
+        "            return accepted, t, False, True",
+        "        t_new = min(t + h_abs, t_bound)",
+        "        h = t_new - t",
+        *stages(1, N_STAGES, " " * 8),
+        f"        v_new = v + h * ({total(B, 'v')})",
+        f"        dv_new = dv + h * ({total(B, 'dv')})",
+        *evaluate(N_STAGES, "t + h", "v_new", "dv_new", " " * 8),
+        "        scale = rtol * max(abs(v), abs(dv), abs(v_new), abs(dv_new))",
+        f"        e5v, e5dv = ({e5v}) / scale, ({e5dv}) / scale",
+        f"        e3v, e3dv = ({e3v}) / scale, ({e3dv}) / scale",
+        "        err5 = e5v * e5v + e5dv * e5dv",
+        "        err3 = e3v * e3v + e3dv * e3dv",
+        "        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0",
+        f"        ratio = {_SAFETY!r} * error_norm ** {_ERROR_EXPONENT!r}"
+        " if error_norm else math.inf",
+        "        if not error_norm < 1:",
+        f"            h_abs = h * max({_MIN_FACTOR!r}, ratio)",
+        "            retry = True",
+        "            continue",
+        f"        grow = min({_MAX_FACTOR!r}, ratio)",
+        "        h_abs = h * (min(1.0, grow) if retry else grow)",
+        "        retry = False",
+        "        if keep:",
+        f"            accepted.append((t, h, v, dv, v_new, dv_new, ({K})))",
+        "        crossed = v >= 0 and v_new <= 0",
+        f"        t, v, dv, k0v, k0dv = t_new, v_new, dv_new, k{N_STAGES}v, k{N_STAGES}dv",
+        "        if crossed or t >= t_bound:",
+        "            return accepted, t, crossed, False",
+        f"def row(t, h, v, dv, v_new, dv_new, K{args}):",
         f"    {K} = K",
-        *map(stage, range(N_STAGES + 1, N_STAGES_EXTENDED)),
+        *stages(N_STAGES + 1, N_STAGES_EXTENDED, "    "),
         "    delta_v, delta_dv = v_new - v, dv_new - dv",
         "    return (0.0, t, h, v, dv, delta_v, delta_dv, h * k0v - delta_v, h * k0dv - delta_dv,"
         f" 2 * delta_v - h * (k12v + k0v), 2 * delta_dv - h * (k12dv + k0dv), {', '.join(dense)})",
     ])
 
 
-_STEP = {}
-exec(compile(_step_source(), f"<{__name__} step>", "exec"), _STEP)
-_trial, _row = _STEP["trial"], _STEP["row"]
+class Scalar:
+    """The one-lane driver of a field y' = f(x, y), compiled once from its source.
 
-# step control, as scipy's DOP853 has it
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
-EPS = np.finfo(float).eps
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    source is unindented Python statements that set f0 and f1 from the
+    state y0, y1, the time x and the parameters named in params; they may
+    read the math module.  Every name they bind is a local of the step
+    loop, beside its own (t, h, v, dv, the stages k<j>v, k<j>dv, ...), so
+    a temporary must not reuse one of those.  field, loop and row are
+    _scalar_source's, each taking the parameters' values last, in params
+    order; scalar_steps and scalar_run drive them.
+    """
+
+    def __init__(self, params, source):
+        self.params, self.source = tuple(params), source
+        namespace = {"math": math}
+        exec(compile(_scalar_source(self.params, source), f"<{__name__} scalar>", "exec"),
+             namespace)
+        self.field, self.loop, self.row = namespace["field"], namespace["loop"], namespace["row"]
+
 
 # Accepted steps held back before their dense-output stages are built in one
 # pass: room for _PENDING_ITERATIONS iterations of the whole batch, and at
@@ -467,75 +535,46 @@ def dense_nodes(steps, nodes):
     return out[0], out[1]
 
 
-def scalar_steps(field, start, t_bound, rtol):
-    """One run on Python floats: (accepted, t, crossed, stopped).
+def scalar_steps(scalar, args, start, t_bound, rtol, keep=False):
+    """One run of a Scalar on Python floats: (accepted, t, crossed, stopped).
 
     The lockstep's iteration for a single lane: the same initial step
-    (_initial_step on one-lane arrays), step control, stage sums in stage
-    order (_trial), error norm, minimum-step test and crossing rule.
-    field(t, (y0, y1)) returns (y0', y1'), and start is (t, y0, y1).
+    (_initial_step on one-lane arrays, with scalar.field), then
+    scalar.loop, with the same step control, stage sums in stage order,
+    error norm, minimum-step test and crossing rule.  args are the
+    values of scalar.params, and start is (t, y0, y1).  With keep,
     accepted holds every accepted step as (t, h, y0, y1, y0_new, y1_new,
-    K), K its 13 stages as _trial returns them; it is empty when the run
-    stops before its first step.  t is where the run ended: the end of
-    the crossing step, t_bound, or, for a run that failed the minimum-step
-    test (stopped), the last t it reached.  No dense output is built.
+    K), K its 13 stages flattened as (k0v, k0dv, k1v, ...), and is empty
+    when the run stops before its first step; without, it is None.  t is
+    where the run ended: the end of the crossing step, t_bound, or, for a
+    run that failed the minimum-step test (stopped), the last t it
+    reached.  No dense output is built.
     """
     t, v, dv = start
+    f = scalar.field(t, v, dv, *args)
 
     def one_lane(t, y, out):
-        out[0] = field(float(t[0]), (float(y[0, 0]), float(y[0, 1])))
+        out[0] = scalar.field(float(t[0]), float(y[0, 0]), float(y[0, 1]), *args)
 
-    f = field(t, (v, dv))
     with np.errstate(all="ignore"):
         h_abs = _initial_step(
             np.array([t]), np.array([[v, dv]]), np.array([f]), t_bound, one_lane, rtol
         )
-    h_abs = float(h_abs[0])
-    accepted = []
-    retry = False
-    while True:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        if not retry:
-            h_abs = max(h_abs, min_step)
-        if not h_abs >= min_step:  # a NaN step fails too
-            return accepted, t, False, True
-        t_new = min(t + h_abs, t_bound)
-        h = t_new - t
-
-        v_new, dv_new, e5v, e5dv, e3v, e3dv, K = _trial(field, t, h, v, dv, f)
-        scale = rtol * max(abs(v), abs(dv), abs(v_new), abs(dv_new))
-        e5v, e5dv, e3v, e3dv = e5v / scale, e5dv / scale, e3v / scale, e3dv / scale
-        err5 = e5v * e5v + e5dv * e5dv
-        err3 = e3v * e3v + e3dv * e3dv
-        error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2) if err5 else 0.0
-        ratio = _SAFETY * error_norm**_ERROR_EXPONENT if error_norm else math.inf
-        if not error_norm < 1:
-            h_abs = h * max(_MIN_FACTOR, ratio)
-            retry = True
-            continue
-        grow = min(_MAX_FACTOR, ratio)
-        h_abs = h * (min(1.0, grow) if retry else grow)
-        retry = False
-
-        accepted.append((t, h, v, dv, v_new, dv_new, K))
-        crossed = v >= 0 and v_new <= 0
-        t, v, dv, f = t_new, v_new, dv_new, K[-2:]
-        if crossed or t >= t_bound:
-            return accepted, t, crossed, False
+    return scalar.loop(t, v, dv, *f, float(h_abs[0]), t_bound, rtol, keep, *args)
 
 
-def scalar_run(field, start, t_bound, rtol):
+def scalar_run(scalar, args, start, t_bound, rtol):
     """scalar_steps' run with its step table: (steps, t_end, crossed, stopped).
 
     steps holds every accepted step as a row of the step table
-    (ROW_WIDTH, built by _row), with lane 0; it has no rows when the run
-    stops before its first step.  t_end is the crossing refined on the
-    last row's dense output, t_bound, or, for a stopped run, the last t it
-    reached.  Only a caller that samples nodes needs this; a caller that
-    only asks whether the run crossed reads scalar_steps.
+    (ROW_WIDTH, built by scalar.row), with lane 0; it has no rows when
+    the run stops before its first step.  t_end is the crossing refined
+    on the last row's dense output, t_bound, or, for a stopped run, the
+    last t it reached.  Only a caller that samples nodes needs this; a
+    caller that only asks whether the run crossed reads scalar_steps.
     """
-    accepted, t, crossed, stopped = scalar_steps(field, start, t_bound, rtol)
-    rows = [_row(field, *step) for step in accepted]
+    accepted, t, crossed, stopped = scalar_steps(scalar, args, start, t_bound, rtol, keep=True)
+    rows = [scalar.row(*step, *args) for step in accepted]
     t_end = _crossing(rows[-1], t) if crossed else t
     return np.reshape(rows, (-1, ROW_WIDTH)), t_end, crossed, stopped
 

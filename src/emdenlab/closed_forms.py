@@ -77,11 +77,24 @@ def _bubble_constants(N, a, b) -> tuple[float, float, float]:
 
 
 def bubble_amplitude(params: ProblemParams) -> float:
-    """Amplitude A = (m(m+1)sigma^2)^(1/(p-1)) making the profile exact."""
+    """Amplitude A = (m(m+1)sigma^2)^(1/(p-1)) making the profile exact.
+
+    An amplitude that overflows or underflows to 0 (small sigma, where
+    p - 1 is small) raises NotInRange.
+    """
     require_admissible(params)
     derive(params)  # p > 1
     _, _, K = _bubble_constants(params.N, params.a, params.b)
-    return K ** (1.0 / (params.p - 1.0))
+    try:
+        amplitude = K ** (1.0 / (params.p - 1.0))
+    except OverflowError:
+        amplitude = math.inf
+    if not 0.0 < amplitude < math.inf:
+        raise NotInRange(
+            f"p = {params.p}: the bubble's amplitude K^(1/(p-1)), K = {K!r}, "
+            "leaves float range"
+        )
+    return amplitude
 
 
 def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
@@ -106,7 +119,14 @@ def bubble(params: ProblemParams, lambda_scale: float = 1.0) -> BubbleProfile:
 def normalized_bubble(params: ProblemParams) -> BubbleProfile:
     """The dilation with v(0) = 1, matching the unit-height shooting start."""
     prof = bubble(params)
-    lam = prof.amplitude ** (-2.0 / (params.N - 2 + params.a))
+    try:
+        lam = prof.amplitude ** (-2.0 / (params.N - 2 + params.a))
+    except OverflowError:
+        lam = math.inf
+    if not lam < math.inf:
+        raise NotInRange(
+            f"amplitude = {prof.amplitude!r}: the dilation to v(0) = 1 leaves float range"
+        )
     return bubble(params, lambda_scale=lam)
 
 

@@ -82,7 +82,13 @@ def weighted_node_integral(
     spline = traj._integrands.get((exponent, power))
     if spline is None:
         knots = traj._log_knots()
-        spline = knots.spline(np.exp((exponent + 1.0) * knots.z) * v**power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = np.exp((exponent + 1.0) * knots.z) * v**power
+        if not np.isfinite(integrand).all():
+            raise NotInRange(
+                f"r^{exponent + 1.0!r} v^{power!r} leaves float range on the trajectory's nodes"
+            )
+        spline = knots.spline(integrand)
         traj._integrands[exponent, power] = spline
     bulk = spline.integral(math.log(R))
     stub = float(v[0]) ** power * float(r[0]) ** (exponent + 1.0) / (exponent + 1.0)

@@ -27,8 +27,11 @@ the critical exponent.
 Single shots (shoot, and the threshold probes of shot_crosses) and
 batches (sweep_shoot) run the one DOP853 engine of _dop853: a shot as
 its scalar step loop on Python floats, a batch as the lanes of its
-lockstep.  This module passes it the cylinder field (_make_rhs for a
-shot, _lane_rhs for lanes), the series start and rel_tol.  shoot and
+lockstep.  This module passes it the cylinder field, the series start
+and rel_tol.  For shots the field is source, _CYLINDER, which the engine
+compiles into its step loop once, at import; the row's parameters
+(_lane_params) are the loop's arguments.  For lanes it is _lane_rhs, on
+numpy arrays.  shoot and
 sweep_shoot finish every run the same way (_finish): nodes uniform in t
 (_node_grid), sampled from the run's step table, written back as
 (r, v, dv) and kept as (t, w, w'), then classified.  A probe is a
@@ -251,6 +254,7 @@ def _series_values(params: ProblemParams, sigma: float, beta: float, r):
     """Two-term start v = beta - beta^p r^sigma/(sigma(N+b)), dv its derivative.
 
     dv at r = 0 with sigma < 1 has no finite limit: DerivativeUndefinedAtOrigin.
+    A v or dv that leaves float range (beta^p may overflow) raises NotInRange.
     """
     N, b, p = params.N, params.b, params.p
     r_arr = np.asarray(r, dtype=float)
@@ -259,10 +263,19 @@ def _series_values(params: ProblemParams, sigma: float, beta: float, r):
         raise DerivativeUndefinedAtOrigin(
             f"sigma = {sigma} < 1: dv has no finite limit at r = 0"
         )
-    v = beta - beta**p * r_arr**sigma / (sigma * (N + b))
-    dv = -(beta**p) * r_arr ** (sigma - 1.0) / (N + b)
+    try:
+        beta_p = beta**p
+    except OverflowError:
+        beta_p = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = beta - beta_p * r_arr**sigma / (sigma * (N + b))
+        dv = -beta_p * r_arr ** (sigma - 1.0) / (N + b)
     if sigma > 1.0:
         dv = np.where(at_origin, 0.0, dv)
+    if not (np.isfinite(v).all() and np.isfinite(dv).all()):
+        raise NotInRange(
+            f"beta = {beta}: the series start leaves float range below the first node"
+        )
     return v, dv
 
 
@@ -304,23 +317,17 @@ def _lane_params(params: ProblemParams) -> tuple[float, float, float]:
     return -d.lambda1, d.lambda2, params.p - 1.0
 
 
-def _make_rhs(params: ProblemParams):
-    """The cylinder field (t, (w, w')) -> (w', w'') of one shot, on Python floats.
-
-    |w|^(p-1) w is the odd extension, smooth through w = 0.  A power that
-    overflows reads inf, as numpy's does, instead of raising.
-    """
-    neg_l1, l2, q = _lane_params(params)
-
-    def rhs(t, y):
-        w, dw = y
-        try:
-            source = abs(w) ** q * w
-        except OverflowError:
-            source = math.copysign(math.inf, w)
-        return (dw, neg_l1 * dw + l2 * w - source)
-
-    return rhs
+# The cylinder field (w', w'') of a shot, y = (w, w'), as _dop853 source with
+# _lane_params' parameters.  |w|^(p-1) w is the odd extension, smooth through
+# w = 0.  A power that overflows reads inf, as numpy's does in _lane_rhs,
+# instead of raising.
+_CYLINDER = _dop853.Scalar(("neg_l1", "l2", "q"), """\
+try:
+    source = abs(y0) ** q * y0
+except OverflowError:
+    source = math.copysign(math.inf, y0)
+f0, f1 = y1, neg_l1 * y1 + l2 * y0 - source
+""")
 
 
 def _node_grid(t0: float, t_end: float, nodes_per_decade: int) -> np.ndarray:
@@ -380,7 +387,8 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     DOP853 in the cylinder variables (t, w, w') as a scalar step loop on
     Python floats (_dop853.scalar_run), which shares the lockstep's
     tableau, initial step, step control, error norm, crossing rule and
-    node sampler; the field is _make_rhs(params), looked up at call time.
+    node sampler; the loop is _CYLINDER's, looked up at call time, run on
+    _lane_params(params).
     The run goes from the series start to t = log r_max and stops at the
     first step that starts at w >= 0 and ends at w <= 0.  brent_root
     refines the crossing on that step's dense output to a few ulps of t,
@@ -391,7 +399,9 @@ def shoot(params: ProblemParams, config: ShootConfig = ShootConfig()) -> RadialT
     reached and is Inconclusive.
     """
     start = series_start(params, config)
-    run = _dop853.scalar_run(_make_rhs(params), start, math.log(config.r_max), config.rel_tol)
+    run = _dop853.scalar_run(
+        _CYLINDER, _lane_params(params), start, math.log(config.r_max), config.rel_tol
+    )
     return _finish(params, config, start, *run)
 
 
@@ -400,12 +410,12 @@ def shot_crosses(params: ProblemParams, config: ShootConfig = ShootConfig()) -> 
 
     Runs shoot's step loop from the same series start on the same field
     (_dop853.scalar_steps), and reads True iff the run crossed and did not
-    stop.  It builds no step table, node, trajectory or outcome, and does
-    not refine the crossing.  Parameters or a start that series_start
-    refuses (an EmdenLabError) read False, and the refusal is logged at
-    DEBUG.  shoot's outcome is CrossedZero when this run crossed, except
-    where its nodes leave float range: shoot then raises NotInRange, and
-    this reads the run's crossing.
+    stop.  It keeps no accepted step, builds no step table, node,
+    trajectory or outcome, and does not refine the crossing.  Parameters
+    or a start that series_start refuses (an EmdenLabError) read False,
+    and the refusal is logged at DEBUG.  shoot's outcome is CrossedZero
+    when this run crossed, except where its nodes leave float range: shoot
+    then raises NotInRange, and this reads the run's crossing.
     """
     try:
         start = series_start(params, config)
@@ -413,7 +423,7 @@ def shot_crosses(params: ProblemParams, config: ShootConfig = ShootConfig()) -> 
         log.debug("shot p=%.17g refused: %s", params.p, exc)
         return False
     _, _, crossed, stopped = _dop853.scalar_steps(
-        _make_rhs(params), start, math.log(config.r_max), config.rel_tol
+        _CYLINDER, _lane_params(params), start, math.log(config.r_max), config.rel_tol
     )
     return crossed and not stopped
 

@@ -546,6 +546,29 @@ def test_values_out_of_range_exit_2_with_not_in_range(capsys, argv):
     assert err.startswith("NotInRange: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bubble", "--N", "7", "--a", "2.9390709647512576", "--b", "0.9607210425423728"],
+        ["pohozaev", *CUBIC_ARGS, "--p", "3", "--beta", "1e120", "--rmax", "1",
+         "--radii", "1e-121"],
+        ["pohozaev", *CUBIC_ARGS, "--p", "3", "--beta", "1e120", "--rmax", "1",
+         "--radii", "1e-122"],
+        ["shoot", *CUBIC_ARGS, "--p", "1.0000001"],
+        ["threshold", *CUBIC_ARGS, "--p-lo", "1.0000001", "--p-hi", "6"],
+    ],
+    ids=["bubble-small-sigma", "pohozaev-huge-beta", "pohozaev-huge-beta-near-start",
+         "shoot-p-near-1", "threshold-p-lo-near-1"],
+)
+def test_edge_inputs_exit_0_2_or_3_never_1(capsys, tmp_path, argv):
+    # each of these once raised a bare OverflowError (exit 1) or a numpy warning;
+    # an answer, a named refusal or Inconclusive is the contract
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == "" and issubclass(getattr(E.errors, err.split(":")[0]), E.EmdenLabError)
+
+
 def test_sweep_rejects_a_non_integer_dimension_instead_of_rounding(capsys, tmp_path):
     grid = tmp_path / "sweep_grid.csv"
     grid.write_text("N,a,b,p\n3.6,0,0,3\n3,0,0,3\n")

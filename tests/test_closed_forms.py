@@ -129,6 +129,19 @@ def test_bubble_refuses_a_non_finite_dilation(lam):
         E.bubble(_critical_params(3, 0.0, 0.0), lambda_scale=lam)
 
 
+@pytest.mark.parametrize(
+    "N, a, b, match",
+    [(7, 2.9390709647512576, 0.9607210425423728, "amplitude"),  # A about 1e328
+     (3, -0.9, -2.8999, "amplitude"),  # A underflows to 0
+     (3, -0.9, -2.9 + 0.000578, "dilation")],  # A = 1.6e-173, A^(-20) overflows
+    ids=["amplitude-overflows", "amplitude-underflows", "dilation-overflows"],
+)
+def test_bubble_names_an_amplitude_outside_float_range(N, a, b, match):
+    # a small sigma puts p close to 1, and K^(1/(p-1)) leaves float range
+    with pytest.raises(E.NotInRange, match=match):
+        E.normalized_bubble(_critical_params(N, a, b))
+
+
 @pytest.mark.parametrize("lam", [0.0, -2.0])
 def test_bubble_names_a_nonpositive_dilation(lam):
     with pytest.raises(E.NotInRange, match="lambda_scale"):

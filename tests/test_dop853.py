@@ -17,9 +17,12 @@ START = (0.0, 1.0, 0.0)
 RTOL = 1e-10
 
 
+# v'' = -w2 v as engine source; an oscillator's args are (omega^2,)
+OSCILLATOR = _dop853.Scalar(("w2",), "f0, f1 = y1, -w2 * y0\n")
+
+
 def _oscillator(omega):
-    w2 = omega * omega
-    return lambda t, y: (y[1], -w2 * y[0])
+    return OSCILLATOR, (omega * omega,)
 
 
 def _oscillator_lanes(omegas):
@@ -50,7 +53,7 @@ def test_both_drivers_find_the_exact_crossings():
     for k, omega in enumerate(OMEGAS):
         exact = math.pi / (2 * omega)
         steps, t_end, crossed, stopped = _dop853.scalar_run(
-            _oscillator(omega), START, 10.0, RTOL
+            *_oscillator(omega), START, 10.0, RTOL
         )
         assert crossed and not stopped
         assert t_end == pytest.approx(exact, rel=1e-9, abs=0)
@@ -74,7 +77,7 @@ def test_a_run_that_does_not_cross_ends_at_its_bound():
     # cos(0.5 t) stays positive up to t = 3 < pi; cos(3 t) crosses at pi / 6
     lanes = _lockstep([0.5, 3.0], 3.0)
     steps, t_end, crossed, stopped = _dop853.scalar_run(
-        _oscillator(0.5), START, 3.0, RTOL
+        *_oscillator(0.5), START, 3.0, RTOL
     )
     assert (t_end, crossed, stopped) == (3.0, False, False)
     assert lanes[0][1:] == (3.0, False, False)
@@ -103,9 +106,6 @@ def test_a_lane_that_fails_the_minimum_step_test_before_its_first_step_has_no_ro
 def test_both_drivers_stop_alike_where_the_field_turns_nan():
     # past t = 1 the field is NaN: steps shrink onto t = 1 until they fail
     # the minimum-step test, and the rows reached are kept
-    def field(t, y):
-        return (math.nan, math.nan) if t > 1.0 else (y[1], -y[0])
-
     def lane_field(lanes):
         nan_after = np.where(lanes == 1, 1.0, np.inf)
 
@@ -116,7 +116,7 @@ def test_both_drivers_stop_alike_where_the_field_turns_nan():
 
         return rhs
 
-    steps, t_end, crossed, stopped = _dop853.scalar_run(field, START, 10.0, RTOL)
+    steps, t_end, crossed, stopped = _dop853.scalar_run(NAN_AFTER_ONE, (), START, 10.0, RTOL)
     assert (crossed, stopped) == (False, True)
     assert 1.0 - 1e-12 < t_end <= 1.0
     _, (lane_steps, lane_end, lane_crossed, lane_stopped) = _dop853.lockstep(
@@ -145,8 +145,7 @@ def test_a_lane_settling_on_a_fixed_point_does_not_stall():
     # shrink with y1 down to the round-off of y0 - 1, and the step with it;
     # the state's max-norm keeps both components' errors relative to y0.
     # Stability alone caps h |lambda| near 6, about 330 steps on [0, 1000].
-    def field(t, y):
-        return (y[1], -y[1] - 4.0 * (y[0] - 1.0))
+    spiral = _dop853.Scalar((), "f0, f1 = y1, -y1 - 4.0 * (y0 - 1.0)\n")
 
     def lane_field(lanes):
         def rhs(t, y, out):
@@ -156,7 +155,7 @@ def test_a_lane_settling_on_a_fixed_point_does_not_stall():
         return rhs
 
     start = (0.0, 2.0, 0.0)
-    steps, t_end, crossed, stopped = _dop853.scalar_run(field, start, 1e3, RTOL)
+    steps, t_end, crossed, stopped = _dop853.scalar_run(spiral, (), start, 1e3, RTOL)
     [(lane_steps, *lane_run)] = _dop853.lockstep(lane_field, [start], 1e3, RTOL)
     assert (t_end, crossed, stopped) == (1e3, False, False)
     assert lane_run == [1e3, False, False]
@@ -165,13 +164,18 @@ def test_a_lane_settling_on_a_fixed_point_does_not_stall():
     assert v[0] == pytest.approx(1.0, abs=10 * RTOL) and abs(dv[0]) < 10 * RTOL
 
 
-def _reference_run(field, start, t_bound, rtol):
+def _reference_run(scalar, args, start, t_bound, rtol):
     """scalar_run as a loop over the tableau's (j, weight) pairs, one stage sum at a time.
 
     Each sum starts from 0.0 and adds w_j K_j in stage order.  A's rows,
-    B and D's rows keep their nonzero weights, E5 and E3 all 13.
+    B and D's rows keep their nonzero weights, E5 and E3 all 13.  The
+    field is called at every stage, where scalar_run splices its source.
     """
     d = _dop853
+
+    def field(t, y):
+        return scalar.field(t, *y, *args)
+
     A = [sorted(d.A_ROWS.get(s, {}).items()) for s in range(d.N_STAGES_EXTENDED)]
     _, _, C, E3, E5, _ = d.coefficients()
     E5, E3 = list(enumerate(E5.tolist())), list(enumerate(E3.tolist()))
@@ -253,37 +257,39 @@ def _reference_run(field, start, t_bound, rtol):
             return np.array(rows), t_end, crossed, False
 
 
-def _nan_after_one(t, y):
-    return (math.nan, math.nan) if t > 1.0 else (y[1], -y[0])
+# past t = 1 the field is NaN
+NAN_AFTER_ONE = _dop853.Scalar((), "f0, f1 = (math.nan, math.nan) if x > 1.0 else (y1, -y0)\n")
+# v'' = cos t - v: each stage reads its own time
+FORCED = _dop853.Scalar((), "f0, f1 = y1, math.cos(x) - y0\n")
 
 
 def _cylinder_runs():
-    """(field, start, t_bound, rtol) of the criterion-5 rows' shots at beta = 100, r_max = 1e4."""
+    """(scalar, args, start, t_bound, rtol) of the criterion-5 shots at beta = 100, r_max = 1e4."""
     from emdenlab import shooting
     from test_shooting import _criterion5_rows
 
     config = shooting.ShootConfig(beta=100.0, r_max=1e4)
     for params in _criterion5_rows():
         start = shooting.series_start(params, config)
-        yield shooting._make_rhs(params), start, math.log(config.r_max), config.rel_tol
+        yield (shooting._CYLINDER, shooting._lane_params(params), start,
+               math.log(config.r_max), config.rel_tol)
 
 
 @pytest.mark.parametrize(
     "runs",
     [
-        pytest.param(lambda: [(_oscillator(w), START, 10.0, RTOL) for w in OMEGAS],
+        pytest.param(lambda: [(*_oscillator(w), START, 10.0, RTOL) for w in OMEGAS],
                      id="oscillators"),
-        pytest.param(lambda: [(_oscillator(0.5), START, 3.0, RTOL)], id="ends-at-bound"),
-        pytest.param(lambda: [(_nan_after_one, START, 10.0, RTOL)], id="stopped"),
+        pytest.param(lambda: [(*_oscillator(0.5), START, 3.0, RTOL)], id="ends-at-bound"),
+        pytest.param(lambda: [(NAN_AFTER_ONE, (), START, 10.0, RTOL)], id="stopped"),
+        pytest.param(lambda: [(FORCED, (), START, 10.0, RTOL)], id="time-dependent"),
         pytest.param(_cylinder_runs, id="criterion5-cylinder"),
     ],
 )
 def test_the_straight_line_step_is_the_loop_over_the_tableau_bit_for_bit(runs):
-    for field, start, t_bound, rtol in runs():
-        steps, t_end, crossed, stopped = _dop853.scalar_run(field, start, t_bound, rtol)
-        ref_steps, ref_end, ref_crossed, ref_stopped = _reference_run(
-            field, start, t_bound, rtol
-        )
+    for run in runs():
+        steps, t_end, crossed, stopped = _dop853.scalar_run(*run)
+        ref_steps, ref_end, ref_crossed, ref_stopped = _reference_run(*run)
         assert len(steps) > 2
         assert np.array_equal(steps, ref_steps)
         assert (t_end, crossed, stopped) == (ref_end, ref_crossed, ref_stopped)

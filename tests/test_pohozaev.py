@@ -131,6 +131,16 @@ def test_weighted_node_integral_names_a_non_finite_exponent_or_power(exponent, p
         E.weighted_node_integral(traj, exponent, power, 1.0)
 
 
+def test_weighted_node_integral_names_an_integrand_outside_float_range():
+    # v = 1e120 near the start: v^4 overflows, while the whole shot crosses
+    # near r = 6.9e-120
+    traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(beta=1e120, r_max=1.0))
+    with pytest.raises(E.NotInRange, match="leaves float range"):
+        E.weighted_node_integral(traj, 2.0, 4.0, 1e-121)
+    with pytest.raises(E.NotInRange, match="leaves float range"):
+        E.ball_identity(traj, 1e-121)
+
+
 def test_weighted_node_integral_validation():
     traj = E.shoot(E.ProblemParams(3, 0.0, 0.0, 3.0), E.ShootConfig(r_max=10.0))
     with pytest.raises(ValueError):

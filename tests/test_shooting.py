@@ -431,13 +431,7 @@ def test_a_stopped_probe_and_a_refused_one_do_not_cross(monkeypatch):
             E.shoot(params, refused)
         assert E.shot_crosses(params, refused) is False
     # a field that turns NaN from r = 2 on stops the run short of the crossing
-    make_rhs = shooting._make_rhs
-
-    def nan_make_rhs(params):
-        rhs = make_rhs(params)
-        return lambda t, y: rhs(t, y) if t < math.log(2.0) else (math.nan, math.nan)
-
-    monkeypatch.setattr(shooting, "_make_rhs", nan_make_rhs)
+    monkeypatch.setattr(shooting, "_CYLINDER", _nan_cylinder(f"x >= {math.log(2.0)!r}"))
     assert isinstance(E.shoot(UNWEIGHTED_CUBIC, config).outcome, E.Inconclusive)
     assert E.shot_crosses(UNWEIGHTED_CUBIC, config) is False
     # and one stopped before its first step
@@ -456,7 +450,8 @@ def test_a_probe_reads_the_crossing_of_a_run_whose_nodes_shoot_refuses():
         E.shoot(params, config)
     start = E.series_start(params, config)
     _, _, crossed, stopped = _dop853.scalar_run(
-        shooting._make_rhs(params), start, math.log(config.r_max), config.rel_tol
+        shooting._CYLINDER, shooting._lane_params(params), start, math.log(config.r_max),
+        config.rel_tol,
     )
     assert crossed and not stopped
     assert E.shot_crosses(params, config) is True
@@ -471,7 +466,7 @@ def test_a_bisection_builds_no_step_table_and_no_trajectory(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a threshold probe built a step-table row or a trajectory")
 
-    monkeypatch.setattr(_dop853, "_row", refuse)
+    monkeypatch.setattr(shooting._CYLINDER, "row", refuse)
     monkeypatch.setattr(shooting, "_finish", refuse)
     monkeypatch.setattr(shooting, "RadialTrajectory", refuse)
     p_star = E.threshold_bisect(3, 0.0, 1.0, 6.0, 8.0, tol_p=1e-3, config=config)
@@ -748,8 +743,10 @@ def _scipy_oracle(params, config):
 
     crossing.terminal, crossing.direction = True, -1
     t0, w0, dw0 = E.series_start(params, config)
+    args = shooting._lane_params(params)
     return solve_ivp(
-        shooting._make_rhs(params), (t0, math.log(config.r_max)), (w0, dw0),
+        lambda t, y: shooting._CYLINDER.field(t, *y, *args), (t0, math.log(config.r_max)),
+        (w0, dw0),
         method="DOP853", rtol=RTOL_FLOOR, atol=RTOL_FLOOR * max(abs(w0), abs(dw0)),
         events=crossing, dense_output=True,
     )
@@ -904,6 +901,20 @@ def test_row_gather_sampler_matches_the_per_coefficient_loop(monkeypatch):
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
+def _nan_cylinder(when):
+    """shooting's cylinder field as engine source, NaN where the condition `when` holds.
+
+    `when` is a Python expression in the field's names (x, y0, y1 and the
+    parameters); the field is compiled into the step loop, so a test
+    changes it by changing its source.
+    """
+    from emdenlab import shooting
+
+    cylinder = shooting._CYLINDER
+    nan = f"if {when}:\n    f0 = f1 = math.nan\n"
+    return _dop853.Scalar(cylinder.params, cylinder.source + nan)
+
+
 def nan_at_start(monkeypatch, q=None):
     """Make the field NaN for shots and for the lanes whose p - 1 is q (every lane if None).
 
@@ -913,7 +924,7 @@ def nan_at_start(monkeypatch, q=None):
     from emdenlab import shooting
 
     lane_rhs = shooting._lane_rhs
-    monkeypatch.setattr(shooting, "_make_rhs", lambda params: lambda t, y: (math.nan, math.nan))
+    monkeypatch.setattr(shooting, "_CYLINDER", _nan_cylinder("True"))
 
     def nan_lane_rhs(t, y, fld, out):
         lane_rhs(t, y, fld, out)
@@ -947,17 +958,13 @@ def test_batched_step_failure_reads_like_a_single_shot(monkeypatch):
     # its step below the spacing of floats just short of r = 2, on both paths.
     from emdenlab import shooting
 
-    make_rhs, lane_rhs = shooting._make_rhs, shooting._lane_rhs
-
-    def nan_make_rhs(params):
-        rhs = make_rhs(params)
-        return lambda t, y: rhs(t, y) if t < math.log(2.0) else (math.nan, math.nan)
+    lane_rhs = shooting._lane_rhs
 
     def nan_lane_rhs(t, y, fld, out):
         lane_rhs(t, y, fld, out)
         out[t >= math.log(2.0)] = math.nan
 
-    monkeypatch.setattr(shooting, "_make_rhs", nan_make_rhs)
+    monkeypatch.setattr(shooting, "_CYLINDER", _nan_cylinder(f"x >= {math.log(2.0)!r}"))
     monkeypatch.setattr(shooting, "_lane_rhs", nan_lane_rhs)
     config = E.ShootConfig(r_max=100.0)
     ref = E.shoot(UNWEIGHTED_CUBIC, config).outcome
@@ -1124,6 +1131,18 @@ def test_eval_range_and_series_fallback(tmp_path):
     back = E.trajectory_from_csv(path, UNWEIGHTED_CUBIC)
     with pytest.raises(E.RangeExceeded):
         back.eval(r_small)
+
+
+def test_eval_below_the_first_node_names_a_series_outside_float_range():
+    # beta^p = 1e360 overflows, though the nodes themselves are finite
+    traj = E.shoot(UNWEIGHTED_CUBIC, E.ShootConfig(beta=1e120, r_max=1.0))
+    assert isinstance(traj.outcome, E.CrossedZero)
+    with pytest.raises(E.NotInRange, match="beta = 1e\\+120"):
+        traj.eval(traj.r[0] / 2.0)
+    # sigma = 0.5 < 1: dv = -beta^p r^(sigma-1)/(N+b) overflows at a tiny radius
+    traj = E.shoot(E.ProblemParams(3, 0.0, -1.5, 3.0), E.ShootConfig(beta=1e50, r_max=10.0))
+    with pytest.raises(E.NotInRange, match="series start"):
+        traj.eval(5e-324)
 
 
 @pytest.mark.parametrize("r", [math.nan, [1.0, math.nan], np.array([[math.nan]])],
